@@ -104,8 +104,13 @@ def _emit(doc, args, render_text):
         if not payload.endswith("\n"):
             payload += "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as e:
+            print("prozero: cannot write %s: %s" % (args.out, e.strerror or e),
+                  file=sys.stderr)
+            sys.exit(USAGE_EXIT)
     else:
         sys.stdout.write(payload)
 
@@ -354,6 +359,8 @@ def _mono_raw(idx, dt, du):
 
 def cmd_selftest(args):
     field = field_from_spec(args.field)
+    if args.count < 0 or args.round_trips < 0:
+        raise ParseError("--count and --round-trips must be >= 0")
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)
     rings = [R_ONLY, GS, E1(2), E1(3), E2, CTRL]

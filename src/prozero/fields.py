@@ -2,8 +2,12 @@
 
 Everything downstream (ring elements, elimination, report rendering) is
 parametrized by a Field object so the same code runs over the rationals and
-over a prime field. Scalars are plain hashable Python values: Fraction for
-the rationals, small ints in [0, p) for GF(p). No floats, ever.
+over a prime field. Scalars are plain hashable Python values: small ints in
+[0, p) for GF(p); for the rationals, int until a non-unit inverse or a
+parsed fraction brings in a Fraction. Elimination over the paper's rings
+meets almost only pivots +-1, so most rational work never leaves int
+arithmetic (the simplest case of Bareiss' fraction-free elimination).
+No floats, ever.
 """
 
 from __future__ import annotations
@@ -16,18 +20,22 @@ class FieldError(ValueError):
 
 
 class Rationals:
-    """The field of rational numbers with Fraction scalars."""
+    """The field of rational numbers.
+
+    Scalars are int until a non-unit inverse or a parsed fraction brings
+    in a Fraction; the two compare, hash and render alike.
+    """
 
     name = "q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, num, den):
         if den == 0:
@@ -49,7 +57,10 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero")
-        return 1 / a
+        if a == 1 or a == -1:
+            return a
+        # Fraction(1, a), never 1 / a: int division makes a float
+        return Fraction(1, a)
 
     def is_zero(self, a):
         return a == 0
@@ -117,7 +128,7 @@ def field_from_spec(text):
         return QQ
     if t.startswith("fp:"):
         body = t[3:]
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise FieldError("bad prime in field spec %r" % (text,))
         return PrimeField(int(body))
     raise FieldError("unknown field spec %r (want q or fp:<prime>)" % (text,))

@@ -335,14 +335,18 @@ def pro_zero_test(ring, system, max_stage, w, field=QQ):
         raise OracleError("pro-zero search needs max_stage >= 3")
     check_window_ring(ring, w)
     rows = []
-    targets = {}
+    modules = {}     # stage -> module, built once for this search
+
+    def module(i):
+        if i not in modules:
+            modules[i] = _h_module(ring, system, i, w, field)
+        return modules[i]
+
     for n in range(2, max_stage):
-        if n not in targets:
-            targets[n] = _h_module(ring, system, n, w, field)
-        tgt = targets[n]
+        tgt = module(n)
         row = ProZeroRow(n=n)
         for m in range(n + 1, max_stage + 1):
-            src = _h_module(ring, system, m, w, field)
+            src = module(m)
 
             def image_class(vec, step=m - n):
                 img = _mult_reduced(ring, vec, step, 0, w, field)

@@ -60,8 +60,9 @@ class Echelon:
         if not row:
             return None
         piv = max(row)
-        inv = f.inv(row[piv])
-        row = {c: f.mul(inv, v) for c, v in row.items()}
+        if row[piv] != f.one():
+            inv = f.inv(row[piv])
+            row = {c: f.mul(inv, v) for c, v in row.items()}
         # keep the form fully reduced: clear piv from every older row
         for other_piv in list(self._uses.get(piv, ())):
             other = self.rows[other_piv]

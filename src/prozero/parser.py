@@ -43,6 +43,12 @@ class ParseError(ValueError):
 _PUNCT = {"+", "-", "*", "^", "/", "(", ")"}
 
 
+def _is_nat(s):
+    # ASCII only: str.isdigit also accepts digits such as "²" that int()
+    # rejects
+    return s.isascii() and s.isdigit()
+
+
 def _tokens(text):
     """Yield (kind, value, offset). Kinds: nat, name, punct, end."""
     i, n = 0, len(text)
@@ -51,9 +57,9 @@ def _tokens(text):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if _is_nat(c):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _is_nat(text[j]):
                 j += 1
             yield ("nat", int(text[i:j]), i)
             i = j
@@ -64,7 +70,7 @@ def _tokens(text):
             continue
         if c == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and _is_nat(text[j]):
                 j += 1
             if j == i + 1:
                 raise ParseError("generator x needs a numeric index", i)
@@ -249,7 +255,7 @@ def parse_ring(text):
     if s.startswith("E1[m=") and s.endswith("]"):
         inner = s[5:-1]
         at = text.index("E1[m=") + 5
-        if not inner.isdigit():
+        if not _is_nat(inner):
             raise ParseError("ring parameter m must be a natural number", at)
         m = int(inner)
         if m < 2:
@@ -268,7 +274,7 @@ def parse_system(text, m=2):
         n = 2
     elif s.startswith("f[n=") and s.endswith("]"):
         inner = s[4:-1]
-        if not inner.isdigit():
+        if not _is_nat(inner):
             raise ParseError("system parameter n must be a natural number", 0)
         n = int(inner)
     elif s == "H1(t)":

@@ -76,6 +76,38 @@ def test_usage_errors(capsys):
     assert "--ring" in err
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["eval", "x²"], "parse error"),
+    (["eval", "--field", "fp:³", "x0"], "invalid field"),
+    (["eval", "--ring", "E1[m=²]", "x0"], "parse error"),
+    (["prozero", "--ring", "E1", "--system", "f[n=²]"], "parse error"),
+])
+def test_non_ascii_digits_are_usage_errors(argv, kind, capsys):
+    # str.isdigit accepts "²" and "³", which int() rejects
+    assert run_cli(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("prozero: %s:" % kind)
+    assert err.count("\n") == 1
+
+
+def test_out_write_failure_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert run_cli(["eval", "--out", str(target), "x0"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("prozero: cannot write %s:" % target)
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [["--count", "-5"], ["--round-trips", "-1"]])
+def test_selftest_rejects_negative_counts(argv, capsys):
+    assert run_cli(["selftest"] + argv) == 64
+    captured = capsys.readouterr()
+    assert "selftest passed" not in captured.out
+    assert captured.err.startswith("prozero: parse error:")
+    assert argv[0] in captured.err
+
+
 def test_verify_falsified_and_inconclusive_codes(monkeypatch, capsys):
     # the status -> exit code mapping, driven through stub reports
     def fake(claim_id, **kw):

@@ -1,6 +1,7 @@
 """Field arithmetic: axioms, exactness, rendering."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,11 @@ def _axiom_loop(field, sample, count=300, seed=11):
     rng = random.Random(seed)
     for _ in range(count):
         a, b, c = sample(rng), sample(rng), sample(rng)
+        results = [field.add(a, b), field.sub(a, b), field.mul(a, b),
+                   field.neg(a)]
+        if not field.is_zero(a):
+            results.append(field.inv(a))
+        assert not any(isinstance(r, float) for r in results)
         assert field.add(a, b) == field.add(b, a)
         assert field.mul(a, b) == field.mul(b, a)
         assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
@@ -25,9 +31,22 @@ def _axiom_loop(field, sample, count=300, seed=11):
 
 
 def test_qq_axioms():
-    def sample(rng):
+    def fractions(rng):
         return QQ.from_fraction(rng.randint(-50, 50), rng.randint(1, 30))
-    _axiom_loop(QQ, sample)
+
+    def mixed(rng):
+        # integers from from_int take the int fast path; mixing them with
+        # Fraction values must stay exact
+        if rng.random() < 0.5:
+            return QQ.from_int(rng.randint(-5, 5))
+        return fractions(rng)
+    _axiom_loop(QQ, fractions)
+    _axiom_loop(QQ, mixed)
+    assert QQ.inv(QQ.from_int(2)) == Fraction(1, 2)
+    assert QQ.inv(QQ.from_fraction(-2, 3)) == Fraction(-3, 2)
+    # unit integers stay int through inversion and products
+    assert type(QQ.inv(QQ.from_int(-1))) is int
+    assert type(QQ.mul(QQ.from_int(3), QQ.one())) is int
 
 
 def test_prime_field_axioms():

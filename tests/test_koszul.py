@@ -2,6 +2,7 @@
 
 import pytest
 
+from prozero import koszul
 from prozero.fields import QQ
 from prozero.koszul import (h0_of_h1, h1_of_h0, koszul_h1_single, koszul_pair,
                             pro_zero_test, ses_row_check, transition_witness_replay,
@@ -125,6 +126,27 @@ def test_pro_zero_e2_frozen():
                 E2, SystemSpec("H0(u;H1(t))"), m, n, Window(10, 10, 12), wit)
     # the last row only sees a gap-1 transition: flagged, not witnessed
     assert rows[7].window_limited
+
+
+def test_pro_zero_builds_each_stage_once(monkeypatch):
+    built = []
+    real = koszul._h_module
+
+    def spy(ring, system, i, w, field):
+        built.append(i)
+        return real(ring, system, i, w, field)
+
+    monkeypatch.setattr(koszul, "_h_module", spy)
+    rep = pro_zero_test(E2, SystemSpec(kind="H0(u;H1(t))"), 8,
+                        Window(10, 10, 12))
+    assert sorted(built) == [2, 3, 4, 5, 6, 7, 8]
+    assert rep.verdict == "NOT-pro-zero-witnessed"
+    got = [(r.n, r.least_zero_m, r.window_limited,
+            [(m, poly_of_vec(E2, v)) for m, v in r.witnesses])
+           for r in rep.rows]
+    assert got == [(n, 0, n == 7,
+                    [(m, _gen(E2, ("x", m - 2))) for m in range(n + 1, 9)])
+                   for n in range(2, 8)]
 
 
 def test_pro_zero_ctrl_gap_two():

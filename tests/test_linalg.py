@@ -1,6 +1,7 @@
 """Sparse exact linear algebra: echelon forms, kernels, rank."""
 
 import random
+from fractions import Fraction
 
 from prozero.fields import QQ, PrimeField
 from prozero.linalg import Echelon, Subspace, kernel_basis, rank_of
@@ -45,6 +46,28 @@ def test_echelon_dim_counts_independent_rows():
     ech.insert({0: one})           # dependent on the first two
     assert ech.dim == 2
     assert sorted(ech.pivots()) == [0, 1]
+
+
+def test_echelon_normalises_non_unit_pivots():
+    # leading coefficients 2, 3 and -1: only a pivot equal to one may skip
+    # normalisation
+    n = QQ.from_int
+    ech = Echelon(QQ)
+    assert ech.insert({0: n(1), 1: n(2)}) == 1
+    assert ech.insert({0: n(1), 2: n(3)}) == 2
+    assert ech.insert({0: n(2), 3: n(-1)}) == 3
+    assert ech.rows == {1: {0: Fraction(1, 2), 1: 1},
+                        2: {0: Fraction(1, 3), 2: 1},
+                        3: {0: -2, 3: 1}}
+    for piv, row in ech.rows.items():
+        assert row[piv] == 1
+    assert isinstance(ech.rows[1][0], Fraction)
+    assert isinstance(ech.rows[2][0], Fraction)
+    # by hand: x1 + x2 = (x1 + x0/2) + (x2 + x0/3) - 5/6 x0
+    assert ech.reduce({1: n(1), 2: n(1)}) == {0: Fraction(-5, 6)}
+    assert ech.reduce({0: n(1)}) == {0: 1}
+    assert ech.contains({0: n(5), 1: n(6), 2: n(6)})   # 3 r1 + 2 r2
+    assert not ech.contains({1: n(1)})
 
 
 def test_subspace_equality_ignores_spanning_order():
