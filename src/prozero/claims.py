@@ -22,12 +22,11 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ
-from .koszul import (koszul_h1_single, pro_zero_test, ses_row_check,
-                     transition_witness_replay)
-from .oracle import (Window, WindowError, annihilator_oracle, boundary_touch,
-                     check_window_ring, kernel_of, mono_mul, mono_of_index,
-                     poly_of_vec, reduce_raw, subspace_boundary_touch,
-                     system_kernel, torsion_subspace, vectorize, window_basis)
+from .koszul import pro_zero_test, ses_row_check, transition_witness_replay
+from .oracle import (Window, WindowError, annihilator_oracle, kernel_of,
+                     mono_of_index, poly_of_vec, reduce_raw, shift_reduce,
+                     subspace_boundary_touch, system_kernel, torsion_subspace,
+                     vectorize, window_basis)
 from .parser import print_element
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, SystemSpec,
                     alpha_hat, ann_formula, apply_system, apply_system_raw)
@@ -94,43 +93,17 @@ def _render_sub(ring, sub, field):
     return rows
 
 
-def _formula_space(ring, idxs, field):
-    """Formula indices ("x", i) as window vectors; CTRL maps powers."""
-    if ring.variant == "CTRL":
-        return [{(0, a): field.one()} for (_, a) in idxs]
-    return [{mono_of_index(idx): field.one()} for idx in idxs]
+def _no_constant(vec):
+    """True when vec has no monomial of bidegree (0, 0)."""
+    return all((m[0], m[1]) != (0, 0) for m in vec)
 
 
-def _zero_slice(ring, vec, dt, du):
-    if ring.variant == "CTRL":
-        return all(m[0] != dt for m in vec)
-    return all((m[0], m[1]) != (dt, du) for m in vec)
-
-
-def _t_slices(ring, vec, field):
+def _t_slices(vec):
     """Split a window vector into its t-degree slices, t-power stripped."""
     out = {}
     for m, c in vec.items():
-        if ring.variant == "CTRL":
-            out.setdefault(m[0], {})[(0, m[1])] = c
-        else:
-            out.setdefault(m[0], {})[(0, m[1], m[2], m[3], m[4])] = c
+        out.setdefault(m[0], {})[(0,) + m[1:]] = c
     return out
-
-
-def _mulm(ring, vec, dt, du, ypow, w, field):
-    """vec * t^dt u^du y^ypow, reduced; caps sized for one extra y."""
-    raw = {}
-    if ring.variant == "CTRL":
-        if du or ypow:
-            raise WindowError("CTRL has only t to multiply by")
-        for m, c in vec.items():
-            raw[(m[0] + dt, m[1])] = c
-    else:
-        shift = (dt, du, 0, ypow, ())
-        for m, c in vec.items():
-            raw[mono_mul(m, shift)] = c
-    return reduce_raw(ring, raw, w.Mx + 2 + ypow, w.Mx, False, field)
 
 
 def _vsub(field, a, b):
@@ -250,9 +223,8 @@ def _ann_rows(ring, max_dt, max_du, w, ck, field):
     for dt in range(max_dt + 1):
         for du in range(max_du + 1):
             got = annihilator_oracle(ring, dt, du, w, field)
-            want_idx = ann_formula(ring, dt, du,
-                                   w.Mx if ring.variant == "CTRL" else None)
-            want = _formula_space(ring, want_idx, field)
+            want = [{mono_of_index(idx, ring=ring): field.one()}
+                    for idx in ann_formula(ring, dt, du, w.Mx)]
             dim_ok = got.dim == len(want)
             member_ok = all(got.contains(v) for v in want)
             label = "%s ann(t^%d%s) matches closed form (dim %d)" % (
@@ -304,21 +276,22 @@ def _induction_replay(ring, vec, w, ck, field, tag):
     Returns True when every equation holds; a failing equation is
     reported individually with the vector as counter-witness.
     """
-    cs = _t_slices(ring, vec, field)
+    cs = _t_slices(vec)
     n_top = w.Dt
     c = {i: cs.get(i, {}) for i in range(n_top + 1)}
     rendered = _render(ring, vec, field)
-    if _mulm(ring, c[0], 0, 0, 1, w, field):
+    if shift_reduce(ring, c[0], 0, 0, w, field, ypow=1):
         ck.expect(False, "%s: c0*y = 0" % tag, "c0*y != 0 for %s" % rendered)
         return False
     for i in range(n_top):
-        diff = _vsub(field, c[i], _mulm(ring, c[i + 1], 0, 0, 1, w, field))
-        if _mulm(ring, diff, i + 1, 0, 0, w, field):
+        diff = _vsub(field, c[i],
+                     shift_reduce(ring, c[i + 1], 0, 0, w, field, ypow=1))
+        if shift_reduce(ring, diff, i + 1, 0, w, field):
             ck.expect(False,
                       "%s: (c%d - c%d*y)*t^%d = 0" % (tag, i, i + 1, i + 1),
                       "induction step %d fails for %s" % (i, rendered))
             return False
-    if _mulm(ring, c[n_top], n_top + 1, 0, 0, w, field):
+    if shift_reduce(ring, c[n_top], n_top + 1, 0, w, field):
         ck.expect(False, "%s: c%d*t^%d = 0" % (tag, n_top, n_top + 1),
                   "top coefficient of %s survives t^%d"
                   % (rendered, n_top + 1))
@@ -350,10 +323,10 @@ def verify_essential(ring=None, w=None, dt=None, du=None, mx=None, field=QQ):
     ck.expect(ker.contains(wit_vec) and bool(wit_vec),
               "witness %s lies in the kernel" % print_element(x0t),
               "expected witness is not a kernel vector")
-    const_ok = all(_zero_slice(ring, v, 0, 0) for v in ker.basis())
+    const_ok = all(_no_constant(v) for v in ker.basis())
     ck.expect(const_ok, "every kernel basis vector has zero constant term",
               next((_render(ring, v, field) for v in ker.basis()
-                    if not _zero_slice(ring, v, 0, 0)), ""))
+                    if not _no_constant(v)), ""))
     replayed = 0
     for k, v in enumerate(ker.basis()):
         if not _induction_replay(ring, v, eff, ck, field, "vector %d" % k):
@@ -385,11 +358,11 @@ def verify_kernel_I0(w=None, dt=None, du=None, mx=None, field=QQ):
     x0t = GradedPoly.gen(E2, ("x", 0), field) * GradedPoly.gen(E2, "t", field)
     ck.expect(ker.contains_poly(x0t), "witness x0*t lies in the kernel",
               "x0*t is not a kernel vector")
-    const_ok = all(_zero_slice(E2, v, 0, 0) for v in ker.basis())
+    const_ok = all(_no_constant(v) for v in ker.basis())
     ck.expect(const_ok,
               "every kernel basis vector has zero degree-(0,0) component",
               next((_render(E2, v, field) for v in ker.basis()
-                    if not _zero_slice(E2, v, 0, 0)), ""))
+                    if not _no_constant(v)), ""))
     in_ideal = all(all(m[4] for m in v) for v in ker.basis())
     ck.expect(in_ideal, "every kernel basis vector lies in the x-generator "
               "ideal", "a kernel vector has an x-free monomial")
@@ -412,12 +385,12 @@ def verify_bounded_E2(w=None, dt=None, du=None, mx=None, k_exp=None, field=QQ):
               "torsion subspace is trivial")
     for (sdt, sdu, name) in ((2, 0, "t^2"), (1, 1, "t*u"), (0, 2, "u^2")):
         bad = next((v for v in T.basis()
-                    if _mulm(E2, v, sdt, sdu, 0, eff, field)), None)
+                    if shift_reduce(E2, v, sdt, sdu, eff, field)), None)
         ck.expect(bad is None, "%s * T = 0 exactly" % name,
                   "" if bad is None else
                   "%s survives %s" % (_render(E2, bad, field), name))
     x0 = {mono_of_index(("x", 0)): field.one()}
-    ck.expect(T.contains(x0) and not _mulm(E2, x0, 0, 1, 0, eff, field),
+    ck.expect(T.contains(x0) and not shift_reduce(E2, x0, 0, 1, eff, field),
               "x0 is torsion and u*x0 = 0", "x0 fails the torsion witness")
     one = {mono_of_index(("y", 0)): field.one()}
     ck.expect(not T.contains(one), "1 is not torsion", "1 reported torsion")
@@ -540,11 +513,11 @@ def demo_approx_failure(ring=None, n=2, w=None, prec=None,
     ck.expect(ker.dim > 0,
               "windowed solution space is nonzero (dim %d)" % ker.dim,
               "system has no windowed solutions at all")
-    const_ok = all(_zero_slice(ring, v, 0, 0) for v in ker.basis())
+    const_ok = all(_no_constant(v) for v in ker.basis())
     ck.expect(const_ok,
               "every windowed solution has zero degree-(0,0) component",
               next((_render(ring, v, field) for v in ker.basis()
-                    if not _zero_slice(ring, v, 0, 0)), ""))
+                    if not _no_constant(v)), ""))
     ck.expect(bool(ah.body.component(0, 0)),
               "formal solution has constant term x0 != 0",
               "formal solution lost its constant term")
@@ -570,8 +543,8 @@ def verify_xi_witnesses(n_max=6, w=None, dt=None, du=None, mx=None, field=QQ):
     dims = []
     for n in range(1, n_max + 1):
         xi = {mono_of_index(("x", n - 1)): field.one()}
-        alive = _mulm(ring, xi, n, 0, 0, eff, field)
-        dead = _mulm(ring, xi, n + 1, 0, 0, eff, field)
+        alive = shift_reduce(ring, xi, n, 0, eff, field)
+        dead = shift_reduce(ring, xi, n + 1, 0, eff, field)
         red_ok = bool(alive) and not dead
         ann_n = annihilator_oracle(ring, n, 0, eff, field)
         ann_n1 = annihilator_oracle(ring, n + 1, 0, eff, field)
@@ -609,7 +582,7 @@ def verify_remark_wpr(w=None, max_stage=8, include_e1_variant=False,
         if T.dim == 0:
             return "torsion-free"
         for v in T.basis():
-            if _mulm(ring, v, power, 0, 0, eff, field):
+            if shift_reduce(ring, v, power, 0, eff, field):
                 return "unbounded-or-deeper"
         return "bounded(t^%d)" % power
 
@@ -701,8 +674,8 @@ def run_all(field=QQ, **kwargs):
     return [run_claim(cid, field=field, **kwargs) for cid in CLAIM_IDS]
 
 
-def suite_json(reports, timing=None):
-    """Deterministic suite document; timing (if given) is id -> ms."""
+def suite_json(reports):
+    """Deterministic suite document."""
     body = {"schema_version": SCHEMA_VERSION,
             "reports": [r.to_dict() for r in reports]}
     return json.dumps(body, sort_keys=True, indent=2)

@@ -24,11 +24,11 @@ import sys
 import time
 
 from .claims import CLAIM_IDS, _ACCEPTS, run_claim, SCHEMA_VERSION
-from .fields import FieldError, QQ, field_from_spec
+from .fields import FieldError, field_from_spec
 from .koszul import pro_zero_test
 from .oracle import (Window, WindowError, annihilator_oracle, joint_kernel,
-                     kernel_of, mul_map, OracleError, poly_of_vec,
-                     quotient_reduce, reduce_raw, vectorize)
+                     kernel_of, mul_map, OracleError, poly_of_vec, raw_mul,
+                     reduce_raw, vectorize)
 from .parser import ParseError, parse_element, parse_ring, parse_system, print_element
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, RingError)
 
@@ -324,37 +324,10 @@ def _random_poly(rng, ring, field):
 def _raw_product(ring, p, q, field):
     """Multiply without the closed form: raw monomial products reduced
     against the relation span only."""
-    from .oracle import mono_mul as _mm
-    raw = {}
-    for (dt1, du1), v1 in p.terms.items():
-        for (dt2, du2), v2 in q.terms.items():
-            for i1, c1 in v1.items():
-                for i2, c2 in v2.items():
-                    if ring.variant == "CTRL":
-                        a1 = i1[1] if i1[0] == "x" else 0
-                        a2 = i2[1] if i2[0] == "x" else 0
-                        key = (dt1 + dt2, a1 + a2)
-                    else:
-                        m1 = _mono_raw(i1, dt1, du1)
-                        m2 = _mono_raw(i2, dt2, du2)
-                        key = _mm(m1, m2)
-                    c = field.mul(c1, c2)
-                    acc = raw.get(key)
-                    c = field.add(acc, c) if acc is not None else c
-                    if field.is_zero(c):
-                        raw.pop(key, None)
-                    else:
-                        raw[key] = c
     # generator indices <= 6 and y-powers <= 3 in _random_poly, so pair
     # kill chains climb to at most 6+6+1 and caps of 16 cover everything
-    return reduce_raw(ring, raw, 16, 16, True, field)
-
-
-def _mono_raw(idx, dt, du):
-    kind, n = idx
-    if kind == "y":
-        return (dt, du, 0, n, ())
-    return (dt, du, 1, 0, (n,))
+    return reduce_raw(ring, raw_mul(vectorize(p), vectorize(q), field),
+                      16, 16, True, field)
 
 
 def cmd_selftest(args):

@@ -21,31 +21,11 @@ from dataclasses import dataclass, field as dc_field
 from .fields import QQ
 from .linalg import Echelon, Subspace, kernel_basis, rank_of
 from .oracle import (OracleError, Window, WindowSubspace, check_window_ring,
-                     kernel_of, mono_mul, mul_map, poly_of_vec, reduce_raw,
-                     window_basis)
-
-
-def _shift_mono(ring, dt, du, field):
-    if ring.variant == "CTRL":
-        if du:
-            raise OracleError("CTRL has no second variable")
-        return {(dt, 0): field.one()}
-    return {(dt, du, 0, 0, ()): field.one()}
+                     kernel_of, shift_reduce, window_basis)
 
 
 def _sub_window(w, ddt, ddu=0):
     return Window(max(w.Dt - ddt, 0), max(w.Du - ddu, 0), w.Mx)
-
-
-def _mult_reduced(ring, vec, dt, du, w, field):
-    """Multiply a reduced vector by t^dt u^du and reduce again."""
-    raw = {}
-    for m, c in vec.items():
-        if ring.variant == "CTRL":
-            raw[(m[0] + dt, m[1])] = c
-        else:
-            raw[mono_mul(m, (dt, du, 0, 0, ()))] = c
-    return reduce_raw(ring, raw, w.Mx + 2, w.Mx, False, field)
 
 
 def koszul_h1_single(ring, a, i, w, field=QQ):
@@ -56,28 +36,31 @@ def koszul_h1_single(ring, a, i, w, field=QQ):
         raise OracleError("u does not exist in ring %s" % ring.describe())
     if i < 1:
         raise OracleError("stage must be >= 1")
-    shift = _shift_mono(ring, i if a == "t" else 0,
-                        i if a == "u" else 0, field)
+    shift = {(i if a == "t" else 0, i if a == "u" else 0, 0, 0, ()):
+             field.one()}
     return kernel_of(ring, shift, w, field)
 
 
-def _r_slice_witness(ring, sub, image_of):
-    """The highest constant-slice basis vector with nonzero image."""
-    rows = []
-    for v in sub.basis():
-        if ring.variant == "CTRL":
-            if all(m[0] == 0 for m in v):
-                rows.append(v)
-        elif all(m[0] == 0 and m[1] == 0 for m in v):
-            rows.append(v)
-    rows.sort(key=lambda v: max(v), reverse=True)
-    for v in rows:
+def _transition(ring, src, dt, du, w, field, tgt=None):
+    """One witness search: is multiplication by t^dt u^du zero on src?
+
+    Images are taken modulo tgt's denominator when a target module is
+    given. Returns (True, None), or (False, v) with v the highest
+    constant-slice basis vector of src with nonzero image (any basis
+    vector when no constant-slice one qualifies).
+    """
+    def image_of(v):
+        img = shift_reduce(ring, v, dt, du, w, field)
+        return tgt.rep(img) if tgt is not None else img
+
+    const, rest = [], []
+    for v in src.basis():
+        (const if all(m[0] == 0 and m[1] == 0 for m in v) else rest).append(v)
+    const.sort(key=max, reverse=True)
+    for v in const + rest:
         if image_of(v):
-            return v
-    for v in sub.basis():
-        if image_of(v):
-            return v
-    return None
+            return False, v
+    return True, None
 
 
 def transition_zero(ring, a, j, i, w, field=QQ):
@@ -91,15 +74,8 @@ def transition_zero(ring, a, j, i, w, field=QQ):
         raise OracleError("transition needs stage indices 0 < i < j")
     dom_w = _sub_window(w, j if a == "t" else 0, j if a == "u" else 0)
     ann_j = koszul_h1_single(ring, a, j, dom_w, field)
-    step = (j - i if a == "t" else 0, j - i if a == "u" else 0)
-
-    def image_of(vec):
-        return _mult_reduced(ring, vec, step[0], step[1], w, field)
-
-    wit = _r_slice_witness(ring, ann_j, image_of)
-    if wit is None:
-        return True, None
-    return False, wit
+    return _transition(ring, ann_j, j - i if a == "t" else 0,
+                       j - i if a == "u" else 0, w, field)
 
 
 @dataclass
@@ -114,6 +90,7 @@ class KoszulStage:
     h1_dim: int
     h2_dim: int
     cycles: list          # basis of ker d1, tagged ("et"|"eu", mono) -> c
+    boundaries: list      # d2 images of the k2 basis, in basis order
     boundaries_rank: int
     d_squared_zero: bool
 
@@ -133,17 +110,17 @@ def koszul_pair(ring, i, w, field=QQ):
     def d1_image(lab):
         slot, m = lab
         dt, du = (i, 0) if slot == "et" else (0, i)
-        return _mult_reduced(ring, {m: field.one()}, dt, du, w, field)
+        return shift_reduce(ring, {m: field.one()}, dt, du, w, field)
 
     domain = [("et", m) for m in k1t.monos] + [("eu", m) for m in k1u.monos]
     cycles = kernel_basis(domain, d1_image, field)
 
     def d2_image(m):
         out = {}
-        v = _mult_reduced(ring, {m: field.one()}, 0, i, w, field)
+        v = shift_reduce(ring, {m: field.one()}, 0, i, w, field)
         for mono, c in v.items():
             out[("et", mono)] = field.neg(c)
-        v = _mult_reduced(ring, {m: field.one()}, i, 0, w, field)
+        v = shift_reduce(ring, {m: field.one()}, i, 0, w, field)
         for mono, c in v.items():
             out[("eu", mono)] = c
         return out
@@ -169,7 +146,7 @@ def koszul_pair(ring, i, w, field=QQ):
     direct = sum(1 for m in k0.monos if m[0] < i and m[1] < i)
     h2 = kernel_basis(list(k2.monos), d2_image, field)
     return KoszulStage(ring, i, w, h0_dim, direct, h1_dim, len(h2),
-                       cycles, b_rank, d_sq_zero)
+                       cycles, boundaries, b_rank, d_sq_zero)
 
 
 class QuotientSpace:
@@ -204,7 +181,7 @@ def h0_of_h1(ring, i, w, field=QQ):
         raise OracleError("quotient homology needs a two-variable ring")
     num = koszul_h1_single(ring, "t", i, _sub_window(w, i, 0), field)
     inner = koszul_h1_single(ring, "t", i, _sub_window(w, i, i), field)
-    den = [_mult_reduced(ring, v, 0, i, w, field) for v in inner.basis()]
+    den = [shift_reduce(ring, v, 0, i, w, field) for v in inner.basis()]
     den = [v for v in den if v]
     return QuotientSpace(ring, w, num, den, field)
 
@@ -220,17 +197,17 @@ def h1_of_h0(ring, i, w, field=QQ):
     big = window_basis(ring, _sub_window(w, i, 0), field)
     t_image = Echelon(field)
     for m in big.monos:
-        t_image.insert(_mult_reduced(ring, {m: field.one()}, i, 0, w, field))
+        t_image.insert(shift_reduce(ring, {m: field.one()}, i, 0, w, field))
     dom = window_basis(ring, _sub_window(w, 0, i), field)
 
     def image_of(m):
-        v = _mult_reduced(ring, {m: field.one()}, 0, i, w, field)
+        v = shift_reduce(ring, {m: field.one()}, 0, i, w, field)
         return t_image.reduce(v)
 
     num_vecs = kernel_basis(list(dom.monos), image_of, field)
     num = WindowSubspace(ring, w, num_vecs, field)
     small = window_basis(ring, _sub_window(w, i, i), field)
-    den = [_mult_reduced(ring, {m: field.one()}, i, 0, w, field)
+    den = [shift_reduce(ring, {m: field.one()}, i, 0, w, field)
            for m in small.monos]
     den = [v for v in den if v]
     return QuotientSpace(ring, w, num, den, field)
@@ -252,15 +229,8 @@ def ses_row_check(ring, i, w, field=QQ):
     # left map injectivity: span(boundaries + embedded numerator basis)
     # must grow by exactly dim(left)
     ech = Echelon(field)
-    k2 = window_basis(ring, _sub_window(w, i, i), field)
-    for m in k2.monos:
-        v = {}
-        for mono, c in _mult_reduced(ring, {m: field.one()}, 0, i, w, field).items():
-            v[("et", mono)] = field.neg(c)
-        for mono, c in _mult_reduced(ring, {m: field.one()}, i, 0, w, field).items():
-            v[("eu", mono)] = c
-        ech.insert(v)
-    base = ech.dim
+    for b in stage.boundaries:
+        ech.insert(b)
     grew = 0
     for v in left.num.basis():
         if ech.insert({("et", mono): c for mono, c in v.items()}) is not None:
@@ -280,7 +250,7 @@ def ses_row_check(ring, i, w, field=QQ):
     # the left map lands in cycles (so the composite with the right map
     # is zero on the nose: the second slot of (z, 0) is empty)
     lands_in_cycles = all(
-        not _mult_reduced(ring, v, i, 0, w, field) for v in left.num.basis())
+        not shift_reduce(ring, v, i, 0, w, field) for v in left.num.basis())
 
     return (inj and surj and lands_in_cycles
             and stage.h1_dim == left.dim + right.dim
@@ -346,14 +316,9 @@ def pro_zero_test(ring, system, max_stage, w, field=QQ):
         tgt = module(n)
         row = ProZeroRow(n=n)
         for m in range(n + 1, max_stage + 1):
-            src = module(m)
-
-            def image_class(vec, step=m - n):
-                img = _mult_reduced(ring, vec, step, 0, w, field)
-                return tgt.rep(img)
-
-            wit = _r_slice_witness(ring, src.num, image_class)
-            if wit is None:
+            zero, wit = _transition(ring, module(m).num, m - n, 0, w, field,
+                                    tgt)
+            if zero:
                 row.least_zero_m = m
                 break
             row.witnesses.append((m, wit))
@@ -372,5 +337,5 @@ def transition_witness_replay(ring, system, m, n, w, witness, field=QQ):
     tgt = _h_module(ring, system, n, w, field)
     if not src.num.contains(witness):
         return False
-    img = _mult_reduced(ring, witness, m - n, 0, w, field)
+    img = shift_reduce(ring, witness, m - n, 0, w, field)
     return tgt.class_nonzero(img)

@@ -15,7 +15,10 @@ caps cover the input also covers everything reduction can produce.
 
 Raw monomial shape: (dt, du, nx, ypow, xs) with xs a sorted tuple of
 x-indices and nx = len(xs), so plain tuple comparison is the canonical
-term order. The CTRL ring uses its own two-variable shape (dt, xpow).
+term order. Every ring uses this one shape. In CTRL = k[x,t]/(x t^2) the
+single variable x is a power, so x^a t^d sits in the power slot as
+(d, 0, 0, a, ()); its relator x*t^2 is an ordinary slice generator, and
+products and reductions need no CTRL case.
 """
 
 from __future__ import annotations
@@ -73,20 +76,39 @@ def mono_mul(m1, m2):
             tuple(sorted(xs1 + xs2)))
 
 
-def mono_of_index(idx, dt=0, du=0):
+def mono_of_index(idx, dt=0, du=0, ring=None):
+    """Raw monomial of a basis index; a CTRL power x^a goes to the power slot."""
     kind, n = idx
-    if kind == "y":
+    if kind == "y" or (ring is not None and ring.variant == "CTRL"):
         return (dt, du, 0, n, ())
     return (dt, du, 1, 0, (n,))
 
 
-def index_of_mono(mono):
+def index_of_mono(mono, ring=None):
     dt, du, nx, ypow, xs = mono
     if nx == 0:
+        if ypow and ring is not None and ring.variant == "CTRL":
+            return ("x", ypow)
         return ("y", ypow)
     if nx == 1 and ypow == 0:
         return ("x", xs[0])
     raise OracleError("monomial %r is not a reduced basis element" % (mono,))
+
+
+def raw_mul(v1, v2, field=QQ):
+    """Product of two raw vectors, term by term; cancelled terms dropped."""
+    out = {}
+    for m1, c1 in v1.items():
+        for m2, c2 in v2.items():
+            p = mono_mul(m1, m2)
+            c = field.mul(c1, c2)
+            acc = out.get(p)
+            c = field.add(acc, c) if acc is not None else c
+            if field.is_zero(c):
+                out.pop(p, None)
+            else:
+                out[p] = c
+    return out
 
 
 # -- per-slice relation spans -----------------------------------------------
@@ -100,9 +122,10 @@ def _slice_generators(ring, dt, du, xtop):
     xtop caps the generator x-indices. Tags allow tests to mutate the
     presentation through RingId.omit.
     """
-    gens = []
-    if ring.variant != "CTRL":
-        gens.append(("a0", {(0, 0, 1, 1, (0,)): 1}))
+    if ring.variant == "CTRL":   # x^a in the power slot, one relator x*t^2
+        gens = [("n0", {(2, 0, 0, 1, ()): 1})]
+    else:
+        gens = [("a0", {(0, 0, 1, 1, (0,)): 1})]
         for i in range(xtop):
             gens.append(("a%d" % (i + 1),
                          {(0, 0, 1, 0, (i,)): 1, (0, 0, 1, 1, (i + 1,)): -1}))
@@ -130,9 +153,7 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ):
     if hit is not None:
         return hit
     ech = Echelon(field)
-    one = field.one()
-    xtop = xcap
-    for gtag, gvec in _slice_generators(ring, dt, du, xtop):
+    for gtag, gvec in _slice_generators(ring, dt, du, xcap):
         gdt, gdu = next(iter(gvec))[0:2]
         mdt, mdu = dt - gdt, du - gdu
         if mdt < 0 or mdu < 0:
@@ -156,16 +177,8 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ):
     return ech
 
 
-def _ctrl_vanishes_raw(ring, dt, xpow):
-    # the single relator x*t^2 and its multiples
-    return "n0" not in ring.omit and xpow >= 1 and dt >= 2
-
-
 def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ):
     """Normal form of a raw vector modulo the relation span, slice by slice."""
-    if ring.variant == "CTRL":
-        return {m: c for m, c in vec.items()
-                if not _ctrl_vanishes_raw(ring, m[0], m[1])}
     by_slice = {}
     for m, c in vec.items():
         by_slice.setdefault((m[0], m[1]), {})[m] = c
@@ -176,18 +189,21 @@ def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ):
     return out
 
 
+def shift_reduce(ring, vec, dt, du, w, field=QQ, ypow=0):
+    """vec * t^dt u^du y^ypow, reduced with the window's one-x caps."""
+    raw = raw_mul(vec, {(dt, du, 0, ypow, ()): field.one()}, field)
+    return reduce_raw(ring, raw, w.Mx + 2 + ypow, w.Mx, False, field)
+
+
 # -- windowed monomial bases ------------------------------------------------
 
 @dataclass(frozen=True)
 class MonoBasis:
-    """Ordered reduced monomial basis of a window, with position lookup."""
+    """Ordered reduced monomial basis of a window."""
 
     ring: object
     window: Window
     monos: tuple
-
-    def positions(self):
-        return {m: i for i, m in enumerate(self.monos)}
 
 
 def window_basis(ring, w, field=QQ):
@@ -197,13 +213,7 @@ def window_basis(ring, w, field=QQ):
     """
     check_window_ring(ring, w)
     monos = []
-    if ring.variant == "CTRL":
-        for dt in range(w.Dt + 1):
-            monos.append((dt, 0))
-            for a in range(1, w.Mx + 1):
-                if not _ctrl_vanishes_raw(ring, dt, a):
-                    monos.append((dt, a))
-        return MonoBasis(ring, w, tuple(sorted(monos)))
+    xs = range(0 if ring.variant == "CTRL" else w.Mx + 1)   # CTRL: no x_i
     ycap, xcap = w.Mx + 2, w.Mx
     for dt in range(w.Dt + 1):
         for du in range(w.Du + 1):
@@ -213,7 +223,7 @@ def window_basis(ring, w, field=QQ):
                 m = (dt, du, 0, a, ())
                 if m not in pivots:
                     monos.append(m)
-            for i in range(w.Mx + 1):
+            for i in xs:
                 m = (dt, du, 1, 0, (i,))
                 if m not in pivots:
                     monos.append(m)
@@ -226,11 +236,6 @@ def relation_span(ring, w, pairs=False, field=QQ):
     Exposed for direct membership tests; heavy lifting stays per slice.
     """
     check_window_ring(ring, w)
-    if ring.variant == "CTRL":
-        rows = [{(dt, a): field.one()}
-                for dt in range(w.Dt + 1) for a in range(1, w.Mx + 1)
-                if _ctrl_vanishes_raw(ring, dt, a)]
-        return Subspace.spanned_by(rows, field)
     cap2 = 2 * w.Mx + 2
     ycap = cap2 if pairs else w.Mx + 2
     xcap = cap2 if pairs else w.Mx
@@ -246,8 +251,6 @@ def relation_span(ring, w, pairs=False, field=QQ):
 def quotient_reduce(ring, w, vec, pairs=False, field=QQ):
     """Canonical residue of a raw vector modulo the window's relations."""
     check_window_ring(ring, w)
-    if ring.variant == "CTRL":
-        return reduce_raw(ring, vec, 0, 0, False, field)
     cap2 = 2 * w.Mx + 2
     ycap = cap2 if pairs else w.Mx + 2
     xcap = cap2 if pairs else w.Mx
@@ -259,27 +262,16 @@ def quotient_reduce(ring, w, vec, pairs=False, field=QQ):
 def vectorize(p):
     """Raw vector of a reduced graded polynomial."""
     out = {}
-    if p.ring.variant == "CTRL":
-        for (dt, du), coeffs in p.terms.items():
-            for (kind, n), c in coeffs.items():
-                out[(dt, n if kind == "x" else 0)] = c
-        return out
     for (dt, du), coeffs in p.terms.items():
         for idx, c in coeffs.items():
-            out[mono_of_index(idx, dt, du)] = c
+            out[mono_of_index(idx, dt, du, p.ring)] = c
     return out
 
 
 def poly_of_vec(ring, vec, field=QQ):
     terms = {}
-    if ring.variant == "CTRL":
-        for (dt, a), c in vec.items():
-            idx = ("x", a) if a else ("y", 0)
-            terms.setdefault((dt, 0), {})[idx] = c
-        return GradedPoly(ring, terms, field)
     for m, c in vec.items():
-        dt, du = m[0], m[1]
-        terms.setdefault((dt, du), {})[index_of_mono(m)] = c
+        terms.setdefault((m[0], m[1]), {})[index_of_mono(m, ring)] = c
     return GradedPoly(ring, terms, field)
 
 
@@ -294,19 +286,6 @@ class LinMap:
     domain: MonoBasis
     images: dict  # domain mono -> reduced raw vector in the enlarged window
     field: object
-
-
-def _raw_images_ctrl(ring, gvec, domain, field):
-    images = {}
-    for m in domain.monos:
-        img = {}
-        for (gdt, ga), c in gvec.items():
-            p = (m[0] + gdt, m[1] + ga)
-            if not _ctrl_vanishes_raw(ring, p[0], p[1]):
-                acc = img.get(p)
-                img[p] = field.add(acc, c) if acc is not None else c
-        images[m] = {k: v for k, v in img.items() if not field.is_zero(v)}
-    return images
 
 
 def mul_map(ring, g, w, field=None):
@@ -326,8 +305,6 @@ def mul_map(ring, g, w, field=None):
         field = field or QQ
     check_window_ring(ring, w)
     domain = window_basis(ring, w, field)
-    if ring.variant == "CTRL":
-        return LinMap(ring, w, domain, _raw_images_ctrl(ring, gvec, domain, field), field)
     g_has_x = any(m[2] for m in gvec)
     g_ymax = max((m[3] for m in gvec), default=0)
     if g_has_x:
@@ -338,14 +315,10 @@ def mul_map(ring, g, w, field=None):
         xcap = w.Mx
         ycap = w.Mx + 2 + g_ymax
         pairs = False
-    images = {}
-    for m in domain.monos:
-        raw = {}
-        for gm, c in gvec.items():
-            p = mono_mul(m, gm)
-            acc = raw.get(p)
-            raw[p] = field.add(acc, c) if acc is not None else c
-        images[m] = reduce_raw(ring, raw, ycap, xcap, pairs, field)
+    one = field.one()
+    images = {m: reduce_raw(ring, raw_mul({m: one}, gvec, field),
+                            ycap, xcap, pairs, field)
+              for m in domain.monos}
     return LinMap(ring, w, domain, images, field)
 
 
@@ -374,9 +347,6 @@ class WindowSubspace:
 
     def basis(self):
         return self.space.basis()
-
-    def basis_polys(self):
-        return [poly_of_vec(self.ring, v, self.field) for v in self.basis()]
 
     def __eq__(self, other):
         if not isinstance(other, WindowSubspace):
@@ -431,12 +401,8 @@ def annihilator_oracle(ring, dt, du, w, field=QQ):
     check_window_ring(ring, w)
     if dt > w.Dt or du > w.Du:
         raise WindowError("window-too-small: shift degree exceeds window")
-    shift = {(dt, du, 0, 0, ()): field.one()} if ring.variant != "CTRL" \
-        else {(dt, 0): field.one()}
-    lm = mul_map(ring, shift, w, field)
-    slice0 = [m for m in lm.domain.monos
-              if (m[0], m[1]) == (0, 0)] if ring.variant != "CTRL" \
-        else [m for m in lm.domain.monos if m[0] == 0]
+    lm = mul_map(ring, {(dt, du, 0, 0, ()): field.one()}, w, field)
+    slice0 = [m for m in lm.domain.monos if (m[0], m[1]) == (0, 0)]
     vecs = kernel_basis(slice0, lambda m: lm.images[m], field)
     return WindowSubspace(ring, w, vecs, field)
 
@@ -448,12 +414,9 @@ def torsion_subspace(ring, w, K=None, field=QQ):
         K = w.Dt + w.Du + 2
     if K < 1:
         raise OracleError("torsion exponent must be >= 1")
-    if ring.variant == "CTRL":
-        shifts = [{(K, 0): field.one()}]
-    else:
-        shifts = [{(K, 0, 0, 0, ()): field.one()}]
-        if ring.has_u:
-            shifts.append({(0, K, 0, 0, ()): field.one()})
+    shifts = [{(K, 0, 0, 0, ()): field.one()}]
+    if ring.has_u:
+        shifts.append({(0, K, 0, 0, ()): field.one()})
     maps = [mul_map(ring, s, w, field) for s in shifts]
     return joint_kernel(ring, maps)
 
@@ -463,17 +426,12 @@ def torsion_subspace(ring, w, K=None, field=QQ):
 def boundary_touch(vec, w, ring=None):
     """True if the vector leans on the coefficient-direction window edge.
 
-    Contact at y-exponent Mx or x-index Mx means enlarging Mx could reveal
-    more of whatever subspace the vector belongs to; t-degree support is
-    part of the windowed statement itself and is not flagged.
+    Contact at y-exponent (CTRL: x-power) Mx or x-index Mx means enlarging
+    Mx could reveal more of whatever subspace the vector belongs to;
+    t-degree support is part of the windowed statement itself and is not
+    flagged.
     """
-    for m in vec:
-        if len(m) == 2:  # CTRL
-            if m[1] >= w.Mx:
-                return True
-        elif m[3] >= w.Mx or (m[4] and m[4][-1] >= w.Mx):
-            return True
-    return False
+    return any(m[3] >= w.Mx or (m[4] and m[4][-1] >= w.Mx) for m in vec)
 
 
 def subspace_boundary_touch(sub):

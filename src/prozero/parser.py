@@ -4,7 +4,7 @@ Grammar (stable):
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := atom ('^' nat)?
+    factor := atom ('^' nat)?          (exponent at most MAX_EXPONENT)
     atom   := rational | 'y' | 't' | 'u' | 'x' nat | '(' expr ')'
 
 Whitespace between tokens is ignored. There is no implicit
@@ -21,7 +21,11 @@ from __future__ import annotations
 
 from .fields import QQ
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, RingError,
-                    SystemSpec, Y_ONE)
+                    SystemSpec)
+
+# Largest exponent accepted after '^'. Larger ones are rejected as parse
+# errors rather than computed: nothing in the paper's rings needs them.
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -49,6 +53,13 @@ def _is_nat(s):
     return s.isascii() and s.isdigit()
 
 
+def _nat(text, i, j):
+    try:
+        return int(text[i:j])
+    except ValueError:     # beyond the digit limit of int()
+        raise ParseError("number has too many digits", i) from None
+
+
 def _tokens(text):
     """Yield (kind, value, offset). Kinds: nat, name, punct, end."""
     i, n = 0, len(text)
@@ -61,7 +72,7 @@ def _tokens(text):
             j = i
             while j < n and _is_nat(text[j]):
                 j += 1
-            yield ("nat", int(text[i:j]), i)
+            yield ("nat", _nat(text, i, j), i)
             i = j
             continue
         if c in ("y", "t", "u"):
@@ -74,7 +85,7 @@ def _tokens(text):
                 j += 1
             if j == i + 1:
                 raise ParseError("generator x needs a numeric index", i)
-            yield ("xgen", int(text[i + 1:j]), i)
+            yield ("xgen", _nat(text, i + 1, j), i)
             i = j
             continue
         if c in _PUNCT:
@@ -142,10 +153,10 @@ class _Parser:
             kind, e, off = self.next()
             if kind != "nat":
                 raise ParseError("exponent must be a natural number", off)
-            q = GradedPoly.one(self.ring, self.field)
-            for _ in range(e):
-                q = q * p
-            return q
+            if e > MAX_EXPONENT:
+                raise ParseError("exponent %d exceeds the cap %d"
+                                 % (e, MAX_EXPONENT), off)
+            return p ** e
         return p
 
     def atom(self):

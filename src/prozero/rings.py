@@ -265,9 +265,6 @@ class GradedPoly:
         """The coefficient vector at one bidegree (a copy)."""
         return dict(self.terms.get((dt, du), {}))
 
-    def support_degrees(self):
-        return sorted(self.terms)
-
     def max_t_degree(self):
         return max((d[0] for d in self.terms), default=0)
 
@@ -327,11 +324,19 @@ class GradedPoly:
         return GradedPoly(ring, terms, f, _validated=True)
 
     def __pow__(self, e):
+        """Square-and-multiply; stops as soon as the running power is zero."""
         if not isinstance(e, int) or e < 0:
             raise RingError("exponent must be a non-negative integer")
         out = GradedPoly.one(self.ring, self.field)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+                if base.is_zero():
+                    return base
         return out
 
     def scale(self, c):
@@ -350,19 +355,6 @@ class GradedPoly:
     def __repr__(self):
         from .parser import print_element
         return "<%s: %s>" % (self.ring.describe(), print_element(self))
-
-
-def reduce_poly(p):
-    """Re-normalize a graded polynomial. Idempotent by construction."""
-    return GradedPoly(p.ring, p.terms, p.field)
-
-
-def g_add(p, q):
-    return p + q
-
-
-def g_mul(p, q):
-    return p * q
 
 
 @dataclass(frozen=True)

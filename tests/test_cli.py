@@ -90,6 +90,24 @@ def test_non_ascii_digits_are_usage_errors(argv, kind, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("expr", [
+    "x0^10000000",                 # hung before the cap
+    "x0^1001",
+    "x0^" + "9" * 5000,            # more digits than int() converts
+])
+def test_exponent_over_cap_is_usage_error(expr, capsys):
+    assert run_cli(["eval", "--ring", "GS", expr]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("prozero: parse error:")
+    assert "(at offset 3)" in err
+    assert err.count("\n") == 1
+
+
+def test_eval_power_at_cap(capsys):
+    assert run_cli(["eval", "--ring", "GS", "x0^1000", "t^1000"]) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == ["0", "t^1000"]
+
+
 def test_out_write_failure_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     assert run_cli(["eval", "--out", str(target), "x0"]) == 64

@@ -4,6 +4,7 @@ import pytest
 
 from prozero import koszul
 from prozero.fields import QQ
+from prozero.linalg import rank_of
 from prozero.koszul import (h0_of_h1, h1_of_h0, koszul_h1_single, koszul_pair,
                             pro_zero_test, ses_row_check, transition_witness_replay,
                             transition_zero)
@@ -23,6 +24,7 @@ def test_stage_dims_frozen():
     st2 = koszul_pair(E2, 2, W_PAIR)
     assert (st2.h0_dim, st2.h1_dim, st2.h2_dim) == (85, 32, 9)
     assert st2.boundaries_rank == 475
+    assert rank_of(st2.boundaries) == 475
     assert len(st2.cycles) == 507
     assert st2.d_squared_zero
     st3 = koszul_pair(E2, 3, W_PAIR)

@@ -77,6 +77,9 @@ def test_vectorize_round_trip():
             terms[(dt, du)] = {idx: QQ.from_int(rng.randint(1, 5))}
             p = GradedPoly(ring, terms, QQ)
             assert poly_of_vec(ring, vectorize(p)) == p
+    # CTRL powers x^a t^d sit in the power slot of the one raw shape
+    p = _gen(CTRL, ("x", 3)) * _gen(CTRL, "t") + GradedPoly.one(CTRL)
+    assert vectorize(p) == {(1, 0, 0, 3, ()): 1, (0, 0, 0, 0, ()): 1}
 
 
 def test_annihilator_dims_frozen():
@@ -187,6 +190,11 @@ def test_boundary_touch_flags_coefficient_edge():
     low = vectorize(_gen(E1(2), ("x", 2)) * _gen(E1(2), "t") ** 4)
     assert boundary_touch(top_t, w, E1(2))
     assert not boundary_touch(low, w, E1(2))
+    # CTRL's x-power is the coefficient direction
+    wc = Window(4, 0, 10)
+    assert boundary_touch(vectorize(_gen(CTRL, ("x", 10)) * _gen(CTRL, "t")),
+                          wc, CTRL)
+    assert not boundary_touch(vectorize(_gen(CTRL, ("x", 9))), wc, CTRL)
 
 
 def test_mutation_changes_oracle_only():
@@ -199,6 +207,13 @@ def test_mutation_changes_oracle_only():
     assert mutated.dim == 0
     # formula side is blind to the omission
     assert ann_formula(mut, 2, 0) == ann_formula(E1(2), 2, 0)
+    # CTRL's single relator x*t^2 is a slice generator tagged n0 as well
+    mut_c = RingId("CTRL", 2, frozenset({"n0"}))
+    wc = Window(8, 0, 10)
+    assert annihilator_oracle(CTRL, 2, 0, wc).dim == 10
+    assert annihilator_oracle(mut_c, 2, 0, wc).dim == 0
+    assert torsion_subspace(mut_c, Window(6, 0, 10)).dim == 0
+    assert ann_formula(mut_c, 2, 0, mx=10) == ann_formula(CTRL, 2, 0, mx=10)
 
 
 def test_prime_field_oracle_agrees_on_dims():

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from prozero.fields import QQ, PrimeField
-from prozero.parser import (ParseError, parse_element, parse_ring,
-                            parse_system, print_element)
+from prozero.parser import (MAX_EXPONENT, ParseError, parse_element,
+                            parse_ring, parse_system, print_element)
 from prozero.rings import CTRL, E1, E2, GS, R_ONLY, GradedPoly, RingError
 
 RINGS = [R_ONLY, GS, E1(2), E1(3), E2, CTRL]
@@ -61,6 +61,11 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as e:
         parse_element("-x0", GS)          # no unary minus
     assert e.value.position == 0
+    with pytest.raises(ParseError) as e:
+        parse_element("t*(x0 + y)^%d" % (MAX_EXPONENT + 1), GS)
+    assert e.value.position == 11         # the exponent's own offset
+    assert parse_element("y^%d" % MAX_EXPONENT, GS) == \
+        _gen(GS, "y") ** MAX_EXPONENT
 
 
 def test_parse_rejects_foreign_generators():

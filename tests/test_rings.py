@@ -201,6 +201,17 @@ def test_pow_and_truncate():
         p ** -1
     q = (t + y) ** 4
     assert q.truncate(3).max_t_degree() <= 2
+    # square-and-multiply agrees with repeated multiplication
+    for ring in ALL_RINGS:
+        g = GradedPoly.one(ring) + _gen(ring, ("x", 1))
+        if ring.has_t:
+            g = g + _gen(ring, "t")
+        acc = GradedPoly.one(ring)
+        for e in range(10):
+            assert g ** e == acc
+            acc = acc * g
+    # a nilpotent base stops at zero instead of running the exponent out
+    assert (_gen(GS, ("x", 0)) ** (10 ** 18)).is_zero()
 
 
 def test_ring_id_validation():
