@@ -14,6 +14,10 @@ shrinking the claim.
 Reports are deterministic: fixed ordering everywhere, no timestamps, no
 randomness. Timing is attached only on request and lives outside the
 comparable body.
+
+Every verifier takes a trailing `ctx` (an `oracle.Context`); `run_all`
+passes one context to all claims, so slice spans and Koszul stage
+modules are built once per run. Leaving it out gives a fresh context.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ
 from .koszul import pro_zero_test, ses_row_check, transition_witness_replay
-from .oracle import (Window, WindowError, annihilator_oracle, kernel_of,
-                     mono_of_index, poly_of_vec, reduce_raw, shift_reduce,
-                     subspace_boundary_touch, system_kernel, torsion_subspace,
-                     vectorize, window_basis)
+from .oracle import (Context, Window, WindowError, annihilator_oracle,
+                     kernel_of, mono_of_index, poly_of_vec, reduce_raw,
+                     shift_reduce, subspace_boundary_touch, system_kernel,
+                     torsion_subspace, vectorize, window_basis)
 from .parser import print_element
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, SystemSpec,
-                    alpha_hat, ann_formula, apply_system, apply_system_raw)
+                    RingError, alpha_hat, ann_formula, apply_system,
+                    apply_system_raw)
 
 SCHEMA_VERSION = "1"
 
@@ -162,11 +167,12 @@ def _win(dt, du, mx, o_dt=None, o_du=None, o_mx=None):
 
 # -- C-basis
 
-def verify_basis(w=None, dt=None, du=None, mx=None, field=QQ):
+def verify_basis(w=None, dt=None, du=None, mx=None, field=QQ, ctx=None):
     eff = _win(0, 0, 12, dt, du, mx) if w is None else w
     mxv = eff.Mx
     ck = _Checks()
-    mb = window_basis(R_ONLY, Window(0, 0, mxv), field)
+    ctx = Context.of(ctx)
+    mb = window_basis(R_ONLY, Window(0, 0, mxv), field, ctx)
     pure_y = tuple(mono_of_index(("y", a)) for a in range(mxv + 1))
     pure_x = tuple(mono_of_index(("x", i)) for i in range(mxv + 1))
     want = tuple(sorted(pure_y + pure_x))
@@ -181,7 +187,7 @@ def verify_basis(w=None, dt=None, du=None, mx=None, field=QQ):
     for i in range(mxv + 1):
         for j in range(i, mxv + 1):
             v = reduce_raw(R_ONLY, {(0, 0, 2, 0, (i, j)): field.one()},
-                           cap2, cap2, True, field)
+                           cap2, cap2, True, field, ctx)
             if v:
                 ok_pairs = False
                 bad = (i, j)
@@ -194,22 +200,24 @@ def verify_basis(w=None, dt=None, du=None, mx=None, field=QQ):
     ok_mixed = True
     for i in range(1, mxv + 1):
         got = reduce_raw(R_ONLY, {(0, 0, 1, 1, (i,)): field.one()},
-                         cap2, cap2, True, field)
+                         cap2, cap2, True, field, ctx)
         if got != {(0, 0, 1, 0, (i - 1,)): field.one()}:
             ok_mixed = False
     got0 = reduce_raw(R_ONLY, {(0, 0, 1, 1, (0,)): field.one()},
-                      cap2, cap2, True, field)
+                      cap2, cap2, True, field, ctx)
     ck.expect(ok_mixed and not got0,
               "y*x_i normalizes to x_(i-1), y*x_0 to 0", "")
 
     # independence: a fixed combination of low x-generators is its own
     # normal form, so no relation touches the complement
     comb = {(0, 0, 1, 0, (i,)): field.from_int(i + 1) for i in range(5)}
-    got = reduce_raw(R_ONLY, dict(comb), eff.Mx + 2, eff.Mx, False, field)
+    got = reduce_raw(R_ONLY, dict(comb), eff.Mx + 2, eff.Mx, False, field,
+                     ctx)
     ck.expect(got == comb, "1*x0 + ... + 5*x4 is linearly independent",
               "combination reduced to %r" % (got,))
     x0 = {(0, 0, 1, 0, (0,)): field.one()}
-    ck.expect(reduce_raw(R_ONLY, dict(x0), eff.Mx + 2, eff.Mx, False, field) == x0,
+    ck.expect(reduce_raw(R_ONLY, dict(x0), eff.Mx + 2, eff.Mx, False, field,
+                         ctx) == x0,
               "x0 is not in the relation span", "x0 reduced to zero")
 
     params = {"mx": mxv, "pair_cap": cap2}
@@ -218,11 +226,11 @@ def verify_basis(w=None, dt=None, du=None, mx=None, field=QQ):
 
 # -- C-ann-t / C-ann-tu
 
-def _ann_rows(ring, max_dt, max_du, w, ck, field):
+def _ann_rows(ring, max_dt, max_du, w, ck, field, ctx):
     rows = []
     for dt in range(max_dt + 1):
         for du in range(max_du + 1):
-            got = annihilator_oracle(ring, dt, du, w, field)
+            got = annihilator_oracle(ring, dt, du, w, field, ctx)
             want = [{mono_of_index(idx, ring=ring): field.one()}
                     for idx in ann_formula(ring, dt, du, w.Mx)]
             dim_ok = got.dim == len(want)
@@ -238,23 +246,24 @@ def _ann_rows(ring, max_dt, max_du, w, ck, field):
 
 
 def verify_ann(ring=None, max_dt=10, max_du=0, w=None,
-               dt=None, du=None, mx=None, field=QQ):
+               dt=None, du=None, mx=None, field=QQ, ctx=None):
     ring = E1(2) if ring is None else ring
     eff = _win(max_dt, max_du, 12, dt, du, mx) if w is None else w
     ck = _Checks()
-    _ann_rows(ring, max_dt, max_du, eff, ck, field)
+    ctx = Context.of(ctx)
+    _ann_rows(ring, max_dt, max_du, eff, ck, field, ctx)
     if ring.variant == "E1" and not ring.omit:
         for dtv in (1, 3, 7):
             if dtv <= eff.Dt:
                 g = annihilator_oracle(GS, dtv, 0, Window(eff.Dt, 0, eff.Mx),
-                                       field)
+                                       field, ctx)
                 ck.expect(g.dim == 0,
                           "control: GS ann(t^%d) is zero" % dtv,
                           "GS ann(t^%d) has dim %d" % (dtv, g.dim))
     claim_id = "C-ann-tu" if ring.variant == "E2" else "C-ann-t"
     wit = []
     if claim_id == "C-ann-t" and ck.failure is None and eff.Dt >= 3:
-        a3 = annihilator_oracle(ring, 3, 0, eff, field)
+        a3 = annihilator_oracle(ring, 3, 0, eff, field, ctx)
         wit = [", ".join(_render_sub(ring, a3, field)) or "(trivial)"]
     params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx,
               "table_dt": max_dt, "table_du": max_du}
@@ -263,14 +272,14 @@ def verify_ann(ring=None, max_dt=10, max_du=0, w=None,
     return ck.report(claim_id, ring.describe(), params, wit)
 
 
-def verify_ann_tu(w=None, dt=None, du=None, mx=None, field=QQ):
+def verify_ann_tu(w=None, dt=None, du=None, mx=None, field=QQ, ctx=None):
     eff = _win(8, 3, 12, dt, du, mx) if w is None else w
-    return verify_ann(E2, 8, 3, eff, field=field)
+    return verify_ann(E2, 8, 3, eff, field=field, ctx=ctx)
 
 
 # -- C-essential
 
-def _induction_replay(ring, vec, w, ck, field, tag):
+def _induction_replay(ring, vec, w, ck, field, tag, ctx):
     """Replay the downward-induction equations on one kernel vector.
 
     Returns True when every equation holds; a failing equation is
@@ -280,18 +289,18 @@ def _induction_replay(ring, vec, w, ck, field, tag):
     n_top = w.Dt
     c = {i: cs.get(i, {}) for i in range(n_top + 1)}
     rendered = _render(ring, vec, field)
-    if shift_reduce(ring, c[0], 0, 0, w, field, ypow=1):
+    if shift_reduce(ring, c[0], 0, 0, w, field, 1, ctx):
         ck.expect(False, "%s: c0*y = 0" % tag, "c0*y != 0 for %s" % rendered)
         return False
     for i in range(n_top):
         diff = _vsub(field, c[i],
-                     shift_reduce(ring, c[i + 1], 0, 0, w, field, ypow=1))
-        if shift_reduce(ring, diff, i + 1, 0, w, field):
+                     shift_reduce(ring, c[i + 1], 0, 0, w, field, 1, ctx))
+        if shift_reduce(ring, diff, i + 1, 0, w, field, ctx=ctx):
             ck.expect(False,
                       "%s: (c%d - c%d*y)*t^%d = 0" % (tag, i, i + 1, i + 1),
                       "induction step %d fails for %s" % (i, rendered))
             return False
-    if shift_reduce(ring, c[n_top], n_top + 1, 0, w, field):
+    if shift_reduce(ring, c[n_top], n_top + 1, 0, w, field, ctx=ctx):
         ck.expect(False, "%s: c%d*t^%d = 0" % (tag, n_top, n_top + 1),
                   "top coefficient of %s survives t^%d"
                   % (rendered, n_top + 1))
@@ -308,13 +317,15 @@ def _induction_replay(ring, vec, w, ck, field, tag):
     return True
 
 
-def verify_essential(ring=None, w=None, dt=None, du=None, mx=None, field=QQ):
+def verify_essential(ring=None, w=None, dt=None, du=None, mx=None, field=QQ,
+                     ctx=None):
     ring = E1(2) if ring is None else ring
     eff = _win(8, 0, 12, dt, du, mx) if w is None else w
     ck = _Checks()
+    ctx = Context.of(ctx)
     tmy = (GradedPoly.gen(ring, "t", field)
            - GradedPoly.gen(ring, "y", field))
-    ker = kernel_of(ring, tmy, eff, field)
+    ker = kernel_of(ring, tmy, eff, field, ctx)
     ck.expect(ker.dim > 0, "kernel of (t - y) is nonzero (dim %d)" % ker.dim,
               "kernel is trivial at Dt=%d Mx=%d" % (eff.Dt, eff.Mx))
     x0t = (GradedPoly.gen(ring, ("x", 0), field)
@@ -329,7 +340,8 @@ def verify_essential(ring=None, w=None, dt=None, du=None, mx=None, field=QQ):
                     if not _no_constant(v)), ""))
     replayed = 0
     for k, v in enumerate(ker.basis()):
-        if not _induction_replay(ring, v, eff, ck, field, "vector %d" % k):
+        if not _induction_replay(ring, v, eff, ck, field, "vector %d" % k,
+                                 ctx):
             break
         replayed += 1
     if replayed == ker.dim:
@@ -348,11 +360,11 @@ def verify_essential(ring=None, w=None, dt=None, du=None, mx=None, field=QQ):
 
 # -- C-kernel-I0
 
-def verify_kernel_I0(w=None, dt=None, du=None, mx=None, field=QQ):
+def verify_kernel_I0(w=None, dt=None, du=None, mx=None, field=QQ, ctx=None):
     eff = _win(6, 6, 10, dt, du, mx) if w is None else w
     ck = _Checks()
     tmy = GradedPoly.gen(E2, "t", field) - GradedPoly.gen(E2, "y", field)
-    ker = kernel_of(E2, tmy, eff, field)
+    ker = kernel_of(E2, tmy, eff, field, ctx)
     ck.expect(ker.dim > 0, "kernel of (t - y) on E2 is nonzero (dim %d)"
               % ker.dim, "kernel is trivial")
     x0t = GradedPoly.gen(E2, ("x", 0), field) * GradedPoly.gen(E2, "t", field)
@@ -376,21 +388,25 @@ def verify_kernel_I0(w=None, dt=None, du=None, mx=None, field=QQ):
 
 # -- C-bounded-E2
 
-def verify_bounded_E2(w=None, dt=None, du=None, mx=None, k_exp=None, field=QQ):
+def verify_bounded_E2(w=None, dt=None, du=None, mx=None, k_exp=None, field=QQ,
+                      ctx=None):
     eff = _win(6, 6, 10, dt, du, mx) if w is None else w
     ck = _Checks()
-    T = torsion_subspace(E2, eff, k_exp, field)
+    ctx = Context.of(ctx)
+    T = torsion_subspace(E2, eff, k_exp, field, ctx)
     keff = k_exp if k_exp is not None else eff.Dt + eff.Du + 2
     ck.expect(T.dim > 0, "torsion subspace is nonzero (dim %d)" % T.dim,
               "torsion subspace is trivial")
     for (sdt, sdu, name) in ((2, 0, "t^2"), (1, 1, "t*u"), (0, 2, "u^2")):
         bad = next((v for v in T.basis()
-                    if shift_reduce(E2, v, sdt, sdu, eff, field)), None)
+                    if shift_reduce(E2, v, sdt, sdu, eff, field, ctx=ctx)),
+                   None)
         ck.expect(bad is None, "%s * T = 0 exactly" % name,
                   "" if bad is None else
                   "%s survives %s" % (_render(E2, bad, field), name))
     x0 = {mono_of_index(("x", 0)): field.one()}
-    ck.expect(T.contains(x0) and not shift_reduce(E2, x0, 0, 1, eff, field),
+    ck.expect(T.contains(x0)
+              and not shift_reduce(E2, x0, 0, 1, eff, field, ctx=ctx),
               "x0 is torsion and u*x0 = 0", "x0 fails the torsion witness")
     one = {mono_of_index(("y", 0)): field.one()}
     ck.expect(not T.contains(one), "1 is not torsion", "1 reported torsion")
@@ -401,12 +417,14 @@ def verify_bounded_E2(w=None, dt=None, du=None, mx=None, k_exp=None, field=QQ):
 
 # -- C-nwkpr
 
-def verify_nwkpr(max_stage=8, w=None, dt=None, du=None, mx=None, field=QQ):
+def verify_nwkpr(max_stage=8, w=None, dt=None, du=None, mx=None, field=QQ,
+                 ctx=None):
     need = max_stage + 2
-    eff = _win(need, need, 12, dt, du, mx) if w is None else w
+    eff = _win(need, need, max(12, need + 2), dt, du, mx) if w is None else w
     ck = _Checks()
+    ctx = Context.of(ctx)
     sysH = SystemSpec(kind="H0(u;H1(t))")
-    rep = pro_zero_test(E2, sysH, max_stage, eff, field)
+    rep = pro_zero_test(E2, sysH, max_stage, eff, field, ctx)
     ck.expect(rep.verdict == "NOT-pro-zero-witnessed",
               "inverse system verdict: NOT-pro-zero-witnessed",
               "verdict was %s" % rep.verdict)
@@ -419,7 +437,8 @@ def verify_nwkpr(max_stage=8, w=None, dt=None, du=None, mx=None, field=QQ):
             if witv != expect:
                 chain_ok = False
                 break
-            if not transition_witness_replay(E2, sysH, m, 2, eff, witv, field):
+            if not transition_witness_replay(E2, sysH, m, 2, eff, witv, field,
+                                             ctx):
                 chain_ok = False
                 break
             wit_strs.append(_render(E2, witv, field))
@@ -427,11 +446,11 @@ def verify_nwkpr(max_stage=8, w=None, dt=None, du=None, mx=None, field=QQ):
               "witness chain x_(v-2) for v=3..%d, each image replayed nonzero"
               % max_stage, "witness chain broken")
     for i in range(2, max_stage - 1):
-        ck.expect(ses_row_check(E2, i, eff, field),
+        ck.expect(ses_row_check(E2, i, eff, field, ctx),
                   "three-term row exact at stage %d" % i,
                   "row fails exactness at stage %d" % i)
     ctrl = pro_zero_test(CTRL, SystemSpec(kind="H1(t)"), max_stage,
-                         Window(eff.Dt, 0, eff.Mx), field)
+                         Window(eff.Dt, 0, eff.Mx), field, ctx)
     ck.expect(ctrl.verdict == "pro-zero-up-to-window",
               "control: CTRL verdict pro-zero-up-to-window",
               "CTRL verdict was %s" % ctrl.verdict)
@@ -442,22 +461,23 @@ def verify_nwkpr(max_stage=8, w=None, dt=None, du=None, mx=None, field=QQ):
 
 # -- C-gs-demo
 
-def demo_gs(w=None, prec=8, dt=None, du=None, mx=None, field=QQ):
+def demo_gs(w=None, prec=8, dt=None, du=None, mx=None, field=QQ, ctx=None):
     eff = _win(8, 0, 16, dt, du, mx) if w is None else w
     n_ap = prec
     ck = _Checks()
+    ctx = Context.of(ctx)
     tmy = GradedPoly.gen(GS, "t", field) - GradedPoly.gen(GS, "y", field)
-    ker = kernel_of(GS, tmy, eff, field)
+    ker = kernel_of(GS, tmy, eff, field, ctx)
     ck.expect(ker.dim == 0, "kernel of (t - y) on the window is trivial",
               "kernel dim %d" % ker.dim)
     # backward-substitution ingredients, each recomputed
     anny = kernel_of(R_ONLY, GradedPoly.gen(R_ONLY, "y", field),
-                     Window(0, 0, eff.Mx), field)
+                     Window(0, 0, eff.Mx), field, ctx)
     x0 = {mono_of_index(("x", 0)): field.one()}
     ck.expect(anny.dim == 1 and anny.contains(x0),
               "Ann(y) in the coefficient ring is exactly k*x0",
               "Ann(y) has dim %d" % anny.dim)
-    tinj = kernel_of(GS, GradedPoly.gen(GS, "t", field), eff, field)
+    tinj = kernel_of(GS, GradedPoly.gen(GS, "t", field), eff, field, ctx)
     ck.expect(tinj.dim == 0, "t acts injectively on the window",
               "t has a windowed kernel of dim %d" % tinj.dim)
     ck.note("backward substitution: top coefficient dies, each lower "
@@ -482,7 +502,7 @@ def demo_gs(w=None, prec=8, dt=None, du=None, mx=None, field=QQ):
 # -- C-approx-fail-E1 / C-approx-fail-E2
 
 def demo_approx_failure(ring=None, n=2, w=None, prec=None,
-                        dt=None, du=None, mx=None, field=QQ):
+                        dt=None, du=None, mx=None, field=QQ, ctx=None):
     ring = E1(2) if ring is None else ring
     if ring.variant == "E1":
         eff = _win(8, 0, 12, dt, du, mx) if w is None else w
@@ -509,7 +529,7 @@ def demo_approx_failure(ring=None, n=2, w=None, prec=None,
         ck.expect(f3res.is_zero(), "f3 = u * X vanishes exactly",
                   "f3 residue %s" % print_element(f3res))
     ck.note("exact f1 residue: %s" % print_element(exact["f1"]))
-    ker = system_kernel(ring, system, eff, field)
+    ker = system_kernel(ring, system, eff, field, ctx)
     ck.expect(ker.dim > 0,
               "windowed solution space is nonzero (dim %d)" % ker.dim,
               "system has no windowed solutions at all")
@@ -535,19 +555,21 @@ def demo_approx_failure(ring=None, n=2, w=None, prec=None,
 
 # -- C-xi-witness
 
-def verify_xi_witnesses(n_max=6, w=None, dt=None, du=None, mx=None, field=QQ):
+def verify_xi_witnesses(n_max=6, w=None, dt=None, du=None, mx=None, field=QQ,
+                        ctx=None):
     eff = _win(max(8, n_max + 2), 0, 12, dt, du, mx) if w is None else w
     ring = E1(2)
     ck = _Checks()
+    ctx = Context.of(ctx)
     wit = []
     dims = []
     for n in range(1, n_max + 1):
         xi = {mono_of_index(("x", n - 1)): field.one()}
-        alive = shift_reduce(ring, xi, n, 0, eff, field)
-        dead = shift_reduce(ring, xi, n + 1, 0, eff, field)
+        alive = shift_reduce(ring, xi, n, 0, eff, field, ctx=ctx)
+        dead = shift_reduce(ring, xi, n + 1, 0, eff, field, ctx=ctx)
         red_ok = bool(alive) and not dead
-        ann_n = annihilator_oracle(ring, n, 0, eff, field)
-        ann_n1 = annihilator_oracle(ring, n + 1, 0, eff, field)
+        ann_n = annihilator_oracle(ring, n, 0, eff, field, ctx)
+        ann_n1 = annihilator_oracle(ring, n + 1, 0, eff, field, ctx)
         orc_ok = (not ann_n.contains(xi)) and ann_n1.contains(xi)
         ck.expect(red_ok and orc_ok,
                   "xi_%d = x%d: t^%d*xi != 0, t^%d*xi = 0 "
@@ -570,24 +592,25 @@ def verify_xi_witnesses(n_max=6, w=None, dt=None, du=None, mx=None, field=QQ):
 # -- C-remark-wpr
 
 def verify_remark_wpr(w=None, max_stage=8, include_e1_variant=False,
-                      dt=None, du=None, mx=None, field=QQ):
+                      dt=None, du=None, mx=None, field=QQ, ctx=None):
     need = max_stage + 2
-    eff = _win(need, 0, 12, dt, du, mx) if w is None else w
+    eff = _win(need, 0, max(12, need + 2), dt, du, mx) if w is None else w
     ck = _Checks()
+    ctx = Context.of(ctx)
     sysT = SystemSpec(kind="H1(t)")
     rows = []
 
     def torsion_bounded(ring, power):
-        T = torsion_subspace(ring, eff, eff.Mx + 2, field)
+        T = torsion_subspace(ring, eff, eff.Mx + 2, field, ctx)
         if T.dim == 0:
             return "torsion-free"
         for v in T.basis():
-            if shift_reduce(ring, v, power, 0, eff, field):
+            if shift_reduce(ring, v, power, 0, eff, field, ctx=ctx):
                 return "unbounded-or-deeper"
         return "bounded(t^%d)" % power
 
     def chain_strict(ring):
-        dims = [annihilator_oracle(ring, n, 0, eff, field).dim
+        dims = [annihilator_oracle(ring, n, 0, eff, field, ctx).dim
                 for n in range(1, eff.Dt + 1)]
         return all(b > a for a, b in zip(dims, dims[1:]))
 
@@ -597,7 +620,8 @@ def verify_remark_wpr(w=None, max_stage=8, include_e1_variant=False,
         rings.append(E1(3))
     for ring in rings:
         unbounded = chain_strict(ring)
-        verdict = pro_zero_test(ring, sysT, max_stage, eff, field).verdict
+        verdict = pro_zero_test(ring, sysT, max_stage, eff, field,
+                                ctx).verdict
         ok = unbounded and verdict == "NOT-pro-zero-witnessed"
         rows.append((ring.describe(), "unbounded-torsion", verdict))
         ck.expect(ok, "%s: unbounded torsion and NOT-pro-zero (consistent)"
@@ -605,15 +629,15 @@ def verify_remark_wpr(w=None, max_stage=8, include_e1_variant=False,
                   "%s row violates the correspondence" % ring.describe())
 
     bounded = torsion_bounded(CTRL, 2)
-    verdict = pro_zero_test(CTRL, sysT, max_stage, eff, field).verdict
+    verdict = pro_zero_test(CTRL, sysT, max_stage, eff, field, ctx).verdict
     rows.append((CTRL.describe(), bounded, verdict))
     ck.expect(bounded.startswith("bounded") and
               verdict == "pro-zero-up-to-window",
               "CTRL: bounded torsion (t^2) and pro-zero (consistent)",
               "CTRL row violates the correspondence")
 
-    gs_t = torsion_subspace(GS, eff, eff.Mx + 2, field)
-    verdict = pro_zero_test(GS, sysT, max_stage, eff, field).verdict
+    gs_t = torsion_subspace(GS, eff, eff.Mx + 2, field, ctx)
+    verdict = pro_zero_test(GS, sysT, max_stage, eff, field, ctx).verdict
     rows.append((GS.describe(), "torsion-free", verdict))
     ck.expect(gs_t.dim == 0 and verdict == "pro-zero-up-to-window",
               "GS: torsion-free and pro-zero (consistent)",
@@ -660,18 +684,26 @@ _ACCEPTS = {
 }
 
 
-def run_claim(claim_id, **kwargs):
-    """Run one claim verifier with keyword overrides (None values dropped)."""
+def run_claim(claim_id, ctx=None, **kwargs):
+    """Run one claim verifier with keyword overrides (None values dropped).
+
+    A ring override must be an E1[m] ring: every claim that accepts one
+    is a statement about E1[m], so any other ring is outside its scope.
+    """
     if claim_id not in _DISPATCH:
         raise KeyError("unknown claim id %r" % claim_id)
     kw = {k: v for k, v in kwargs.items()
           if v is not None and k in _ACCEPTS[claim_id]}
-    return _DISPATCH[claim_id](**kw)
+    if "ring" in kw and kw["ring"].variant != "E1":
+        raise RingError("claim %s is about E1[m]; ring %s is out of scope"
+                        % (claim_id, kw["ring"].describe()))
+    return _DISPATCH[claim_id](ctx=ctx, **kw)
 
 
-def run_all(field=QQ, **kwargs):
-    """Run every claim verifier, reports in fixed claim order."""
-    return [run_claim(cid, field=field, **kwargs) for cid in CLAIM_IDS]
+def run_all(field=QQ, ctx=None, **kwargs):
+    """Run every claim verifier in one context, reports in fixed order."""
+    ctx = Context.of(ctx)
+    return [run_claim(cid, ctx, field=field, **kwargs) for cid in CLAIM_IDS]
 
 
 def suite_json(reports):

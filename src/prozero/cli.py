@@ -13,6 +13,9 @@ Exit codes: 0 success/verified, 2 FALSIFIED (a counter-witness exists),
 
 Text output is rendered from the same JSON document that --format json
 prints, never computed separately, so the two formats cannot drift.
+
+Each command computes in one `oracle.Context`, so its slice spans and
+Koszul stage modules are built once per command.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import time
 from .claims import CLAIM_IDS, _ACCEPTS, run_claim, SCHEMA_VERSION
 from .fields import FieldError, field_from_spec
 from .koszul import pro_zero_test
-from .oracle import (Window, WindowError, annihilator_oracle, joint_kernel,
-                     kernel_of, mul_map, OracleError, poly_of_vec, raw_mul,
-                     reduce_raw, vectorize)
+from .oracle import (Context, Window, WindowError, annihilator_oracle,
+                     joint_kernel, kernel_of, mul_map, OracleError,
+                     poly_of_vec, raw_mul, reduce_raw, vectorize)
 from .parser import ParseError, parse_element, parse_ring, parse_system, print_element
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, RingError)
 
@@ -170,11 +173,12 @@ def cmd_verify(args):
             raise ParseError("--ring is not accepted by claim %s" % bad[0])
         ring = parse_ring(args.ring)
     reports = []
+    ctx = Context()
     for cid in ids:
         t0 = time.perf_counter()
         rep = run_claim(cid, dt=args.dt, du=args.du, mx=args.mx,
                         prec=args.prec, max_stage=args.max_stage,
-                        ring=ring, field=field)
+                        ring=ring, field=field, ctx=ctx)
         if args.timing:
             rep.timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
         reports.append(rep)
@@ -240,10 +244,12 @@ def cmd_kernel(args):
     polys = [parse_element(text, ring, field) for text in args.exprs]
     if any(p.is_zero() for p in polys):
         raise ParseError("kernel of the zero map is the whole window")
+    ctx = Context()
     if len(polys) == 1:
-        sub = kernel_of(ring, polys[0], w, field)
+        sub = kernel_of(ring, polys[0], w, field, ctx)
     else:
-        sub = joint_kernel(ring, [mul_map(ring, p, w, field) for p in polys])
+        sub = joint_kernel(ring, [mul_map(ring, p, w, field, ctx)
+                                  for p in polys])
     basis = [print_element(poly_of_vec(ring, v, field)) for v in sub.basis()]
     basis.reverse()
     doc = {"schema_version": SCHEMA_VERSION, "ring": ring.describe(),
@@ -321,13 +327,13 @@ def _random_poly(rng, ring, field):
     return terms
 
 
-def _raw_product(ring, p, q, field):
+def _raw_product(ring, p, q, field, ctx=None):
     """Multiply without the closed form: raw monomial products reduced
     against the relation span only."""
     # generator indices <= 6 and y-powers <= 3 in _random_poly, so pair
     # kill chains climb to at most 6+6+1 and caps of 16 cover everything
     return reduce_raw(ring, raw_mul(vectorize(p), vectorize(q), field),
-                      16, 16, True, field)
+                      16, 16, True, field, ctx)
 
 
 def cmd_selftest(args):
@@ -337,13 +343,14 @@ def cmd_selftest(args):
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)
     rings = [R_ONLY, GS, E1(2), E1(3), E2, CTRL]
+    ctx = Context()
     checked = 0
     for ring in rings:
         for _ in range(args.count):
             p = _random_poly(rng, ring, field)
             q = _random_poly(rng, ring, field)
             fast = vectorize(p * q)
-            slow = _raw_product(ring, p, q, field)
+            slow = _raw_product(ring, p, q, field, ctx)
             if fast != slow:
                 print("MISMATCH in %s: (%s) * (%s): closed form %s, "
                       "span reduction %s"

@@ -71,11 +71,45 @@ class Rationals:
         return "%d/%d" % (a.numerator, a.denominator)
 
 
+MAX_MODULUS = 2 ** 64
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin with the prime bases 2..37.
+
+    Exact below 318665857834031151167461 (about 3.2e23), the least strong
+    pseudoprime to all twelve bases, so exact on every modulus below 2^64.
+    """
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """GF(p) with int scalars reduced to [0, p)."""
+    """GF(p) with int scalars reduced to [0, p), for primes p < 2^64."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= MAX_MODULUS:
+            raise FieldError("fp modulus must be below 2^64")
+        if not is_prime(p):
             raise FieldError("fp modulus must be prime, got %r" % (p,))
         self.p = p
         self.name = "fp:%d" % p
@@ -130,5 +164,8 @@ def field_from_spec(text):
         body = t[3:]
         if not (body.isascii() and body.isdigit()):
             raise FieldError("bad prime in field spec %r" % (text,))
+        if len(body.lstrip("0")) > len(str(MAX_MODULUS)):
+            # checked before int(), which refuses 4,300 digits and more
+            raise FieldError("fp modulus must be below 2^64")
         return PrimeField(int(body))
     raise FieldError("unknown field spec %r (want q or fp:<prime>)" % (text,))

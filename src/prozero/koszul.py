@@ -9,9 +9,14 @@ window and "nonzero" verdicts are certified, not truncation artifacts.
 
 Transitions from stage j to stage i < j are multiplication by t^(j-i)
 (identity on the degree-0 part, extended to the quotient modules in the
-two-variable case). A reported witness is always replayable: the witness
-vector, its image, and the nonzero-ness of that image in the target are
-all recomputed from the relation span.
+two-variable case). A reported witness is always replayable: its
+membership in the source module, its image, and the nonzero-ness of that
+image in the target are all recomputed from the relation span.
+
+Stage modules come from the run's Context (`oracle.Context`): each
+distinct (ring, system kind, stage, window, field) is built once per
+context and then shared by the pro-zero search, the witness replay and
+the short-exact-row check, so none of them may mutate a module.
 """
 
 from __future__ import annotations
@@ -20,15 +25,15 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ
 from .linalg import Echelon, Subspace, kernel_basis, rank_of
-from .oracle import (OracleError, Window, WindowSubspace, check_window_ring,
-                     kernel_of, shift_reduce, window_basis)
+from .oracle import (Context, OracleError, Window, WindowSubspace,
+                     check_window_ring, kernel_of, shift_reduce, window_basis)
 
 
 def _sub_window(w, ddt, ddu=0):
     return Window(max(w.Dt - ddt, 0), max(w.Du - ddu, 0), w.Mx)
 
 
-def koszul_h1_single(ring, a, i, w, field=QQ):
+def koszul_h1_single(ring, a, i, w, field=QQ, ctx=None):
     """Windowed annihilator of a^i over the full window, a in {t, u}."""
     if a not in ("t", "u"):
         raise OracleError("sequence element must be t or u")
@@ -38,10 +43,10 @@ def koszul_h1_single(ring, a, i, w, field=QQ):
         raise OracleError("stage must be >= 1")
     shift = {(i if a == "t" else 0, i if a == "u" else 0, 0, 0, ()):
              field.one()}
-    return kernel_of(ring, shift, w, field)
+    return kernel_of(ring, shift, w, field, ctx)
 
 
-def _transition(ring, src, dt, du, w, field, tgt=None):
+def _transition(ring, src, dt, du, w, field, ctx, tgt=None):
     """One witness search: is multiplication by t^dt u^du zero on src?
 
     Images are taken modulo tgt's denominator when a target module is
@@ -50,7 +55,7 @@ def _transition(ring, src, dt, du, w, field, tgt=None):
     vector when no constant-slice one qualifies).
     """
     def image_of(v):
-        img = shift_reduce(ring, v, dt, du, w, field)
+        img = shift_reduce(ring, v, dt, du, w, field, ctx=ctx)
         return tgt.rep(img) if tgt is not None else img
 
     const, rest = [], []
@@ -63,7 +68,7 @@ def _transition(ring, src, dt, du, w, field, tgt=None):
     return True, None
 
 
-def transition_zero(ring, a, j, i, w, field=QQ):
+def transition_zero(ring, a, j, i, w, field=QQ, ctx=None):
     """Is the stage-j to stage-i transition the zero map?
 
     Returns (True, None) or (False, witness_vector). The stage-j module
@@ -72,10 +77,11 @@ def transition_zero(ring, a, j, i, w, field=QQ):
     """
     if not 0 < i < j:
         raise OracleError("transition needs stage indices 0 < i < j")
+    ctx = Context.of(ctx)
     dom_w = _sub_window(w, j if a == "t" else 0, j if a == "u" else 0)
-    ann_j = koszul_h1_single(ring, a, j, dom_w, field)
+    ann_j = koszul_h1_single(ring, a, j, dom_w, field, ctx)
     return _transition(ring, ann_j, j - i if a == "t" else 0,
-                       j - i if a == "u" else 0, w, field)
+                       j - i if a == "u" else 0, w, field, ctx)
 
 
 @dataclass
@@ -95,32 +101,33 @@ class KoszulStage:
     d_squared_zero: bool
 
 
-def koszul_pair(ring, i, w, field=QQ):
+def koszul_pair(ring, i, w, field=QQ, ctx=None):
     """Build stage i of the two-variable windowed Koszul complex."""
     if not ring.has_u:
         raise OracleError("pair complex needs a two-variable ring")
     if i < 1:
         raise OracleError("stage must be >= 1")
     check_window_ring(ring, w)
-    k2 = window_basis(ring, _sub_window(w, i, i), field)
-    k1t = window_basis(ring, _sub_window(w, i, 0), field)
-    k1u = window_basis(ring, _sub_window(w, 0, i), field)
-    k0 = window_basis(ring, w, field)
+    ctx = Context.of(ctx)
+    k2 = window_basis(ring, _sub_window(w, i, i), field, ctx)
+    k1t = window_basis(ring, _sub_window(w, i, 0), field, ctx)
+    k1u = window_basis(ring, _sub_window(w, 0, i), field, ctx)
+    k0 = window_basis(ring, w, field, ctx)
 
     def d1_image(lab):
         slot, m = lab
         dt, du = (i, 0) if slot == "et" else (0, i)
-        return shift_reduce(ring, {m: field.one()}, dt, du, w, field)
+        return shift_reduce(ring, {m: field.one()}, dt, du, w, field, ctx=ctx)
 
     domain = [("et", m) for m in k1t.monos] + [("eu", m) for m in k1u.monos]
     cycles = kernel_basis(domain, d1_image, field)
 
     def d2_image(m):
         out = {}
-        v = shift_reduce(ring, {m: field.one()}, 0, i, w, field)
+        v = shift_reduce(ring, {m: field.one()}, 0, i, w, field, ctx=ctx)
         for mono, c in v.items():
             out[("et", mono)] = field.neg(c)
-        v = shift_reduce(ring, {m: field.one()}, i, 0, w, field)
+        v = shift_reduce(ring, {m: field.one()}, i, 0, w, field, ctx=ctx)
         for mono, c in v.items():
             out[("eu", mono)] = c
         return out
@@ -175,18 +182,20 @@ class QuotientSpace:
         return self.den.reduce(vec)
 
 
-def h0_of_h1(ring, i, w, field=QQ):
+def h0_of_h1(ring, i, w, field=QQ, ctx=None):
     """Windowed Ann(t^i) / u^i Ann(t^i), stage-i window discipline."""
     if not ring.has_u:
         raise OracleError("quotient homology needs a two-variable ring")
-    num = koszul_h1_single(ring, "t", i, _sub_window(w, i, 0), field)
-    inner = koszul_h1_single(ring, "t", i, _sub_window(w, i, i), field)
-    den = [shift_reduce(ring, v, 0, i, w, field) for v in inner.basis()]
+    ctx = Context.of(ctx)
+    num = koszul_h1_single(ring, "t", i, _sub_window(w, i, 0), field, ctx)
+    inner = koszul_h1_single(ring, "t", i, _sub_window(w, i, i), field, ctx)
+    den = [shift_reduce(ring, v, 0, i, w, field, ctx=ctx)
+           for v in inner.basis()]
     den = [v for v in den if v]
     return QuotientSpace(ring, w, num, den, field)
 
 
-def h1_of_h0(ring, i, w, field=QQ):
+def h1_of_h0(ring, i, w, field=QQ, ctx=None):
     """Windowed H1 of u^i acting on the quotient by t^i.
 
     Numerator: w-slice vectors whose u^i multiple falls inside the image
@@ -194,26 +203,26 @@ def h1_of_h0(ring, i, w, field=QQ):
     """
     if not ring.has_u:
         raise OracleError("quotient homology needs a two-variable ring")
-    big = window_basis(ring, _sub_window(w, i, 0), field)
+    ctx = Context.of(ctx)
+
+    def times(m, dt, du):
+        return shift_reduce(ring, {m: field.one()}, dt, du, w, field, ctx=ctx)
+
+    big = window_basis(ring, _sub_window(w, i, 0), field, ctx)
     t_image = Echelon(field)
     for m in big.monos:
-        t_image.insert(shift_reduce(ring, {m: field.one()}, i, 0, w, field))
-    dom = window_basis(ring, _sub_window(w, 0, i), field)
-
-    def image_of(m):
-        v = shift_reduce(ring, {m: field.one()}, 0, i, w, field)
-        return t_image.reduce(v)
-
-    num_vecs = kernel_basis(list(dom.monos), image_of, field)
+        t_image.insert(times(m, i, 0))
+    dom = window_basis(ring, _sub_window(w, 0, i), field, ctx)
+    num_vecs = kernel_basis(list(dom.monos),
+                            lambda m: t_image.reduce(times(m, 0, i)), field)
     num = WindowSubspace(ring, w, num_vecs, field)
-    small = window_basis(ring, _sub_window(w, i, i), field)
-    den = [shift_reduce(ring, {m: field.one()}, i, 0, w, field)
-           for m in small.monos]
+    small = window_basis(ring, _sub_window(w, i, i), field, ctx)
+    den = [times(m, i, 0) for m in small.monos]
     den = [v for v in den if v]
     return QuotientSpace(ring, w, num, den, field)
 
 
-def ses_row_check(ring, i, w, field=QQ):
+def ses_row_check(ring, i, w, field=QQ, ctx=None):
     """Exactness of the windowed row
 
         0 -> H0(u^i; H1(t^i)) -> H1(t^i, u^i) -> H1(u^i; H0(t^i)) -> 0
@@ -221,10 +230,13 @@ def ses_row_check(ring, i, w, field=QQ):
     with the left map [z] -> [(z, 0)] and the right map [(v, w)] -> [w].
     Verified by exact dimension accounting plus the two structural facts
     (the composite vanishes, the left map's kernel is the denominator).
+    The left module is the context's stage module, shared with the
+    pro-zero search of the same run.
     """
-    left = h0_of_h1(ring, i, w, field)
-    stage = koszul_pair(ring, i, w, field)
-    right = h1_of_h0(ring, i, w, field)
+    ctx = Context.of(ctx)
+    left = _stage_module(ring, "H0(u;H1(t))", i, w, field, ctx)
+    stage = koszul_pair(ring, i, w, field, ctx)
+    right = h1_of_h0(ring, i, w, field, ctx)
 
     # left map injectivity: span(boundaries + embedded numerator basis)
     # must grow by exactly dim(left)
@@ -249,8 +261,8 @@ def ses_row_check(ring, i, w, field=QQ):
     surj = psi_rank == right.dim
     # the left map lands in cycles (so the composite with the right map
     # is zero on the nose: the second slot of (z, 0) is empty)
-    lands_in_cycles = all(
-        not shift_reduce(ring, v, i, 0, w, field) for v in left.num.basis())
+    lands_in_cycles = all(not shift_reduce(ring, v, i, 0, w, field, ctx=ctx)
+                          for v in left.num.basis())
 
     return (inj and surj and lands_in_cycles
             and stage.h1_dim == left.dim + right.dim
@@ -283,17 +295,30 @@ class ProZeroReport:
     verdict: str  # "pro-zero-up-to-window" | "NOT-pro-zero-witnessed"
 
 
-def _h_module(ring, system, i, w, field):
-    """Stage module of the named inverse system, with its denominator."""
-    if system.kind == "H1(t)":
-        sub = koszul_h1_single(ring, "t", i, _sub_window(w, i, 0), field)
+def _system_kind(system):
+    if system.kind not in ("H1(t)", "H0(u;H1(t))"):
+        raise OracleError("%s is not an inverse system" % system.describe())
+    return system.kind
+
+
+def _h_module(ring, kind, i, w, field, ctx):
+    """Build the stage-i module of an inverse system, with its denominator."""
+    if kind == "H1(t)":
+        sub = koszul_h1_single(ring, "t", i, _sub_window(w, i, 0), field, ctx)
         return QuotientSpace(ring, w, sub, [], field)
-    if system.kind == "H0(u;H1(t))":
-        return h0_of_h1(ring, i, w, field)
-    raise OracleError("%s is not an inverse system" % system.describe())
+    return h0_of_h1(ring, i, w, field, ctx)
 
 
-def pro_zero_test(ring, system, max_stage, w, field=QQ):
+def _stage_module(ring, kind, i, w, field, ctx):
+    """The context's stage-i module, built on first use."""
+    key = (ring, kind, i, w, field.name)
+    mod = ctx.stages.get(key)
+    if mod is None:
+        mod = ctx.stages[key] = _h_module(ring, kind, i, w, field, ctx)
+    return mod
+
+
+def pro_zero_test(ring, system, max_stage, w, field=QQ, ctx=None):
     """Search each target stage for a later stage with zero transition.
 
     For n in 2..max_stage-1, try m in n+1..max_stage: the transition
@@ -304,20 +329,19 @@ def pro_zero_test(ring, system, max_stage, w, field=QQ):
     if max_stage < 3:
         raise OracleError("pro-zero search needs max_stage >= 3")
     check_window_ring(ring, w)
-    rows = []
-    modules = {}     # stage -> module, built once for this search
+    kind = _system_kind(system)
+    ctx = Context.of(ctx)
 
     def module(i):
-        if i not in modules:
-            modules[i] = _h_module(ring, system, i, w, field)
-        return modules[i]
+        return _stage_module(ring, kind, i, w, field, ctx)
 
+    rows = []
     for n in range(2, max_stage):
         tgt = module(n)
         row = ProZeroRow(n=n)
         for m in range(n + 1, max_stage + 1):
             zero, wit = _transition(ring, module(m).num, m - n, 0, w, field,
-                                    tgt)
+                                    ctx, tgt)
             if zero:
                 row.least_zero_m = m
                 break
@@ -330,12 +354,20 @@ def pro_zero_test(ring, system, max_stage, w, field=QQ):
     return ProZeroReport(ring, system, max_stage, w, rows, verdict)
 
 
-def transition_witness_replay(ring, system, m, n, w, witness, field=QQ):
-    """Re-verify one reported witness from scratch: membership in the
-    stage-m module and nonzero image class at stage n."""
-    src = _h_module(ring, system, m, w, field)
-    tgt = _h_module(ring, system, n, w, field)
+def transition_witness_replay(ring, system, m, n, w, witness, field=QQ,
+                              ctx=None):
+    """Re-verify one reported witness against the context's stage modules.
+
+    The modules are the ones the search used (built once per context);
+    the checks are recomputed: the witness lies in the stage-m module,
+    its image under t^(m-n) is reduced again from the relation span, and
+    that image lies in the stage-n numerator with a nonzero class.
+    """
+    kind = _system_kind(system)
+    ctx = Context.of(ctx)
+    src = _stage_module(ring, kind, m, w, field, ctx)
+    tgt = _stage_module(ring, kind, n, w, field, ctx)
     if not src.num.contains(witness):
         return False
-    img = shift_reduce(ring, witness, m - n, 0, w, field)
+    img = shift_reduce(ring, witness, m - n, 0, w, field, ctx=ctx)
     return tgt.class_nonzero(img)

@@ -9,9 +9,10 @@ linear algebra against that relation span.
 Two structural facts keep this fast. First, every relator row is
 homogeneous in (t, u)-bidegree, so the relation span decomposes slice by
 slice and each slice span is tiny; spans are built per slice on demand
-and cached. Second, rewriting only moves monomials downward in the
-canonical order (y-exponents and x-indices shrink), so a slice span whose
-caps cover the input also covers everything reduction can produce.
+and kept in the run's Context. Second, rewriting only moves monomials
+downward in the canonical order (y-exponents and x-indices shrink), so a
+slice span whose caps cover the input also covers everything reduction
+can produce.
 
 Raw monomial shape: (dt, du, nx, ypow, xs) with xs a sorted tuple of
 x-indices and nx = len(xs), so plain tuple comparison is the canonical
@@ -19,6 +20,12 @@ term order. Every ring uses this one shape. In CTRL = k[x,t]/(x t^2) the
 single variable x is a power, so x^a t^d sits in the power slot as
 (d, 0, 0, a, ()); its relator x*t^2 is an ordinary slice generator, and
 products and reductions need no CTRL case.
+
+Every function that reaches `slice_span` takes a trailing `ctx`, the
+Context of the run. Leaving it out (ctx=None) gives the call a fresh
+context of its own; passing one context to many calls lets them share
+slice spans (and, in `koszul`, stage modules). Nothing is cached at
+module level.
 """
 
 from __future__ import annotations
@@ -58,6 +65,25 @@ class Window:
             raise WindowError(
                 "window-too-small: need Mx >= max(Dt, Du) + 2, got "
                 "Dt=%d Du=%d Mx=%d" % (self.Dt, self.Du, self.Mx))
+
+
+class Context:
+    """The caches of one run: slice spans and Koszul stage modules.
+
+    `spans` maps a slice_span key to its Echelon; `stages` maps
+    (ring, system kind, stage, window, field name) to a stage module.
+    Cached objects are shared, so no consumer may mutate them. Hashes by
+    identity.
+    """
+
+    def __init__(self):
+        self.spans = {}
+        self.stages = {}
+
+    @staticmethod
+    def of(ctx):
+        """ctx itself, or a fresh Context when ctx is None."""
+        return Context() if ctx is None else ctx
 
 
 def check_window_ring(ring, w):
@@ -113,7 +139,9 @@ def raw_mul(v1, v2, field=QQ):
 
 # -- per-slice relation spans -----------------------------------------------
 
-_span_cache = {}
+def _x_indices(ring, cap):
+    """x-generator indices of the ambient up to cap; CTRL has none."""
+    return range(0 if ring.variant == "CTRL" else cap + 1)
 
 
 def _slice_generators(ring, dt, du, xtop):
@@ -141,15 +169,17 @@ def _slice_generators(ring, dt, du, xtop):
     return [(tag, vec) for tag, vec in gens if tag not in ring.omit]
 
 
-def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ):
+def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
     """Echelon of the relation span inside one (dt, du) bidegree slice.
 
     With pairs=False the ambient carries at most one x-factor and relator
     multipliers are x-free. With pairs=True multipliers may carry one
     x-factor, so the span also proves where two-x monomials die.
+    Built once per context and key.
     """
+    ctx = Context.of(ctx)
     key = (ring, dt, du, ycap, xcap, pairs, field.name)
-    hit = _span_cache.get(key)
+    hit = ctx.spans.get(key)
     if hit is not None:
         return hit
     ech = Echelon(field)
@@ -161,7 +191,7 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ):
         mults = [(mdt, mdu, 0, a, ()) for a in range(ycap + 1)]
         if pairs:
             mults += [(mdt, mdu, 1, a, (k,))
-                      for a in range(ycap + 1) for k in range(xcap + 1)]
+                      for a in range(ycap + 1) for k in _x_indices(ring, xcap)]
         for m in mults:
             row = {}
             ok = True
@@ -173,26 +203,26 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ):
                 row[p] = field.from_int(c)
             if ok and row:
                 ech.insert(row)
-    _span_cache[key] = ech
+    ctx.spans[key] = ech
     return ech
 
 
-def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ):
+def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ, ctx=None):
     """Normal form of a raw vector modulo the relation span, slice by slice."""
     by_slice = {}
     for m, c in vec.items():
         by_slice.setdefault((m[0], m[1]), {})[m] = c
     out = {}
     for (dt, du), sub in sorted(by_slice.items()):
-        ech = slice_span(ring, dt, du, ycap, xcap, pairs, field)
+        ech = slice_span(ring, dt, du, ycap, xcap, pairs, field, ctx)
         out.update(ech.reduce(sub))
     return out
 
 
-def shift_reduce(ring, vec, dt, du, w, field=QQ, ypow=0):
+def shift_reduce(ring, vec, dt, du, w, field=QQ, ypow=0, ctx=None):
     """vec * t^dt u^du y^ypow, reduced with the window's one-x caps."""
     raw = raw_mul(vec, {(dt, du, 0, ypow, ()): field.one()}, field)
-    return reduce_raw(ring, raw, w.Mx + 2 + ypow, w.Mx, False, field)
+    return reduce_raw(ring, raw, w.Mx + 2 + ypow, w.Mx, False, field, ctx)
 
 
 # -- windowed monomial bases ------------------------------------------------
@@ -206,18 +236,18 @@ class MonoBasis:
     monos: tuple
 
 
-def window_basis(ring, w, field=QQ):
+def window_basis(ring, w, field=QQ, ctx=None):
     """The canonical reduced basis of the window, from the presentation.
 
     Per slice: ambient monomials that are not pivots of the slice span.
     """
     check_window_ring(ring, w)
     monos = []
-    xs = range(0 if ring.variant == "CTRL" else w.Mx + 1)   # CTRL: no x_i
+    xs = _x_indices(ring, w.Mx)
     ycap, xcap = w.Mx + 2, w.Mx
     for dt in range(w.Dt + 1):
         for du in range(w.Du + 1):
-            ech = slice_span(ring, dt, du, ycap, xcap, False, field)
+            ech = slice_span(ring, dt, du, ycap, xcap, False, field, ctx)
             pivots = ech.pivots()
             for a in range(w.Mx + 1):
                 m = (dt, du, 0, a, ())
@@ -230,7 +260,7 @@ def window_basis(ring, w, field=QQ):
     return MonoBasis(ring, w, tuple(sorted(monos)))
 
 
-def relation_span(ring, w, pairs=False, field=QQ):
+def relation_span(ring, w, pairs=False, field=QQ, ctx=None):
     """Combined relation span over all window slices, as one Subspace.
 
     Exposed for direct membership tests; heavy lifting stays per slice.
@@ -242,19 +272,19 @@ def relation_span(ring, w, pairs=False, field=QQ):
     sp = Subspace(field)
     for dt in range(w.Dt + 1):
         for du in range(w.Du + 1):
-            ech = slice_span(ring, dt, du, ycap, xcap, pairs, field)
+            ech = slice_span(ring, dt, du, ycap, xcap, pairs, field, ctx)
             for row in ech.basis():
                 sp.add(row)
     return sp
 
 
-def quotient_reduce(ring, w, vec, pairs=False, field=QQ):
+def quotient_reduce(ring, w, vec, pairs=False, field=QQ, ctx=None):
     """Canonical residue of a raw vector modulo the window's relations."""
     check_window_ring(ring, w)
     cap2 = 2 * w.Mx + 2
     ycap = cap2 if pairs else w.Mx + 2
     xcap = cap2 if pairs else w.Mx
-    return reduce_raw(ring, vec, ycap, xcap, pairs, field)
+    return reduce_raw(ring, vec, ycap, xcap, pairs, field, ctx)
 
 
 # -- elements <-> vectors ----------------------------------------------------
@@ -288,7 +318,7 @@ class LinMap:
     field: object
 
 
-def mul_map(ring, g, w, field=None):
+def mul_map(ring, g, w, field=None, ctx=None):
     """Exact multiplication-by-g map from the window's reduced basis.
 
     Images are computed in the enlarged codomain (degree and coefficient
@@ -304,7 +334,8 @@ def mul_map(ring, g, w, field=None):
         gvec = dict(g)
         field = field or QQ
     check_window_ring(ring, w)
-    domain = window_basis(ring, w, field)
+    ctx = Context.of(ctx)
+    domain = window_basis(ring, w, field, ctx)
     g_has_x = any(m[2] for m in gvec)
     g_ymax = max((m[3] for m in gvec), default=0)
     if g_has_x:
@@ -317,7 +348,7 @@ def mul_map(ring, g, w, field=None):
         pairs = False
     one = field.one()
     images = {m: reduce_raw(ring, raw_mul({m: one}, gvec, field),
-                            ycap, xcap, pairs, field)
+                            ycap, xcap, pairs, field, ctx)
               for m in domain.monos}
     return LinMap(ring, w, domain, images, field)
 
@@ -360,8 +391,8 @@ def map_kernel(lm):
     return WindowSubspace(lm.ring, lm.window, vecs, lm.field)
 
 
-def kernel_of(ring, g, w, field=None):
-    return map_kernel(mul_map(ring, g, w, field))
+def kernel_of(ring, g, w, field=None, ctx=None):
+    return map_kernel(mul_map(ring, g, w, field, ctx))
 
 
 def joint_kernel(ring, maps):
@@ -383,16 +414,17 @@ def joint_kernel(ring, maps):
     return WindowSubspace(first.ring, first.window, vecs, first.field)
 
 
-def system_kernel(ring, system, w, field=QQ):
+def system_kernel(ring, system, w, field=QQ, ctx=None):
     """Windowed solutions of the named operator system."""
+    ctx = Context.of(ctx)
     ops = system_operators(system, ring, field)
-    maps = [mul_map(ring, op, w) for _, op in ops]
+    maps = [mul_map(ring, op, w, ctx=ctx) for _, op in ops]
     return joint_kernel(ring, maps)
 
 
 # -- annihilators and torsion -------------------------------------------------
 
-def annihilator_oracle(ring, dt, du, w, field=QQ):
+def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
     """Windowed annihilator of t^dt u^du inside the coefficient slice.
 
     Domain: the (t, u)-degree-zero part of the window basis. A vector is
@@ -401,13 +433,13 @@ def annihilator_oracle(ring, dt, du, w, field=QQ):
     check_window_ring(ring, w)
     if dt > w.Dt or du > w.Du:
         raise WindowError("window-too-small: shift degree exceeds window")
-    lm = mul_map(ring, {(dt, du, 0, 0, ()): field.one()}, w, field)
+    lm = mul_map(ring, {(dt, du, 0, 0, ()): field.one()}, w, field, ctx)
     slice0 = [m for m in lm.domain.monos if (m[0], m[1]) == (0, 0)]
     vecs = kernel_basis(slice0, lambda m: lm.images[m], field)
     return WindowSubspace(ring, w, vecs, field)
 
 
-def torsion_subspace(ring, w, K=None, field=QQ):
+def torsion_subspace(ring, w, K=None, field=QQ, ctx=None):
     """Window vectors killed by t^K (and u^K in E2). Default K = Dt+Du+2."""
     check_window_ring(ring, w)
     if K is None:
@@ -417,7 +449,8 @@ def torsion_subspace(ring, w, K=None, field=QQ):
     shifts = [{(K, 0, 0, 0, ()): field.one()}]
     if ring.has_u:
         shifts.append({(0, K, 0, 0, ()): field.one()})
-    maps = [mul_map(ring, s, w, field) for s in shifts]
+    ctx = Context.of(ctx)
+    maps = [mul_map(ring, s, w, field, ctx) for s in shifts]
     return joint_kernel(ring, maps)
 
 

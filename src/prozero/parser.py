@@ -268,7 +268,7 @@ def parse_ring(text):
         at = text.index("E1[m=") + 5
         if not _is_nat(inner):
             raise ParseError("ring parameter m must be a natural number", at)
-        m = int(inner)
+        m = _nat(text, at, at + len(inner))
         if m < 2:
             raise ParseError("invalid-parameter: m must be >= 2", at)
         return E1(m)
@@ -287,7 +287,7 @@ def parse_system(text, m=2):
         inner = s[4:-1]
         if not _is_nat(inner):
             raise ParseError("system parameter n must be a natural number", 0)
-        n = int(inner)
+        n = _nat(inner, 0, len(inner))
     elif s == "H1(t)":
         return SystemSpec(kind="H1(t)")
     elif s == "H0(u;H1(t))":

@@ -15,7 +15,7 @@ from prozero.claims import CLAIM_IDS, run_all, suite_json, verify_ann, verify_es
 from prozero.cli import _random_poly, _raw_product
 from prozero.fields import QQ
 from prozero.koszul import pro_zero_test, ses_row_check, transition_zero
-from prozero.oracle import (Window, poly_of_vec, system_kernel,
+from prozero.oracle import (Context, Window, poly_of_vec, system_kernel,
                             torsion_subspace, vectorize)
 from prozero.parser import parse_element, print_element
 from prozero.rings import (CTRL, E1, E2, GS, R_ONLY, GradedPoly, RingId,
@@ -59,14 +59,15 @@ def test_criterion_02_annihilator_tables_match_formula(golden_suite):
     # direct spot table on top of the claim verdicts
     from prozero.oracle import annihilator_oracle
     from prozero.rings import ann_formula
+    ctx = Context()
     w1 = Window(10, 0, 12)
     for dt in range(11):
-        assert annihilator_oracle(E1(2), dt, 0, w1).dim == \
+        assert annihilator_oracle(E1(2), dt, 0, w1, ctx=ctx).dim == \
             len(ann_formula(E1(2), dt, 0))
     w2 = Window(8, 3, 12)
     for dt in range(9):
         for du in range(4):
-            assert annihilator_oracle(E2, dt, du, w2).dim == \
+            assert annihilator_oracle(E2, dt, du, w2, ctx=ctx).dim == \
                 len(ann_formula(E2, dt, du))
     _ok(2, "annihilator tables match the closed formulas on both rings")
 
@@ -169,12 +170,13 @@ def test_criterion_08_control_rings_behave(golden_suite):
 def test_criterion_09_dual_implementation_fuzz():
     rng = random.Random(0)
     rings = [R_ONLY, GS, E1(2), E1(3), E2, CTRL]
+    ctx = Context()
     products = 0
     for ring in rings:
         for _ in range(500):
             p = _random_poly(rng, ring, QQ)
             q = _random_poly(rng, ring, QQ)
-            assert vectorize(p * q) == _raw_product(ring, p, q, QQ), \
+            assert vectorize(p * q) == _raw_product(ring, p, q, QQ, ctx), \
                 "closed form and raw elimination disagree on %s * %s" \
                 % (print_element(p), print_element(q))
             products += 1

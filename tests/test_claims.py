@@ -8,7 +8,7 @@ from prozero.claims import (CLAIM_IDS, SCOPE_NOTE, demo_approx_failure,
                             run_all, run_claim, suite_json, verify_ann,
                             verify_essential)
 from prozero.oracle import WindowError
-from prozero.rings import E1, RingId
+from prozero.rings import E1, GS, RingError, RingId
 
 MUTATED = RingId("E1", 2, frozenset({"n0"}))
 
@@ -107,6 +107,9 @@ def test_run_claim_dispatch():
     # irrelevant overrides are dropped, None values ignored
     rep2 = run_claim("C-basis", dt=None, prec=99)
     assert rep2.status == "verified"
+    # a ring outside the claim's E1[m] scope is refused, not run
+    with pytest.raises(RingError, match="out of scope"):
+        run_claim("C-essential", ring=GS)
 
 
 def test_json_round_trip(suite):

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
@@ -208,3 +209,55 @@ def test_eval_prime_field(capsys):
     assert run_cli(["eval", "--ring", "GS", "--field", "fp:5",
                     "3*x1 + 2*x1"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_remark_wpr_window_grows_with_max_stage(capsys):
+    # the default Mx follows the stage count, as in `prozero prozero`
+    assert run_cli(["verify", "C-remark-wpr", "--max-stage", "10",
+                    "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "verified"
+    assert (doc["params"]["dt"], doc["params"]["mx"]) == (12, 14)
+
+
+def _one_line_usage_error(argv, capsys, kind):
+    t0 = time.perf_counter()
+    assert run_cli(argv) == 64
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("prozero: %s:" % kind)
+    assert captured.err.count("\n") == 1
+
+
+BIG = "9" * 5000      # more digits than int() converts
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["eval", "--ring", "E1[m=%s]" % BIG, "x0"], "parse error"),
+    (["prozero", "--ring", "E1", "--system", "f[n=%s]" % BIG], "parse error"),
+    (["eval", "--field", "fp:" + BIG, "x0"], "invalid field"),
+    (["eval", "--field", "fp:" + "7" * 401, "x0"], "invalid field"),
+    (["eval", "--field", "fp:%d" % (2 ** 64 + 13), "x0"], "invalid field"),
+])
+def test_oversized_specs_are_usage_errors(argv, kind, capsys):
+    _one_line_usage_error(argv, capsys, kind)
+
+
+def test_large_prime_field_is_fast(capsys):
+    # primality used trial division and hung on this modulus
+    t0 = time.perf_counter()
+    assert run_cli(["eval", "--ring", "GS", "--field",
+                    "fp:1000000000000000003", "3*x1 - 5*x1"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out.strip() == "1000000000000000001*x1"
+
+
+@pytest.mark.parametrize("claim, ring", [
+    ("C-essential", "GS"),          # was FALSIFIED (exit 2)
+    ("C-approx-fail-E1", "E2"),     # was an E2 computation (exit 0)
+    ("C-ann-t", "E2"),              # was a C-ann-tu report
+])
+def test_ring_outside_claim_scope_is_usage_error(claim, ring, capsys):
+    _one_line_usage_error(["verify", claim, "--ring", ring], capsys,
+                          "invalid parameter")

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from prozero.fields import QQ, FieldError, PrimeField, field_from_spec
+from prozero.fields import (QQ, FieldError, PrimeField, field_from_spec,
+                            is_prime)
 
 
 def _axiom_loop(field, sample, count=300, seed=11):
@@ -99,3 +100,32 @@ def test_field_from_spec():
         field_from_spec("fp:x")
     with pytest.raises(FieldError):
         field_from_spec("real")
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(5000) if is_prime(n)] == \
+        [n for n in range(5000) if trial(n)]
+
+
+def test_is_prime_beats_pseudoprimes():
+    # Carmichael numbers, and strong pseudoprimes to the first few bases
+    for n in (561, 1105, 1729, 2047, 3215031751, 341550071728321,
+              3825123056546413051):
+        assert not is_prime(n)
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 2 ** 64 - 59):
+        assert is_prime(p)
+
+
+def test_modulus_bound():
+    assert PrimeField(2 ** 64 - 59).p == 2 ** 64 - 59
+    with pytest.raises(FieldError, match="below 2\\^64"):
+        PrimeField(2 ** 64 + 13)         # prime, but past the bound
+    with pytest.raises(FieldError, match="below 2\\^64"):
+        field_from_spec("fp:" + "7" * 401)
+    with pytest.raises(FieldError, match="below 2\\^64"):
+        field_from_spec("fp:" + "9" * 5000)   # past int()'s digit limit
+    assert field_from_spec("fp:00097").p == 97
+    with pytest.raises(FieldError, match="prime"):
+        field_from_spec("fp:561")

@@ -8,7 +8,7 @@ from prozero.linalg import rank_of
 from prozero.koszul import (h0_of_h1, h1_of_h0, koszul_h1_single, koszul_pair,
                             pro_zero_test, ses_row_check, transition_witness_replay,
                             transition_zero)
-from prozero.oracle import (OracleError, Window, annihilator_oracle,
+from prozero.oracle import (Context, OracleError, Window, annihilator_oracle,
                             poly_of_vec, vectorize)
 from prozero.rings import CTRL, E1, E2, GS, GradedPoly, SystemSpec
 
@@ -115,7 +115,9 @@ def test_transition_functoriality():
 
 
 def test_pro_zero_e2_frozen():
-    rep = pro_zero_test(E2, SystemSpec("H0(u;H1(t))"), 8, Window(10, 10, 12))
+    ctx = Context()
+    rep = pro_zero_test(E2, SystemSpec("H0(u;H1(t))"), 8, Window(10, 10, 12),
+                        ctx=ctx)
     assert rep.verdict == "NOT-pro-zero-witnessed"
     rows = {r.n: r for r in rep.rows}
     assert sorted(rows) == [2, 3, 4, 5, 6, 7]
@@ -125,7 +127,8 @@ def test_pro_zero_e2_frozen():
         for m, wit in rows[n].witnesses:
             assert poly_of_vec(E2, wit) == _gen(E2, ("x", m - 2))
             assert transition_witness_replay(
-                E2, SystemSpec("H0(u;H1(t))"), m, n, Window(10, 10, 12), wit)
+                E2, SystemSpec("H0(u;H1(t))"), m, n, Window(10, 10, 12), wit,
+                ctx=ctx)
     # the last row only sees a gap-1 transition: flagged, not witnessed
     assert rows[7].window_limited
 
@@ -134,9 +137,9 @@ def test_pro_zero_builds_each_stage_once(monkeypatch):
     built = []
     real = koszul._h_module
 
-    def spy(ring, system, i, w, field):
+    def spy(ring, kind, i, w, field, ctx):
         built.append(i)
-        return real(ring, system, i, w, field)
+        return real(ring, kind, i, w, field, ctx)
 
     monkeypatch.setattr(koszul, "_h_module", spy)
     rep = pro_zero_test(E2, SystemSpec(kind="H0(u;H1(t))"), 8,
@@ -170,3 +173,68 @@ def test_pro_zero_gs_gap_one():
 def test_pro_zero_validates_stage_count():
     with pytest.raises(OracleError):
         pro_zero_test(E2, SystemSpec("H0(u;H1(t))"), 2, W_PAIR)
+
+
+def test_nwkpr_builds_each_stage_once_per_context(monkeypatch):
+    # the pro-zero searches build every stage; the witness replay and the
+    # three-term rows of the same run reuse them and build none
+    from prozero.claims import verify_nwkpr
+    built, quotients = [], []
+    real, real_h0 = koszul._h_module, koszul.h0_of_h1
+
+    def spy(ring, kind, i, w, field, ctx):
+        built.append((ring.describe(), i))
+        return real(ring, kind, i, w, field, ctx)
+
+    def spy_h0(ring, i, w, field=QQ, ctx=None):
+        quotients.append(i)
+        return real_h0(ring, i, w, field, ctx)
+
+    monkeypatch.setattr(koszul, "_h_module", spy)
+    monkeypatch.setattr(koszul, "h0_of_h1", spy_h0)
+    rep = verify_nwkpr(ctx=Context())
+    assert rep.status == "verified"
+    assert sorted(built) == sorted([(E2.describe(), i) for i in range(2, 9)]
+                                   + [(CTRL.describe(), i)
+                                      for i in range(2, 9)])
+    assert sorted(quotients) == list(range(2, 9))
+
+
+def test_replay_rejects_bad_witnesses():
+    ctx = Context()
+    sysH = SystemSpec("H0(u;H1(t))")
+    w = Window(10, 10, 12)
+    one = {(0, 0, 0, 0, ()): QQ.one()}          # 1 is not killed by t^3
+    assert not transition_witness_replay(E2, sysH, 3, 2, w, one, ctx=ctx)
+    x1 = vectorize(_gen(E2, ("x", 1)))          # the real stage-3 witness
+    assert transition_witness_replay(E2, sysH, 3, 2, w, x1, ctx=ctx)
+    # CTRL is pro-zero with gap 2: a stage-4 class dies at stage 2
+    sysT = SystemSpec("H1(t)")
+    src = koszul_h1_single(CTRL, "t", 4, Window(6, 0, 12))
+    assert src.dim > 0
+    for v in src.basis():
+        assert not transition_witness_replay(CTRL, sysT, 4, 2, W_LINE, v,
+                                             ctx=ctx)
+    zero, wit = transition_zero(CTRL, "t", 3, 2, W_LINE)
+    assert not zero
+    assert transition_witness_replay(CTRL, sysT, 3, 2, W_LINE, wit, ctx=ctx)
+
+
+def test_shared_stage_modules_are_not_mutated():
+    from prozero.claims import verify_nwkpr
+    ctx = Context()
+    pro_zero_test(E2, SystemSpec("H0(u;H1(t))"), 8, Window(10, 10, 12),
+                  ctx=ctx)
+    pro_zero_test(CTRL, SystemSpec("H1(t)"), 8, W_LINE, ctx=ctx)
+
+    def snapshot():
+        return {key: (mod.num.basis(), mod.den.basis())
+                for key, mod in ctx.stages.items()}
+
+    before = snapshot()
+    first = verify_nwkpr(ctx=ctx)
+    assert snapshot() == before          # no module rebuilt or changed
+    second = verify_nwkpr(ctx=ctx)
+    assert snapshot() == before
+    assert first.status == "verified"
+    assert first.to_json() == second.to_json() == verify_nwkpr().to_json()

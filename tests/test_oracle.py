@@ -5,7 +5,7 @@ import random
 import pytest
 
 from prozero.fields import QQ, PrimeField
-from prozero.oracle import (Window, WindowError, annihilator_oracle,
+from prozero.oracle import (Context, Window, WindowError, annihilator_oracle,
                             boundary_touch, joint_kernel, kernel_of, mul_map,
                             poly_of_vec, quotient_reduce, relation_span,
                             system_kernel, torsion_subspace, vectorize,
@@ -83,29 +83,35 @@ def test_vectorize_round_trip():
 
 
 def test_annihilator_dims_frozen():
+    ctx = Context()
+
+    def ann(ring, dt, du, w):
+        return annihilator_oracle(ring, dt, du, w, ctx=ctx)
+
     w = Window(10, 0, 12)
-    assert [annihilator_oracle(E1(2), d, 0, w).dim for d in range(11)] == \
+    assert [ann(E1(2), d, 0, w).dim for d in range(11)] == \
         [0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
-    assert [annihilator_oracle(E1(3), d, 0, w).dim for d in range(11)] == \
+    assert [ann(E1(3), d, 0, w).dim for d in range(11)] == \
         [0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8]
     w2 = Window(8, 3, 12)
-    assert [annihilator_oracle(E2, d, 0, w2).dim for d in range(9)] == \
+    assert [ann(E2, d, 0, w2).dim for d in range(9)] == \
         [0, 0, 1, 2, 3, 4, 5, 6, 7]
-    assert [annihilator_oracle(E2, d, 1, w2).dim for d in range(6)] == \
+    assert [ann(E2, d, 1, w2).dim for d in range(6)] == \
         [1, 2, 3, 4, 5, 6]
-    assert all(annihilator_oracle(GS, d, 0, w).dim == 0 for d in range(6))
+    assert all(ann(GS, d, 0, w).dim == 0 for d in range(6))
     wc = Window(8, 0, 10)
-    assert [annihilator_oracle(CTRL, d, 0, wc).dim for d in (1, 2, 3)] == \
+    assert [ann(CTRL, d, 0, wc).dim for d in (1, 2, 3)] == \
         [0, 10, 10]
 
 
 def test_annihilator_matches_formula_everywhere():
+    ctx = Context()
     for ring in (E1(2), E1(3), E2, GS):
         w = Window(6, 2 if ring.has_u else 0, 8)
         for dt in range(7):
             for du in range(3 if ring.has_u else 1):
                 want = ann_formula(ring, dt, du)
-                got = annihilator_oracle(ring, dt, du, w)
+                got = annihilator_oracle(ring, dt, du, w, ctx=ctx)
                 assert got.dim == len(want)
                 for idx in want:
                     assert got.contains_poly(_gen(ring, idx))
