@@ -6,24 +6,30 @@ explicit finite window and returns a ClaimReport whose status is
 "inconclusive-window" (the computation touched the window boundary, so
 the window proves nothing either way).
 
-Every claim carries default window parameters large enough for its
-content. Explicit overrides are binding: an override below the claim's
-requirement raises the window-too-small error instead of silently
-shrinking the claim.
+The claim table `CLAIMS` is the one list of claims: each entry holds
+the id, the verifier, the window the claim needs and the claim
+parameters it takes, with their defaults. `run_claim` is the one way
+in. It refuses a parameter the claim does not take and binds the
+window: explicit overrides are binding, and an override below the
+claim's requirement raises the window-too-small error instead of
+silently shrinking the claim. Verifiers are called as
+verifier(w, field, ctx, **params) and never see a default window.
 
 Reports are deterministic: fixed ordering everywhere, no timestamps, no
 randomness. Timing is attached only on request and lives outside the
 comparable body.
 
-Every verifier takes a trailing `ctx` (an `oracle.Context`); `run_all`
+Every verifier computes in the run's `oracle.Context`; `run_all`
 passes one context to all claims, so slice spans and Koszul stage
-modules are built once per run. Leaving it out gives a fresh context.
+modules are built once per run. `run_claim` without a context makes a
+fresh one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from .fields import QQ
 from .koszul import pro_zero_test, ses_row_check, transition_witness_replay
@@ -31,27 +37,12 @@ from .oracle import (Context, Window, WindowError, annihilator_oracle,
                      kernel_of, mono_of_index, poly_of_vec, reduce_raw,
                      shift_reduce, subspace_boundary_touch, system_kernel,
                      torsion_subspace, vectorize, window_basis)
-from .parser import print_element
+from .parser import ParseError, print_element
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, SystemSpec,
                     RingError, alpha_hat, ann_formula, apply_system,
                     apply_system_raw)
 
 SCHEMA_VERSION = "1"
-
-CLAIM_IDS = (
-    "C-basis",
-    "C-ann-t",
-    "C-essential",
-    "C-ann-tu",
-    "C-kernel-I0",
-    "C-bounded-E2",
-    "C-nwkpr",
-    "C-gs-demo",
-    "C-approx-fail-E1",
-    "C-approx-fail-E2",
-    "C-xi-witness",
-    "C-remark-wpr",
-)
 
 SCOPE_NOTE = ("conclusions hold at the truncation window over the "
               "degree-zero subring; lifting along the flat completion step "
@@ -139,39 +130,27 @@ class _Checks:
     def note(self, label):
         self.inventory.append(label)
 
-    def report(self, claim_id, ring_desc, params, witnesses,
+    def report(self, ring_desc, params, witnesses,
                inconclusive=False, inconclusive_why=""):
+        """The claim's report; `run_claim` stamps the claim id on it."""
         if self.failure is not None:
             label, counter = self.failure
             wit = ["COUNTER: " + counter] if counter else []
-            return ClaimReport(claim_id, ring_desc, params, "FALSIFIED",
+            return ClaimReport(None, ring_desc, params, "FALSIFIED",
                                wit, ["FAILED: " + label] + self.inventory)
         if inconclusive:
-            return ClaimReport(claim_id, ring_desc, params,
+            return ClaimReport(None, ring_desc, params,
                                "inconclusive-window", [],
                                [inconclusive_why] + self.inventory)
-        return ClaimReport(claim_id, ring_desc, params, "verified",
+        return ClaimReport(None, ring_desc, params, "verified",
                            witnesses, self.inventory)
-
-
-def _win(dt, du, mx, o_dt=None, o_du=None, o_mx=None):
-    """Effective window: explicit overrides are binding, else defaults."""
-    eff = Window(dt if o_dt is None else o_dt,
-                 du if o_du is None else o_du,
-                 mx if o_mx is None else o_mx)
-    if eff.Dt < dt or eff.Du < du:
-        raise WindowError(
-            "window-too-small: claim needs Dt >= %d, Du >= %d" % (dt, du))
-    return eff
 
 
 # -- C-basis
 
-def verify_basis(w=None, dt=None, du=None, mx=None, field=QQ, ctx=None):
-    eff = _win(0, 0, 12, dt, du, mx) if w is None else w
-    mxv = eff.Mx
+def verify_basis(w, field, ctx):
+    mxv = w.Mx
     ck = _Checks()
-    ctx = Context.of(ctx)
     mb = window_basis(R_ONLY, Window(0, 0, mxv), field, ctx)
     pure_y = tuple(mono_of_index(("y", a)) for a in range(mxv + 1))
     pure_x = tuple(mono_of_index(("x", i)) for i in range(mxv + 1))
@@ -211,17 +190,16 @@ def verify_basis(w=None, dt=None, du=None, mx=None, field=QQ, ctx=None):
     # independence: a fixed combination of low x-generators is its own
     # normal form, so no relation touches the complement
     comb = {(0, 0, 1, 0, (i,)): field.from_int(i + 1) for i in range(5)}
-    got = reduce_raw(R_ONLY, dict(comb), eff.Mx + 2, eff.Mx, False, field,
-                     ctx)
+    got = reduce_raw(R_ONLY, dict(comb), w.Mx + 2, w.Mx, False, field, ctx)
     ck.expect(got == comb, "1*x0 + ... + 5*x4 is linearly independent",
               "combination reduced to %r" % (got,))
     x0 = {(0, 0, 1, 0, (0,)): field.one()}
-    ck.expect(reduce_raw(R_ONLY, dict(x0), eff.Mx + 2, eff.Mx, False, field,
+    ck.expect(reduce_raw(R_ONLY, dict(x0), w.Mx + 2, w.Mx, False, field,
                          ctx) == x0,
               "x0 is not in the relation span", "x0 reduced to zero")
 
     params = {"mx": mxv, "pair_cap": cap2}
-    return ck.report("C-basis", R_ONLY.describe(), params, ["x0"])
+    return ck.report(R_ONLY.describe(), params, ["x0"])
 
 
 # -- C-ann-t / C-ann-tu
@@ -245,36 +223,27 @@ def _ann_rows(ring, max_dt, max_du, w, ck, field, ctx):
     return rows
 
 
-def verify_ann(ring=None, max_dt=10, max_du=0, w=None,
-               dt=None, du=None, mx=None, field=QQ, ctx=None):
-    ring = E1(2) if ring is None else ring
-    eff = _win(max_dt, max_du, 12, dt, du, mx) if w is None else w
+def verify_ann(w, field, ctx, ring, table):
+    """The annihilator table up to t^table[0] u^table[1]; on E1[m] also
+    the GS control and the Ann(t^3) witness."""
+    max_dt, max_du = table
     ck = _Checks()
-    ctx = Context.of(ctx)
-    _ann_rows(ring, max_dt, max_du, eff, ck, field, ctx)
-    if ring.variant == "E1" and not ring.omit:
-        for dtv in (1, 3, 7):
-            if dtv <= eff.Dt:
-                g = annihilator_oracle(GS, dtv, 0, Window(eff.Dt, 0, eff.Mx),
-                                       field, ctx)
-                ck.expect(g.dim == 0,
-                          "control: GS ann(t^%d) is zero" % dtv,
-                          "GS ann(t^%d) has dim %d" % (dtv, g.dim))
-    claim_id = "C-ann-tu" if ring.variant == "E2" else "C-ann-t"
-    wit = []
-    if claim_id == "C-ann-t" and ck.failure is None and eff.Dt >= 3:
-        a3 = annihilator_oracle(ring, 3, 0, eff, field, ctx)
-        wit = [", ".join(_render_sub(ring, a3, field)) or "(trivial)"]
-    params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx,
+    _ann_rows(ring, max_dt, max_du, w, ck, field, ctx)
+    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx,
               "table_dt": max_dt, "table_du": max_du}
+    wit = []
     if ring.variant == "E1":
+        controls = (1, 3, 7) if not ring.omit else ()
+        for dtv in (d for d in controls if d <= w.Dt):
+            g = annihilator_oracle(GS, dtv, 0, Window(w.Dt, 0, w.Mx),
+                                   field, ctx)
+            ck.expect(g.dim == 0, "control: GS ann(t^%d) is zero" % dtv,
+                      "GS ann(t^%d) has dim %d" % (dtv, g.dim))
+        if ck.failure is None and w.Dt >= 3:
+            a3 = annihilator_oracle(ring, 3, 0, w, field, ctx)
+            wit = [", ".join(_render_sub(ring, a3, field)) or "(trivial)"]
         params["m"] = ring.m
-    return ck.report(claim_id, ring.describe(), params, wit)
-
-
-def verify_ann_tu(w=None, dt=None, du=None, mx=None, field=QQ, ctx=None):
-    eff = _win(8, 3, 12, dt, du, mx) if w is None else w
-    return verify_ann(E2, 8, 3, eff, field=field, ctx=ctx)
+    return ck.report(ring.describe(), params, wit)
 
 
 # -- C-essential
@@ -317,17 +286,13 @@ def _induction_replay(ring, vec, w, ck, field, tag, ctx):
     return True
 
 
-def verify_essential(ring=None, w=None, dt=None, du=None, mx=None, field=QQ,
-                     ctx=None):
-    ring = E1(2) if ring is None else ring
-    eff = _win(8, 0, 12, dt, du, mx) if w is None else w
+def verify_essential(w, field, ctx, ring):
     ck = _Checks()
-    ctx = Context.of(ctx)
     tmy = (GradedPoly.gen(ring, "t", field)
            - GradedPoly.gen(ring, "y", field))
-    ker = kernel_of(ring, tmy, eff, field, ctx)
+    ker = kernel_of(ring, tmy, w, field, ctx)
     ck.expect(ker.dim > 0, "kernel of (t - y) is nonzero (dim %d)" % ker.dim,
-              "kernel is trivial at Dt=%d Mx=%d" % (eff.Dt, eff.Mx))
+              "kernel is trivial at Dt=%d Mx=%d" % (w.Dt, w.Mx))
     x0t = (GradedPoly.gen(ring, ("x", 0), field)
            * GradedPoly.gen(ring, "t", field) ** (ring.m - 1))
     wit_vec = vectorize(x0t)
@@ -340,31 +305,30 @@ def verify_essential(ring=None, w=None, dt=None, du=None, mx=None, field=QQ,
                     if not _no_constant(v)), ""))
     replayed = 0
     for k, v in enumerate(ker.basis()):
-        if not _induction_replay(ring, v, eff, ck, field, "vector %d" % k,
+        if not _induction_replay(ring, v, w, ck, field, "vector %d" % k,
                                  ctx):
             break
         replayed += 1
     if replayed == ker.dim:
         ck.note("induction equations (c0*y = 0, the %d downward steps, "
                 "the top kill, and the top expansion) replayed on all %d "
-                "kernel vectors" % (eff.Dt, ker.dim))
+                "kernel vectors" % (w.Dt, ker.dim))
     touched = subspace_boundary_touch(ker)
     if not touched:
         ck.note("no kernel vector touches the window boundary")
-    params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx, "m": ring.m,
+    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "m": ring.m,
               "kernel_dim": ker.dim}
-    return ck.report("C-essential", ring.describe(), params,
+    return ck.report(ring.describe(), params,
                      [print_element(x0t)], inconclusive=touched,
                      inconclusive_why="kernel touches window boundary")
 
 
 # -- C-kernel-I0
 
-def verify_kernel_I0(w=None, dt=None, du=None, mx=None, field=QQ, ctx=None):
-    eff = _win(6, 6, 10, dt, du, mx) if w is None else w
+def verify_kernel_I0(w, field, ctx):
     ck = _Checks()
     tmy = GradedPoly.gen(E2, "t", field) - GradedPoly.gen(E2, "y", field)
-    ker = kernel_of(E2, tmy, eff, field, ctx)
+    ker = kernel_of(E2, tmy, w, field, ctx)
     ck.expect(ker.dim > 0, "kernel of (t - y) on E2 is nonzero (dim %d)"
               % ker.dim, "kernel is trivial")
     x0t = GradedPoly.gen(E2, ("x", 0), field) * GradedPoly.gen(E2, "t", field)
@@ -379,52 +343,45 @@ def verify_kernel_I0(w=None, dt=None, du=None, mx=None, field=QQ, ctx=None):
     ck.expect(in_ideal, "every kernel basis vector lies in the x-generator "
               "ideal", "a kernel vector has an x-free monomial")
     touched = subspace_boundary_touch(ker)
-    params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx,
+    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx,
               "kernel_dim": ker.dim}
-    return ck.report("C-kernel-I0", E2.describe(), params,
+    return ck.report(E2.describe(), params,
                      [print_element(x0t)], inconclusive=touched,
                      inconclusive_why="kernel touches window boundary")
 
 
 # -- C-bounded-E2
 
-def verify_bounded_E2(w=None, dt=None, du=None, mx=None, k_exp=None, field=QQ,
-                      ctx=None):
-    eff = _win(6, 6, 10, dt, du, mx) if w is None else w
+def verify_bounded_E2(w, field, ctx):
     ck = _Checks()
-    ctx = Context.of(ctx)
-    T = torsion_subspace(E2, eff, k_exp, field, ctx)
-    keff = k_exp if k_exp is not None else eff.Dt + eff.Du + 2
+    k = w.Dt + w.Du + 2
+    T = torsion_subspace(E2, w, k, field, ctx)
     ck.expect(T.dim > 0, "torsion subspace is nonzero (dim %d)" % T.dim,
               "torsion subspace is trivial")
     for (sdt, sdu, name) in ((2, 0, "t^2"), (1, 1, "t*u"), (0, 2, "u^2")):
         bad = next((v for v in T.basis()
-                    if shift_reduce(E2, v, sdt, sdu, eff, field, ctx=ctx)),
+                    if shift_reduce(E2, v, sdt, sdu, w, field, ctx=ctx)),
                    None)
         ck.expect(bad is None, "%s * T = 0 exactly" % name,
                   "" if bad is None else
                   "%s survives %s" % (_render(E2, bad, field), name))
     x0 = {mono_of_index(("x", 0)): field.one()}
     ck.expect(T.contains(x0)
-              and not shift_reduce(E2, x0, 0, 1, eff, field, ctx=ctx),
+              and not shift_reduce(E2, x0, 0, 1, w, field, ctx=ctx),
               "x0 is torsion and u*x0 = 0", "x0 fails the torsion witness")
     one = {mono_of_index(("y", 0)): field.one()}
     ck.expect(not T.contains(one), "1 is not torsion", "1 reported torsion")
-    params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx, "k": keff,
+    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "k": k,
               "torsion_dim": T.dim}
-    return ck.report("C-bounded-E2", E2.describe(), params, ["x0"])
+    return ck.report(E2.describe(), params, ["x0"])
 
 
 # -- C-nwkpr
 
-def verify_nwkpr(max_stage=8, w=None, dt=None, du=None, mx=None, field=QQ,
-                 ctx=None):
-    need = max_stage + 2
-    eff = _win(need, need, max(12, need + 2), dt, du, mx) if w is None else w
+def verify_nwkpr(w, field, ctx, max_stage):
     ck = _Checks()
-    ctx = Context.of(ctx)
     sysH = SystemSpec(kind="H0(u;H1(t))")
-    rep = pro_zero_test(E2, sysH, max_stage, eff, field, ctx)
+    rep = pro_zero_test(E2, sysH, max_stage, w, field, ctx)
     ck.expect(rep.verdict == "NOT-pro-zero-witnessed",
               "inverse system verdict: NOT-pro-zero-witnessed",
               "verdict was %s" % rep.verdict)
@@ -437,7 +394,7 @@ def verify_nwkpr(max_stage=8, w=None, dt=None, du=None, mx=None, field=QQ,
             if witv != expect:
                 chain_ok = False
                 break
-            if not transition_witness_replay(E2, sysH, m, 2, eff, witv, field,
+            if not transition_witness_replay(E2, sysH, m, 2, w, witv, field,
                                              ctx):
                 chain_ok = False
                 break
@@ -446,38 +403,36 @@ def verify_nwkpr(max_stage=8, w=None, dt=None, du=None, mx=None, field=QQ,
               "witness chain x_(v-2) for v=3..%d, each image replayed nonzero"
               % max_stage, "witness chain broken")
     for i in range(2, max_stage - 1):
-        ck.expect(ses_row_check(E2, i, eff, field, ctx),
+        ck.expect(ses_row_check(E2, i, w, field, ctx),
                   "three-term row exact at stage %d" % i,
                   "row fails exactness at stage %d" % i)
     ctrl = pro_zero_test(CTRL, SystemSpec(kind="H1(t)"), max_stage,
-                         Window(eff.Dt, 0, eff.Mx), field, ctx)
+                         Window(w.Dt, 0, w.Mx), field, ctx)
     ck.expect(ctrl.verdict == "pro-zero-up-to-window",
               "control: CTRL verdict pro-zero-up-to-window",
               "CTRL verdict was %s" % ctrl.verdict)
-    params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx,
+    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx,
               "max_stage": max_stage}
-    return ck.report("C-nwkpr", E2.describe(), params, wit_strs)
+    return ck.report(E2.describe(), params, wit_strs)
 
 
 # -- C-gs-demo
 
-def demo_gs(w=None, prec=8, dt=None, du=None, mx=None, field=QQ, ctx=None):
-    eff = _win(8, 0, 16, dt, du, mx) if w is None else w
+def demo_gs(w, field, ctx, prec):
     n_ap = prec
     ck = _Checks()
-    ctx = Context.of(ctx)
     tmy = GradedPoly.gen(GS, "t", field) - GradedPoly.gen(GS, "y", field)
-    ker = kernel_of(GS, tmy, eff, field, ctx)
+    ker = kernel_of(GS, tmy, w, field, ctx)
     ck.expect(ker.dim == 0, "kernel of (t - y) on the window is trivial",
               "kernel dim %d" % ker.dim)
     # backward-substitution ingredients, each recomputed
     anny = kernel_of(R_ONLY, GradedPoly.gen(R_ONLY, "y", field),
-                     Window(0, 0, eff.Mx), field, ctx)
+                     Window(0, 0, w.Mx), field, ctx)
     x0 = {mono_of_index(("x", 0)): field.one()}
     ck.expect(anny.dim == 1 and anny.contains(x0),
               "Ann(y) in the coefficient ring is exactly k*x0",
               "Ann(y) has dim %d" % anny.dim)
-    tinj = kernel_of(GS, GradedPoly.gen(GS, "t", field), eff, field, ctx)
+    tinj = kernel_of(GS, GradedPoly.gen(GS, "t", field), w, field, ctx)
     ck.expect(tinj.dim == 0, "t acts injectively on the window",
               "t has a windowed kernel of dim %d" % tinj.dim)
     ck.note("backward substitution: top coefficient dies, each lower "
@@ -495,23 +450,14 @@ def demo_gs(w=None, prec=8, dt=None, du=None, mx=None, field=QQ, ctx=None):
               "formal solution lost its constant term")
     ck.note("no windowed solution matches the formal one in degree 0: "
             "the only windowed solution is 0")
-    params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx, "n_approx": n_ap}
-    return ck.report("C-gs-demo", GS.describe(), params, ["(trivial)"])
+    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "n_approx": n_ap}
+    return ck.report(GS.describe(), params, ["(trivial)"])
 
 
 # -- C-approx-fail-E1 / C-approx-fail-E2
 
-def demo_approx_failure(ring=None, n=2, w=None, prec=None,
-                        dt=None, du=None, mx=None, field=QQ, ctx=None):
-    ring = E1(2) if ring is None else ring
-    if ring.variant == "E1":
-        eff = _win(8, 0, 12, dt, du, mx) if w is None else w
-        n_ap = 8 if prec is None else prec
-        claim_id = "C-approx-fail-E1"
-    else:
-        eff = _win(6, 6, 10, dt, du, mx) if w is None else w
-        n_ap = 6 if prec is None else prec
-        claim_id = "C-approx-fail-E2"
+def demo_approx_failure(w, field, ctx, ring, n, prec):
+    n_ap = prec
     ck = _Checks()
     system = SystemSpec(kind="f", n=n)
     ah = alpha_hat(ring, n_ap, field)
@@ -529,7 +475,7 @@ def demo_approx_failure(ring=None, n=2, w=None, prec=None,
         ck.expect(f3res.is_zero(), "f3 = u * X vanishes exactly",
                   "f3 residue %s" % print_element(f3res))
     ck.note("exact f1 residue: %s" % print_element(exact["f1"]))
-    ker = system_kernel(ring, system, eff, field, ctx)
+    ker = system_kernel(ring, system, w, field, ctx)
     ck.expect(ker.dim > 0,
               "windowed solution space is nonzero (dim %d)" % ker.dim,
               "system has no windowed solutions at all")
@@ -544,32 +490,30 @@ def demo_approx_failure(ring=None, n=2, w=None, prec=None,
     ck.note("approximation fails: no windowed solution is congruent to the "
             "formal solution in degree (0,0)")
     touched = subspace_boundary_touch(ker)
-    params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx, "n": n,
+    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "n": n,
               "n_approx": n_ap, "solution_dim": ker.dim}
     if ring.variant == "E1":
         params["m"] = ring.m
-    return ck.report(claim_id, ring.describe(), params,
+    return ck.report(ring.describe(), params,
                      [print_element(ah.body)], inconclusive=touched,
                      inconclusive_why="solution space touches window boundary")
 
 
 # -- C-xi-witness
 
-def verify_xi_witnesses(n_max=6, w=None, dt=None, du=None, mx=None, field=QQ,
-                        ctx=None):
-    eff = _win(max(8, n_max + 2), 0, 12, dt, du, mx) if w is None else w
+def verify_xi_witnesses(w, field, ctx):
+    n_max = 6
     ring = E1(2)
     ck = _Checks()
-    ctx = Context.of(ctx)
     wit = []
     dims = []
     for n in range(1, n_max + 1):
         xi = {mono_of_index(("x", n - 1)): field.one()}
-        alive = shift_reduce(ring, xi, n, 0, eff, field, ctx=ctx)
-        dead = shift_reduce(ring, xi, n + 1, 0, eff, field, ctx=ctx)
+        alive = shift_reduce(ring, xi, n, 0, w, field, ctx=ctx)
+        dead = shift_reduce(ring, xi, n + 1, 0, w, field, ctx=ctx)
         red_ok = bool(alive) and not dead
-        ann_n = annihilator_oracle(ring, n, 0, eff, field, ctx)
-        ann_n1 = annihilator_oracle(ring, n + 1, 0, eff, field, ctx)
+        ann_n = annihilator_oracle(ring, n, 0, w, field, ctx)
+        ann_n1 = annihilator_oracle(ring, n + 1, 0, w, field, ctx)
         orc_ok = (not ann_n.contains(xi)) and ann_n1.contains(xi)
         ck.expect(red_ok and orc_ok,
                   "xi_%d = x%d: t^%d*xi != 0, t^%d*xi = 0 "
@@ -585,59 +529,51 @@ def verify_xi_witnesses(n_max=6, w=None, dt=None, du=None, mx=None, field=QQ,
               "chain not strictly increasing: %s" % (dims,))
     ck.note("window torsion of E1[m=2] is unbounded as far as the window "
             "can see")
-    params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx, "n_max": n_max}
-    return ck.report("C-xi-witness", ring.describe(), params, wit)
+    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "n_max": n_max}
+    return ck.report(ring.describe(), params, wit)
 
 
 # -- C-remark-wpr
 
-def verify_remark_wpr(w=None, max_stage=8, include_e1_variant=False,
-                      dt=None, du=None, mx=None, field=QQ, ctx=None):
-    need = max_stage + 2
-    eff = _win(need, 0, max(12, need + 2), dt, du, mx) if w is None else w
+def verify_remark_wpr(w, field, ctx, max_stage):
     ck = _Checks()
-    ctx = Context.of(ctx)
     sysT = SystemSpec(kind="H1(t)")
     rows = []
 
     def torsion_bounded(ring, power):
-        T = torsion_subspace(ring, eff, eff.Mx + 2, field, ctx)
+        T = torsion_subspace(ring, w, w.Mx + 2, field, ctx)
         if T.dim == 0:
             return "torsion-free"
         for v in T.basis():
-            if shift_reduce(ring, v, power, 0, eff, field, ctx=ctx):
+            if shift_reduce(ring, v, power, 0, w, field, ctx=ctx):
                 return "unbounded-or-deeper"
         return "bounded(t^%d)" % power
 
     def chain_strict(ring):
-        dims = [annihilator_oracle(ring, n, 0, eff, field, ctx).dim
-                for n in range(1, eff.Dt + 1)]
+        dims = [annihilator_oracle(ring, n, 0, w, field, ctx).dim
+                for n in range(1, w.Dt + 1)]
         return all(b > a for a, b in zip(dims, dims[1:]))
 
     # E1(2): unbounded torsion AND not pro-zero
-    rings = [E1(2)]
-    if include_e1_variant:
-        rings.append(E1(3))
-    for ring in rings:
-        unbounded = chain_strict(ring)
-        verdict = pro_zero_test(ring, sysT, max_stage, eff, field,
-                                ctx).verdict
-        ok = unbounded and verdict == "NOT-pro-zero-witnessed"
-        rows.append((ring.describe(), "unbounded-torsion", verdict))
-        ck.expect(ok, "%s: unbounded torsion and NOT-pro-zero (consistent)"
-                  % ring.describe(),
-                  "%s row violates the correspondence" % ring.describe())
+    ring = E1(2)
+    unbounded = chain_strict(ring)
+    verdict = pro_zero_test(ring, sysT, max_stage, w, field, ctx).verdict
+    rows.append((ring.describe(), "unbounded-torsion", verdict))
+    ck.expect(unbounded and verdict == "NOT-pro-zero-witnessed",
+              "%s: unbounded torsion and NOT-pro-zero (consistent)"
+              % ring.describe(),
+              "%s row violates the correspondence" % ring.describe())
 
     bounded = torsion_bounded(CTRL, 2)
-    verdict = pro_zero_test(CTRL, sysT, max_stage, eff, field, ctx).verdict
+    verdict = pro_zero_test(CTRL, sysT, max_stage, w, field, ctx).verdict
     rows.append((CTRL.describe(), bounded, verdict))
     ck.expect(bounded.startswith("bounded") and
               verdict == "pro-zero-up-to-window",
               "CTRL: bounded torsion (t^2) and pro-zero (consistent)",
               "CTRL row violates the correspondence")
 
-    gs_t = torsion_subspace(GS, eff, eff.Mx + 2, field, ctx)
-    verdict = pro_zero_test(GS, sysT, max_stage, eff, field, ctx).verdict
+    gs_t = torsion_subspace(GS, w, w.Mx + 2, field, ctx)
+    verdict = pro_zero_test(GS, sysT, max_stage, w, field, ctx).verdict
     rows.append((GS.describe(), "torsion-free", verdict))
     ck.expect(gs_t.dim == 0 and verdict == "pro-zero-up-to-window",
               "GS: torsion-free and pro-zero (consistent)",
@@ -645,59 +581,104 @@ def verify_remark_wpr(w=None, max_stage=8, include_e1_variant=False,
 
     ck.note("instance table: " + "; ".join(
         "%s [%s, %s]" % r for r in rows))
-    params = {"dt": eff.Dt, "du": eff.Du, "mx": eff.Mx,
+    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx,
               "max_stage": max_stage,
               "rows": len(rows)}
-    return ck.report("C-remark-wpr", "R-family", params, [])
+    return ck.report("R-family", params, [])
 
 
-# -- dispatch
+# -- the claim table
 
-_DISPATCH = {
-    "C-basis": lambda **kw: verify_basis(**kw),
-    "C-ann-t": lambda **kw: verify_ann(**kw),
-    "C-essential": lambda **kw: verify_essential(**kw),
-    "C-ann-tu": lambda **kw: verify_ann_tu(**kw),
-    "C-kernel-I0": lambda **kw: verify_kernel_I0(**kw),
-    "C-bounded-E2": lambda **kw: verify_bounded_E2(**kw),
-    "C-nwkpr": lambda **kw: verify_nwkpr(**kw),
-    "C-gs-demo": lambda **kw: demo_gs(**kw),
-    "C-approx-fail-E1": lambda **kw: demo_approx_failure(**kw),
-    "C-approx-fail-E2": lambda **kw: demo_approx_failure(ring=E2, **kw),
-    "C-xi-witness": lambda **kw: verify_xi_witnesses(**kw),
-    "C-remark-wpr": lambda **kw: verify_remark_wpr(**kw),
-}
+@dataclass(frozen=True)
+class ClaimSpec:
+    """One catalogue entry: the claim id, its verifier, its window and
+    the claim parameters it accepts, with their defaults.
 
-_ACCEPTS = {
-    "C-basis": {"dt", "du", "mx", "field"},
-    "C-ann-t": {"dt", "du", "mx", "field", "ring"},
-    "C-essential": {"dt", "du", "mx", "field", "ring"},
-    "C-ann-tu": {"dt", "du", "mx", "field"},
-    "C-kernel-I0": {"dt", "du", "mx", "field"},
-    "C-bounded-E2": {"dt", "du", "mx", "field", "k_exp"},
-    "C-nwkpr": {"dt", "du", "mx", "field", "max_stage"},
-    "C-gs-demo": {"dt", "du", "mx", "field", "prec"},
-    "C-approx-fail-E1": {"dt", "du", "mx", "field", "ring", "prec", "n"},
-    "C-approx-fail-E2": {"dt", "du", "mx", "field", "prec", "n"},
-    "C-xi-witness": {"dt", "du", "mx", "field", "n_max"},
-    "C-remark-wpr": {"dt", "du", "mx", "field", "max_stage"},
-}
-
-
-def run_claim(claim_id, ctx=None, **kwargs):
-    """Run one claim verifier with keyword overrides (None values dropped).
-
-    A ring override must be an E1[m] ring: every claim that accepts one
-    is a statement about E1[m], so any other ring is outside its scope.
+    `window(params)` gives (Dt, Du, Mx) for the effective parameters:
+    Dt and Du are both the default and the minimum, Mx the default.
+    The verifier is called as verifier(w, field, ctx, **params).
     """
-    if claim_id not in _DISPATCH:
+
+    id: str
+    verifier: object
+    window: object
+    params: dict = dc_field(default_factory=dict)
+
+
+def _stage_window(p, du):
+    need = p["max_stage"] + 2
+    return need, need if du else 0, max(12, need + 2)
+
+
+CLAIMS = {spec.id: spec for spec in (
+    ClaimSpec("C-basis", verify_basis, lambda p: (0, 0, 12)),
+    ClaimSpec("C-ann-t", partial(verify_ann, table=(10, 0)),
+              lambda p: (10, 0, 12), {"ring": E1(2)}),
+    ClaimSpec("C-essential", verify_essential, lambda p: (8, 0, 12),
+              {"ring": E1(2)}),
+    ClaimSpec("C-ann-tu", partial(verify_ann, ring=E2, table=(8, 3)),
+              lambda p: (8, 3, 12)),
+    ClaimSpec("C-kernel-I0", verify_kernel_I0, lambda p: (6, 6, 10)),
+    ClaimSpec("C-bounded-E2", verify_bounded_E2, lambda p: (6, 6, 10)),
+    ClaimSpec("C-nwkpr", verify_nwkpr, lambda p: _stage_window(p, True),
+              {"max_stage": 8}),
+    ClaimSpec("C-gs-demo", demo_gs, lambda p: (8, 0, 16), {"prec": 8}),
+    ClaimSpec("C-approx-fail-E1", demo_approx_failure, lambda p: (8, 0, 12),
+              {"ring": E1(2), "n": 2, "prec": 8}),
+    ClaimSpec("C-approx-fail-E2", partial(demo_approx_failure, ring=E2),
+              lambda p: (6, 6, 10), {"n": 2, "prec": 6}),
+    ClaimSpec("C-xi-witness", verify_xi_witnesses, lambda p: (8, 0, 12)),
+    ClaimSpec("C-remark-wpr", verify_remark_wpr,
+              lambda p: _stage_window(p, False), {"max_stage": 8}),
+)}
+
+CLAIM_IDS = tuple(CLAIMS)
+
+
+def _win(dt, du, mx, o_dt=None, o_du=None, o_mx=None):
+    """Effective window: explicit overrides are binding, else defaults."""
+    eff = Window(dt if o_dt is None else o_dt,
+                 du if o_du is None else o_du,
+                 mx if o_mx is None else o_mx)
+    if eff.Dt < dt or eff.Du < du:
+        raise WindowError(
+            "window-too-small: claim needs Dt >= %d, Du >= %d" % (dt, du))
+    return eff
+
+
+def claim_params(claim_id, **params):
+    """The parameters a claim runs with: its defaults, overridden by params.
+
+    None values are dropped. A parameter the claim does not take is a
+    ParseError naming its command-line flag. A ring must be an E1[m]
+    ring: every claim that takes one is a statement about E1[m].
+    """
+    if claim_id not in CLAIMS:
         raise KeyError("unknown claim id %r" % claim_id)
-    kw = {k: v for k, v in kwargs.items()
-          if v is not None and k in _ACCEPTS[claim_id]}
-    if "ring" in kw and kw["ring"].variant != "E1":
+    given = {k: v for k, v in params.items() if v is not None}
+    for k in given:
+        if k not in CLAIMS[claim_id].params:
+            raise ParseError("--%s is not accepted by claim %s"
+                             % (k.replace("_", "-"), claim_id))
+    if "ring" in given and given["ring"].variant != "E1":
         raise RingError("claim %s is about E1[m]; ring %s is out of scope"
-                        % (claim_id, kw["ring"].describe()))
-    return _DISPATCH[claim_id](ctx=ctx, **kw)
+                        % (claim_id, given["ring"].describe()))
+    return {**CLAIMS[claim_id].params, **given}
+
+
+def run_claim(claim_id, ctx=None, dt=None, du=None, mx=None, field=QQ,
+              **params):
+    """Run one claim: check its parameters, bind its window, verify.
+
+    dt/du/mx override the claim's window (None keeps its default); an
+    override below what the claim needs is a WindowError.
+    """
+    params = claim_params(claim_id, **params)
+    spec = CLAIMS[claim_id]
+    w = _win(*spec.window(params), dt, du, mx)
+    report = spec.verifier(w, field, Context.of(ctx), **params)
+    report.claim_id = claim_id
+    return report
 
 
 def run_all(field=QQ, ctx=None, **kwargs):

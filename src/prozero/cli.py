@@ -26,7 +26,7 @@ import random
 import sys
 import time
 
-from .claims import CLAIM_IDS, _ACCEPTS, run_claim, SCHEMA_VERSION
+from .claims import CLAIM_IDS, SCHEMA_VERSION, claim_params, run_claim
 from .fields import FieldError, field_from_spec
 from .koszul import pro_zero_test
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
@@ -64,8 +64,10 @@ def _build_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
 
-    pv = sub.add_parser("verify", help="run claim verifiers")
-    pv.add_argument("claim", help="a claim id or 'all'")
+    pv = sub.add_parser("verify", help="run claim verifiers",
+                        formatter_class=argparse.RawDescriptionHelpFormatter,
+                        epilog="claim ids:\n  " + "\n  ".join(CLAIM_IDS))
+    pv.add_argument("claim", help="a claim id (listed below) or 'all'")
     common(pv)
     pv.add_argument("--prec", type=int, default=None)
     pv.add_argument("--max-stage", type=int, default=None, dest="max_stage")
@@ -124,12 +126,11 @@ def _ring_of(args, default):
     return parse_ring(args.ring)
 
 
-def _window_of(args, ring, dt_def=8, du_def=None, mx_def=12):
-    dt = args.dt if args.dt is not None else dt_def
-    if du_def is None:
-        du_def = 8 if ring.has_u else 0
-    du = args.du if args.du is not None else (du_def if ring.has_u else 0)
-    mx = args.mx if args.mx is not None else mx_def
+def _window_of(args, ring):
+    """Default window (8, 8, 12), with Dt or Du 0 on a ring without t or u."""
+    dt = args.dt if args.dt is not None else (8 if ring.has_t else 0)
+    du = args.du if args.du is not None else (8 if ring.has_u else 0)
+    mx = args.mx if args.mx is not None else 12
     return Window(dt, du, mx)
 
 
@@ -166,19 +167,16 @@ def cmd_verify(args):
     if args.claim != "all" and args.claim not in CLAIM_IDS:
         raise ParseError("unknown claim id %r (try one of: %s)"
                          % (args.claim, ", ".join(CLAIM_IDS)))
-    ring = None
-    if args.ring is not None:
-        bad = [cid for cid in ids if "ring" not in _ACCEPTS[cid]]
-        if bad:
-            raise ParseError("--ring is not accepted by claim %s" % bad[0])
-        ring = parse_ring(args.ring)
+    params = {"prec": args.prec, "max_stage": args.max_stage,
+              "ring": None if args.ring is None else parse_ring(args.ring)}
+    for cid in ids:        # every claim that runs must take every parameter
+        claim_params(cid, **params)
     reports = []
     ctx = Context()
     for cid in ids:
         t0 = time.perf_counter()
         rep = run_claim(cid, dt=args.dt, du=args.du, mx=args.mx,
-                        prec=args.prec, max_stage=args.max_stage,
-                        ring=ring, field=field, ctx=ctx)
+                        field=field, ctx=ctx, **params)
         if args.timing:
             rep.timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
         reports.append(rep)
@@ -218,8 +216,8 @@ def cmd_annihilator(args):
     ring = _ring_of(args, E1(2))
     tdt = args.dt if args.dt is not None else 2
     tdu = args.du if args.du is not None else 0
-    wdt = max(tdt, 8)
-    wdu = max(tdu, 3) if ring.has_u else 0
+    wdt = max(tdt, 8 if ring.has_t else 0)
+    wdu = max(tdu, 3 if ring.has_u else 0)
     mx = args.mx if args.mx is not None else max(12, max(wdt, wdu) + 2)
     w = Window(wdt, wdu, mx)
     sub = annihilator_oracle(ring, tdt, tdu, w, field)

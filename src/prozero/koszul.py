@@ -114,10 +114,15 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
     k1u = window_basis(ring, _sub_window(w, 0, i), field, ctx)
     k0 = window_basis(ring, w, field, ctx)
 
+    d1 = {}               # each d1 image is reduced once
+
     def d1_image(lab):
-        slot, m = lab
-        dt, du = (i, 0) if slot == "et" else (0, i)
-        return shift_reduce(ring, {m: field.one()}, dt, du, w, field, ctx=ctx)
+        if lab not in d1:
+            slot, m = lab
+            dt, du = (i, 0) if slot == "et" else (0, i)
+            d1[lab] = shift_reduce(ring, {m: field.one()}, dt, du, w, field,
+                                   ctx=ctx)
+        return d1[lab]
 
     domain = [("et", m) for m in k1t.monos] + [("eu", m) for m in k1u.monos]
     cycles = kernel_basis(domain, d1_image, field)
@@ -151,7 +156,8 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
     h0_rank = rank_of([d1_image(lab) for lab in domain], field)
     h0_dim = len(k0.monos) - h0_rank
     direct = sum(1 for m in k0.monos if m[0] < i and m[1] < i)
-    h2 = kernel_basis(list(k2.monos), d2_image, field)
+    d2 = dict(zip(k2.monos, boundaries))
+    h2 = kernel_basis(list(k2.monos), d2.__getitem__, field)
     return KoszulStage(ring, i, w, h0_dim, direct, h1_dim, len(h2),
                        cycles, boundaries, b_rank, d_sq_zero)
 

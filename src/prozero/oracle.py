@@ -87,10 +87,14 @@ class Context:
 
 
 def check_window_ring(ring, w):
+    """A window reaches only into the variables its ring has: a ring
+    error, not a window that is too small."""
     if w.Du > 0 and not ring.has_u:
-        raise WindowError("window-too-small: Du > 0 needs ring E2")
+        raise RingError("ring %s has no u, so the window needs Du = 0"
+                        % ring.describe())
     if w.Dt > 0 and not ring.has_t:
-        raise WindowError("window-too-small: Dt > 0 needs a t-graded ring")
+        raise RingError("ring %s has no t, so the window needs Dt = 0"
+                        % ring.describe())
 
 
 # -- raw monomials ----------------------------------------------------------
@@ -333,7 +337,6 @@ def mul_map(ring, g, w, field=None, ctx=None):
     else:
         gvec = dict(g)
         field = field or QQ
-    check_window_ring(ring, w)
     ctx = Context.of(ctx)
     domain = window_basis(ring, w, field, ctx)
     g_has_x = any(m[2] for m in gvec)
@@ -430,7 +433,6 @@ def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
     Domain: the (t, u)-degree-zero part of the window basis. A vector is
     kept iff its product with the monomial reduces to zero.
     """
-    check_window_ring(ring, w)
     if dt > w.Dt or du > w.Du:
         raise WindowError("window-too-small: shift degree exceeds window")
     lm = mul_map(ring, {(dt, du, 0, 0, ()): field.one()}, w, field, ctx)
@@ -441,7 +443,6 @@ def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
 
 def torsion_subspace(ring, w, K=None, field=QQ, ctx=None):
     """Window vectors killed by t^K (and u^K in E2). Default K = Dt+Du+2."""
-    check_window_ring(ring, w)
     if K is None:
         K = w.Dt + w.Du + 2
     if K < 1:

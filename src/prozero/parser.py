@@ -7,7 +7,9 @@ Grammar (stable):
     factor := atom ('^' nat)?          (exponent at most MAX_EXPONENT)
     atom   := rational | 'y' | 't' | 'u' | 'x' nat | '(' expr ')'
 
-Whitespace between tokens is ignored. There is no implicit
+ASCII whitespace between tokens is ignored; every other character
+outside the grammar (a no-break space, say) is a parse error, so the
+offset of an error is a byte offset as well. There is no implicit
 multiplication ("x0t" is a syntax error, "x0*t" is not) and no unary
 minus; the printer renders a leading negative term as "0 - ...", which
 stays inside the grammar. Rationals are '/'-notation only, no decimals.
@@ -46,6 +48,9 @@ class ParseError(ValueError):
 
 _PUNCT = {"+", "-", "*", "^", "/", "(", ")"}
 
+# ASCII only, like the digits, so every error offset is a byte offset
+_SPACE = " \t\n\r\f\v"
+
 
 def _is_nat(s):
     # ASCII only: str.isdigit also accepts digits such as "²" that int()
@@ -65,7 +70,7 @@ def _tokens(text):
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
+        if c in _SPACE:
             i += 1
             continue
         if _is_nat(c):
@@ -257,7 +262,7 @@ def print_element(p):
 
 def parse_ring(text):
     """Parse a ring specifier: R | GS | E1 | E1[m=<nat>] | E2 | CTRL."""
-    s = text.strip()
+    s = text.strip(_SPACE)
     plain = {"R": R_ONLY, "GS": GS, "E2": E2, "CTRL": CTRL}
     if s in plain:
         return plain[s]
@@ -280,7 +285,7 @@ def parse_system(text, m=2):
 
     The ring's t-exponent parameter m bounds the approximation system's
     n from below (n >= m)."""
-    s = "".join(text.split())
+    s = "".join(c for c in text if c not in _SPACE)
     if s == "f":
         n = 2
     elif s.startswith("f[n=") and s.endswith("]"):
@@ -293,7 +298,7 @@ def parse_system(text, m=2):
     elif s == "H0(u;H1(t))":
         return SystemSpec(kind="H0(u;H1(t))")
     else:
-        raise ParseError("unknown-system: %r" % text.strip(), 0)
+        raise ParseError("unknown-system: %r" % text.strip(_SPACE), 0)
     if n < m:
         raise ParseError("invalid-parameter: n must be >= m = %d" % m, 0)
     return SystemSpec(kind="f", n=n)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from prozero.claims import CLAIM_IDS, run_all, suite_json, verify_ann, verify_essential
+from prozero.claims import CLAIM_IDS, run_all, run_claim, suite_json
 from prozero.cli import _random_poly, _raw_product
 from prozero.fields import QQ
 from prozero.koszul import pro_zero_test, ses_row_check, transition_zero
@@ -193,14 +193,14 @@ def test_criterion_09_dual_implementation_fuzz():
 
 def test_criterion_10_mutation_flips_a_claim():
     mutated = RingId("E1", 2, frozenset({"n0"}))
-    flipped = [r for r in (verify_ann(ring=mutated),
-                           verify_essential(ring=mutated))
+    flipped = [r for r in (run_claim("C-ann-t", ring=mutated),
+                           run_claim("C-essential", ring=mutated))
                if r.status == "FALSIFIED"]
     assert flipped, "dropping the first truncation relator must falsify " \
                     "at least one claim"
     for r in flipped:
         assert any(w.startswith("COUNTER:") for w in r.witnesses)
     # sanity: the unmutated ring still verifies
-    assert verify_ann(ring=E1(2)).status == "verified"
+    assert run_claim("C-ann-t", ring=E1(2)).status == "verified"
     _ok(10, "omitting the x0*t^2 relator falsifies %d claim(s) with "
             "explicit counter-witnesses" % len(flipped))

@@ -1,13 +1,16 @@
 """Claim verifiers: default verdicts, mutation flips, report discipline."""
 
+import ast
 import json
+import pathlib
+import re
 
 import pytest
 
-from prozero.claims import (CLAIM_IDS, SCOPE_NOTE, demo_approx_failure,
-                            run_all, run_claim, suite_json, verify_ann,
-                            verify_essential)
+from prozero import claims
+from prozero.claims import CLAIM_IDS, SCOPE_NOTE, run_all, run_claim, suite_json
 from prozero.oracle import WindowError
+from prozero.parser import ParseError
 from prozero.rings import E1, GS, RingError, RingId
 
 MUTATED = RingId("E1", 2, frozenset({"n0"}))
@@ -64,39 +67,39 @@ def test_witness_content(suite):
 
 
 def test_mutation_flips_annihilator_claim():
-    rep = verify_ann(ring=MUTATED)
+    rep = run_claim("C-ann-t", ring=MUTATED)
     assert rep.status == "FALSIFIED"
     assert any(w.startswith("COUNTER:") for w in rep.witnesses)
     assert any("dt=2" in w for w in rep.witnesses)
 
 
 def test_mutation_flips_essential_claim():
-    rep = verify_essential(ring=MUTATED)
+    rep = run_claim("C-essential", ring=MUTATED)
     assert rep.status == "FALSIFIED"
     assert any(w.startswith("COUNTER:") for w in rep.witnesses)
 
 
 def test_unmutated_baseline_still_verifies():
-    assert verify_ann(ring=E1(2)).status == "verified"
-    assert verify_essential(ring=E1(2)).status == "verified"
+    assert run_claim("C-ann-t", ring=E1(2)).status == "verified"
+    assert run_claim("C-essential", ring=E1(2)).status == "verified"
 
 
 def test_essential_variant_m3():
-    rep = verify_essential(ring=E1(3))
+    rep = run_claim("C-essential", ring=E1(3))
     assert rep.status == "verified"
     assert any("x0*t^2" in w for w in rep.witnesses)
 
 
 def test_approx_failure_variant_n3():
-    rep = demo_approx_failure(ring=E1(3), n=3)
+    rep = run_claim("C-approx-fail-E1", ring=E1(3), n=3)
     assert rep.status == "verified"
 
 
 def test_window_binding_rejects_small_windows():
     with pytest.raises(WindowError):
-        verify_ann(ring=E1(2), w=None, dt=1)
+        run_claim("C-ann-t", ring=E1(2), dt=1)
     with pytest.raises(WindowError):
-        verify_essential(ring=E1(2), dt=20, mx=12)   # margin violation
+        run_claim("C-essential", ring=E1(2), dt=20, mx=12)   # margin violation
 
 
 def test_run_claim_dispatch():
@@ -104,9 +107,12 @@ def test_run_claim_dispatch():
     assert rep.claim_id == "C-basis"
     with pytest.raises(KeyError):
         run_claim("C-nope")
-    # irrelevant overrides are dropped, None values ignored
-    rep2 = run_claim("C-basis", dt=None, prec=99)
+    # None values are ignored; a parameter the claim does not take is
+    # refused, naming its command-line flag
+    rep2 = run_claim("C-basis", dt=None, prec=None)
     assert rep2.status == "verified"
+    with pytest.raises(ParseError, match="--prec is not accepted"):
+        run_claim("C-basis", dt=None, prec=99)
     # a ring outside the claim's E1[m] scope is refused, not run
     with pytest.raises(RingError, match="out of scope"):
         run_claim("C-essential", ring=GS)
@@ -117,3 +123,48 @@ def test_json_round_trip(suite):
         doc = json.loads(r.to_json())
         assert doc["claim_id"] == r.claim_id
         assert doc["status"] == r.status
+
+
+# -- one list of claims: the table in claims.py
+
+SRC = pathlib.Path(claims.__file__).parent
+README = SRC.parents[1] / "README.md"
+
+
+def test_schema_enum_is_the_table():
+    schema = json.loads((SRC / "report_schema.json").read_text())
+    enum = schema["definitions"]["report"]["properties"]["claim_id"]["enum"]
+    assert tuple(enum) == CLAIM_IDS
+
+
+def test_readme_catalogue_is_the_table():
+    text = README.read_text()
+    section = text.split("## Claim catalogue", 1)[1].split("\n## ", 1)[0]
+    ids = re.findall(r"^\| `(C-[\w-]+)` \|", section, re.M)
+    assert tuple(ids) == CLAIM_IDS
+
+
+def claim_id_literals(sources):
+    """(module, literal) for every string constant shaped like a claim id."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.fullmatch(r"C-[\w-]+", node.value)):
+                found.append((module, node.value))
+    return found
+
+
+def package_sources():
+    return {p.stem: p.read_text() for p in SRC.glob("*.py")}
+
+
+def test_claim_ids_are_written_once():
+    assert sorted(claim_id_literals(package_sources())) == \
+        sorted(("claims", cid) for cid in CLAIM_IDS)
+
+
+def test_check_sees_a_second_claim_id():
+    sources = package_sources()
+    sources["cli"] += '\nDEFAULT_CLAIM = "C-nwkpr"\n'
+    assert ("cli", "C-nwkpr") in claim_id_literals(sources)

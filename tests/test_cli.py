@@ -261,3 +261,36 @@ def test_large_prime_field_is_fast(capsys):
 def test_ring_outside_claim_scope_is_usage_error(claim, ring, capsys):
     _one_line_usage_error(["verify", claim, "--ring", ring], capsys,
                           "invalid parameter")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["kernel", "--ring", "R", "y"], 0, "x0\n"),
+    (["annihilator", "--ring", "R", "--dt", "0"], 0, "(trivial)\n"),
+    (["annihilator", "--ring", "R"], 64, ""),
+    (["prozero", "--ring", "R", "--system", "H1(t)"], 64, ""),
+    (["verify", "C-ann-t", "--du", "2"], 64, ""),
+])
+def test_ring_errors_are_not_window_errors(argv, code, out, capsys):
+    # each exited 65 (window-too-small): the fault is a window reaching
+    # into a variable the ring does not have
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if code:
+        assert captured.err.startswith("prozero: invalid parameter: ring ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "C-basis", "--prec", "4"], "--prec"),
+    (["verify", "C-basis", "--dt", "3", "--prec", "4"], "--prec"),
+    (["verify", "all", "--max-stage", "10"], "--max-stage"),
+])
+def test_claim_parameter_not_taken_is_usage_error(argv, flag, capsys):
+    # was silently dropped (exit 0); with `all`, every claim must take it,
+    # and no claim runs otherwise
+    assert run_cli(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("prozero: parse error: %s is not accepted by "
+                            "claim C-basis\n" % flag)

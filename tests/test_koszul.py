@@ -3,13 +3,14 @@
 import pytest
 
 from prozero import koszul
+from prozero.claims import run_claim
 from prozero.fields import QQ
 from prozero.linalg import rank_of
 from prozero.koszul import (h0_of_h1, h1_of_h0, koszul_h1_single, koszul_pair,
                             pro_zero_test, ses_row_check, transition_witness_replay,
                             transition_zero)
 from prozero.oracle import (Context, OracleError, Window, annihilator_oracle,
-                            poly_of_vec, vectorize)
+                            poly_of_vec, vectorize, window_basis)
 from prozero.rings import CTRL, E1, E2, GS, GradedPoly, SystemSpec
 
 W_PAIR = Window(6, 6, 10)
@@ -32,6 +33,27 @@ def test_stage_dims_frozen():
     assert st3.boundaries_rank == 312
     assert len(st3.cycles) == 360
     assert st3.d_squared_zero
+
+
+def test_koszul_pair_reduces_each_differential_once(monkeypatch):
+    # one shift_reduce per d1 image (domain: the t- and u-slots of k1) and
+    # two per d2 image (k2); the d^2 = 0 check, the h0 rank and the h2
+    # kernel reuse them
+    ctx = Context()
+    sizes = [len(window_basis(E2, Window(dt, du, W_PAIR.Mx), ctx=ctx).monos)
+             for dt, du in ((3, 6), (6, 3), (3, 3))]
+    calls = []
+    real = koszul.shift_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(koszul, "shift_reduce", counting)
+    st = koszul_pair(E2, 3, W_PAIR, ctx=ctx)
+    assert len(calls) == sizes[0] + sizes[1] + 2 * sizes[2]
+    assert (st.h0_dim, st.h1_dim, st.h2_dim) == (185, 48, 7)
+    assert st.d_squared_zero
 
 
 def test_h1_splits_as_quotient_sum():
@@ -178,7 +200,6 @@ def test_pro_zero_validates_stage_count():
 def test_nwkpr_builds_each_stage_once_per_context(monkeypatch):
     # the pro-zero searches build every stage; the witness replay and the
     # three-term rows of the same run reuse them and build none
-    from prozero.claims import verify_nwkpr
     built, quotients = [], []
     real, real_h0 = koszul._h_module, koszul.h0_of_h1
 
@@ -192,7 +213,7 @@ def test_nwkpr_builds_each_stage_once_per_context(monkeypatch):
 
     monkeypatch.setattr(koszul, "_h_module", spy)
     monkeypatch.setattr(koszul, "h0_of_h1", spy_h0)
-    rep = verify_nwkpr(ctx=Context())
+    rep = run_claim("C-nwkpr", ctx=Context())
     assert rep.status == "verified"
     assert sorted(built) == sorted([(E2.describe(), i) for i in range(2, 9)]
                                    + [(CTRL.describe(), i)
@@ -221,7 +242,6 @@ def test_replay_rejects_bad_witnesses():
 
 
 def test_shared_stage_modules_are_not_mutated():
-    from prozero.claims import verify_nwkpr
     ctx = Context()
     pro_zero_test(E2, SystemSpec("H0(u;H1(t))"), 8, Window(10, 10, 12),
                   ctx=ctx)
@@ -232,9 +252,10 @@ def test_shared_stage_modules_are_not_mutated():
                 for key, mod in ctx.stages.items()}
 
     before = snapshot()
-    first = verify_nwkpr(ctx=ctx)
+    first = run_claim("C-nwkpr", ctx=ctx)
     assert snapshot() == before          # no module rebuilt or changed
-    second = verify_nwkpr(ctx=ctx)
+    second = run_claim("C-nwkpr", ctx=ctx)
     assert snapshot() == before
     assert first.status == "verified"
-    assert first.to_json() == second.to_json() == verify_nwkpr().to_json()
+    assert first.to_json() == second.to_json() == \
+        run_claim("C-nwkpr").to_json()

@@ -66,6 +66,13 @@ def test_parse_error_offsets():
     assert e.value.position == 11         # the exponent's own offset
     assert parse_element("y^%d" % MAX_EXPONENT, GS) == \
         _gen(GS, "y") ** MAX_EXPONENT
+    # whitespace is ASCII only: a no-break space is itself the error, so
+    # the offset (counted in characters) is also the byte offset
+    for text, at in (("x0\u00a0 + x0t", 2), ("x0 + x0t\u00a0", 8)):
+        with pytest.raises(ParseError) as e:
+            parse_element(text, GS)
+        assert e.value.position == at
+        assert len(text[:at].encode()) == at
 
 
 def test_parse_rejects_foreign_generators():
