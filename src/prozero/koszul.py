@@ -128,12 +128,10 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
     cycles = kernel_basis(domain, d1_image, field)
 
     def d2_image(m):
-        out = {}
-        v = shift_reduce(ring, {m: field.one()}, 0, i, w, field, ctx=ctx)
-        for mono, c in v.items():
-            out[("et", mono)] = field.neg(c)
-        v = shift_reduce(ring, {m: field.one()}, i, 0, w, field, ctx=ctx)
-        for mono, c in v.items():
+        # k2's window lies inside both k1 windows: d2 reads d1's images
+        out = {("et", mono): field.neg(c)
+               for mono, c in d1_image(("eu", m)).items()}
+        for mono, c in d1_image(("et", m)).items():
             out[("eu", mono)] = c
         return out
 

@@ -8,11 +8,13 @@ linear algebra against that relation span.
 
 Two structural facts keep this fast. First, every relator row is
 homogeneous in (t, u)-bidegree, so the relation span decomposes slice by
-slice and each slice span is tiny; spans are built per slice on demand
-and kept in the run's Context. Second, rewriting only moves monomials
-downward in the canonical order (y-exponents and x-indices shrink), so a
-slice span whose caps cover the input also covers everything reduction
-can produce.
+slice and each slice span is tiny. With the slice's (dt, du) stripped
+(set to zero), a slice span depends only on which relators divide the
+slice, so one Echelon over stripped monomials is built per relator shape
+and shared, through the run's Context, by every slice of that shape.
+Second, rewriting only moves monomials downward in the canonical order
+(y-exponents and x-indices shrink), so a slice span whose caps cover the
+input also covers everything reduction can produce.
 
 Raw monomial shape: (dt, du, nx, ypow, xs) with xs a sorted tuple of
 x-indices and nx = len(xs), so plain tuple comparison is the canonical
@@ -70,13 +72,17 @@ class Window:
 class Context:
     """The caches of one run: slice spans and Koszul stage modules.
 
-    `spans` maps a slice_span key to its Echelon; `stages` maps
-    (ring, system kind, stage, window, field name) to a stage module.
-    Cached objects are shared, so no consumer may mutate them. Hashes by
-    identity.
+    `shapes` maps a relator shape (ring, dividing relator tags, ycap,
+    xcap, pairs, field name) to the Echelon of its span over stripped
+    monomials; `spans` maps a slice key (ring, dt, du, ycap, xcap, pairs,
+    field name) to the Echelon of its shape, so a repeated slice skips
+    working out its shape. `stages` maps (ring, system kind, stage,
+    window, field name) to a stage module. Cached objects are shared, so
+    no consumer may mutate them. Hashes by identity.
     """
 
     def __init__(self):
+        self.shapes = {}
         self.spans = {}
         self.stages = {}
 
@@ -151,11 +157,12 @@ def _x_indices(ring, cap):
 def _slice_generators(ring, dt, du, xtop):
     """Relator polynomials of bidegree dividing (dt, du), as raw vectors.
 
-    xtop caps the generator x-indices. Tags allow tests to mutate the
-    presentation through RingId.omit.
+    xtop caps the generator x-indices. A tag always names the same
+    relator up to its bidegree, so the tags name a slice's relator shape;
+    they also let tests mutate the presentation through RingId.omit.
     """
     if ring.variant == "CTRL":   # x^a in the power slot, one relator x*t^2
-        gens = [("n0", {(2, 0, 0, 1, ()): 1})]
+        gens = [("n0", {(2, 0, 0, 1, ()): 1})] if dt >= 2 else []
     else:
         gens = [("a0", {(0, 0, 1, 1, (0,)): 1})]
         for i in range(xtop):
@@ -174,52 +181,66 @@ def _slice_generators(ring, dt, du, xtop):
 
 
 def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
-    """Echelon of the relation span inside one (dt, du) bidegree slice.
+    """Echelon of the relation span of one (dt, du) bidegree slice, over
+    stripped monomials: the slice's (dt, du) is zeroed in every row.
 
     With pairs=False the ambient carries at most one x-factor and relator
     multipliers are x-free. With pairs=True multipliers may carry one
     x-factor, so the span also proves where two-x monomials die.
-    Built once per context and key.
+    Built once per context and relator shape; every slice whose dividing
+    relators are the same shares it.
     """
     ctx = Context.of(ctx)
     key = (ring, dt, du, ycap, xcap, pairs, field.name)
-    hit = ctx.spans.get(key)
-    if hit is not None:
-        return hit
+    ech = ctx.spans.get(key)
+    if ech is None:
+        gens = _slice_generators(ring, dt, du, xcap)
+        shape = (ring, tuple(tag for tag, _ in gens), ycap, xcap, pairs,
+                 field.name)
+        ech = ctx.shapes.get(shape)
+        if ech is None:
+            ech = ctx.shapes[shape] = _shape_span(ring, gens, ycap, xcap,
+                                                  pairs, field)
+        ctx.spans[key] = ech
+    return ech
+
+
+def _shape_span(ring, gens, ycap, xcap, pairs, field):
+    """Each relator, stripped of its bidegree, times every multiplier."""
     ech = Echelon(field)
-    for gtag, gvec in _slice_generators(ring, dt, du, xcap):
-        gdt, gdu = next(iter(gvec))[0:2]
-        mdt, mdu = dt - gdt, du - gdu
-        if mdt < 0 or mdu < 0:
-            continue
-        mults = [(mdt, mdu, 0, a, ()) for a in range(ycap + 1)]
-        if pairs:
-            mults += [(mdt, mdu, 1, a, (k,))
-                      for a in range(ycap + 1) for k in _x_indices(ring, xcap)]
+    mults = [(0, 0, 0, a, ()) for a in range(ycap + 1)]
+    if pairs:
+        mults += [(0, 0, 1, a, (k,))
+                  for a in range(ycap + 1) for k in _x_indices(ring, xcap)]
+    for _, gvec in gens:
+        stripped = [((0, 0) + gm[2:], field.from_int(c))
+                    for gm, c in gvec.items()]
         for m in mults:
             row = {}
-            ok = True
-            for gm, c in gvec.items():
+            for gm, c in stripped:
                 p = mono_mul(gm, m)
                 if p[3] > ycap or (p[4] and p[4][-1] > xcap):
-                    ok = False
                     break
-                row[p] = field.from_int(c)
-            if ok and row:
+                row[p] = c
+            else:
                 ech.insert(row)
-    ctx.spans[key] = ech
     return ech
 
 
 def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ, ctx=None):
-    """Normal form of a raw vector modulo the relation span, slice by slice."""
+    """Normal form of a raw vector modulo the relation span, slice by slice.
+
+    Each slice is reduced stripped, against its shape's span, and its
+    (dt, du) restored on the way out.
+    """
     by_slice = {}
-    for m, c in vec.items():
-        by_slice.setdefault((m[0], m[1]), {})[m] = c
+    for (dt, du, nx, y, xs), c in vec.items():
+        by_slice.setdefault((dt, du), {})[(0, 0, nx, y, xs)] = c
     out = {}
     for (dt, du), sub in sorted(by_slice.items()):
         ech = slice_span(ring, dt, du, ycap, xcap, pairs, field, ctx)
-        out.update(ech.reduce(sub))
+        for (_, _, nx, y, xs), c in ech.reduce(sub).items():
+            out[(dt, du, nx, y, xs)] = c
     return out
 
 
@@ -243,52 +264,19 @@ class MonoBasis:
 def window_basis(ring, w, field=QQ, ctx=None):
     """The canonical reduced basis of the window, from the presentation.
 
-    Per slice: ambient monomials that are not pivots of the slice span.
+    Per slice: ambient monomials whose stripped form is not a pivot of
+    the slice's shape span.
     """
     check_window_ring(ring, w)
+    ambient = [(0, 0, 0, a, ()) for a in range(w.Mx + 1)]
+    ambient += [(0, 0, 1, 0, (i,)) for i in _x_indices(ring, w.Mx)]
     monos = []
-    xs = _x_indices(ring, w.Mx)
-    ycap, xcap = w.Mx + 2, w.Mx
     for dt in range(w.Dt + 1):
         for du in range(w.Du + 1):
-            ech = slice_span(ring, dt, du, ycap, xcap, False, field, ctx)
-            pivots = ech.pivots()
-            for a in range(w.Mx + 1):
-                m = (dt, du, 0, a, ())
-                if m not in pivots:
-                    monos.append(m)
-            for i in xs:
-                m = (dt, du, 1, 0, (i,))
-                if m not in pivots:
-                    monos.append(m)
+            pivots = slice_span(ring, dt, du, w.Mx + 2, w.Mx, False, field,
+                                ctx).pivots()
+            monos += [(dt, du) + m[2:] for m in ambient if m not in pivots]
     return MonoBasis(ring, w, tuple(sorted(monos)))
-
-
-def relation_span(ring, w, pairs=False, field=QQ, ctx=None):
-    """Combined relation span over all window slices, as one Subspace.
-
-    Exposed for direct membership tests; heavy lifting stays per slice.
-    """
-    check_window_ring(ring, w)
-    cap2 = 2 * w.Mx + 2
-    ycap = cap2 if pairs else w.Mx + 2
-    xcap = cap2 if pairs else w.Mx
-    sp = Subspace(field)
-    for dt in range(w.Dt + 1):
-        for du in range(w.Du + 1):
-            ech = slice_span(ring, dt, du, ycap, xcap, pairs, field, ctx)
-            for row in ech.basis():
-                sp.add(row)
-    return sp
-
-
-def quotient_reduce(ring, w, vec, pairs=False, field=QQ, ctx=None):
-    """Canonical residue of a raw vector modulo the window's relations."""
-    check_window_ring(ring, w)
-    cap2 = 2 * w.Mx + 2
-    ycap = cap2 if pairs else w.Mx + 2
-    xcap = cap2 if pairs else w.Mx
-    return reduce_raw(ring, vec, ycap, xcap, pairs, field, ctx)
 
 
 # -- elements <-> vectors ----------------------------------------------------
@@ -433,6 +421,9 @@ def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
     Domain: the (t, u)-degree-zero part of the window basis. A vector is
     kept iff its product with the monomial reduces to zero.
     """
+    if dt < 0 or du < 0:
+        raise OracleError("shift degree must be >= 0, got t^%d u^%d"
+                          % (dt, du))
     if dt > w.Dt or du > w.Du:
         raise WindowError("window-too-small: shift degree exceeds window")
     lm = mul_map(ring, {(dt, du, 0, 0, ()): field.one()}, w, field, ctx)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, golden output, report schema."""
 
+import hashlib
 import json
 import pathlib
 import time
@@ -35,6 +36,18 @@ def test_annihilator_golden(capsys):
     assert capsys.readouterr().out.strip() == "x0, x1"
     assert run_cli(["annihilator", "--ring", "E2", "--dt", "0", "--du", "1"]) == 0
     assert capsys.readouterr().out.strip() == "x0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["annihilator", "--ring", "E1", "--dt", "-1"],
+    ["annihilator", "--ring", "E2", "--dt", "0", "--du", "-1"],
+])
+def test_negative_shift_is_usage_error(argv, capsys):
+    assert run_cli(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("prozero: shift degree must be >= 0")
+    assert captured.err.count("\n") == 1
 
 
 def test_kernel_golden(capsys):
@@ -147,6 +160,23 @@ def test_json_reports_validate(capsys):
     assert doc["claim_id"] == "C-basis"
     assert run_cli(["verify", "C-xi-witness", "--format", "json"]) == 0
     jsonschema.validate(json.loads(capsys.readouterr().out), SCHEMA)
+
+
+# sha256 of stdout: the byte-identical gate of every change to the engine
+GATES = [
+    (["verify", "all", "--format", "json"],
+     "f06a2b05fce1456f4ee0b3905bf7d0dc0e0b739e0f74e06219debe1b05757f4c"),
+    (["verify", "C-kernel-I0", "--mx", "50", "--field", "fp:32003",
+      "--format", "json"],
+     "bcfb941370d46e33e590e4eb11919cdf48b9125e05be282d1605dcee67bd4a5e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GATES, ids=["all", "kernel-wide"])
+def test_gate_reports_are_byte_identical(argv, digest, capsys):
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_deterministic(capsys):

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from prozero.fields import QQ, PrimeField
-from prozero.oracle import (Context, Window, WindowError, annihilator_oracle,
-                            boundary_touch, joint_kernel, kernel_of, mul_map,
-                            poly_of_vec, quotient_reduce, relation_span,
-                            system_kernel, torsion_subspace, vectorize,
-                            window_basis)
+from prozero.linalg import Echelon
+from prozero.oracle import (Context, Window, WindowError, _slice_generators,
+                            annihilator_oracle, boundary_touch, joint_kernel,
+                            kernel_of, mul_map, poly_of_vec, reduce_raw,
+                            slice_span, system_kernel, torsion_subspace,
+                            vectorize, window_basis)
 from prozero.rings import (CTRL, E1, E2, GS, R_ONLY, GradedPoly, RingId,
                            SystemSpec, ann_formula)
 
@@ -37,9 +38,10 @@ def test_window_basis_counts():
     assert len(window_basis(CTRL, Window(1, 0, 4)).monos) == 10
 
 
-def test_relation_span_contains_defining_relators():
+def test_slice_span_contains_defining_relators():
     # x0*y and x0 - x1*y lie in the degree-zero relation span of R
-    span = relation_span(R_ONLY, Window(0, 0, 4))
+    # (window Mx = 4, so the one-x caps are ycap 6, xcap 4)
+    span = slice_span(R_ONLY, 0, 0, 6, 4)
     one = QQ.one()
     x0y = {(0, 0, 1, 1, (0,)): one}
     step = {(0, 0, 1, 0, (0,)): one, (0, 0, 1, 1, (1,)): QQ.neg(one)}
@@ -49,17 +51,81 @@ def test_relation_span_contains_defining_relators():
     assert not span.contains({(0, 0, 1, 0, (0,)): one})
 
 
-def test_quotient_reduce_idempotent_and_linear():
+def test_reduce_raw_idempotent_and_linear():
     rng = random.Random(23)
     w = Window(2, 0, 6)
-    basis = window_basis(E1(2), w)
+    ctx = Context()
+    # basis monomials, and x_i*y monomials that reduction rewrites
+    monos = list(window_basis(E1(2), w, ctx=ctx).monos)
+    monos += [(dt, 0, 1, 1, (i,)) for dt in range(3) for i in range(6)]
+
+    def red(vec):
+        return reduce_raw(E1(2), vec, w.Mx + 2, w.Mx, ctx=ctx)
+
     for _ in range(40):
         raw = {}
         for _ in range(rng.randint(1, 5)):
-            m = rng.choice(basis.monos)
+            m = rng.choice(monos)
             raw[m] = QQ.from_int(rng.randint(-4, 4) or 1)
-        red = quotient_reduce(E1(2), w, raw)
-        assert quotient_reduce(E1(2), w, red) == red
+        assert red(red(raw)) == red(raw)
+
+
+def _dividing_tags(ring, dt, du, xcap):
+    return tuple(tag for tag, vec in _slice_generators(ring, dt, du, xcap)
+                 if all(m[0] <= dt and m[1] <= du for m in vec))
+
+
+def _reference_span(ring, dt, du, ycap, xcap, pairs):
+    """The slice span built at (dt, du): every relator times every
+    multiplier of the complementary bidegree, inside the caps."""
+    ech = Echelon(QQ)
+    xs = [] if ring.variant == "CTRL" else range(xcap + 1)
+    for _, vec in _slice_generators(ring, dt, du, xcap):
+        gdt, gdu = next(iter(vec))[:2]
+        mdt, mdu = dt - gdt, du - gdu
+        if mdt < 0 or mdu < 0:
+            continue
+        mults = [(mdt, mdu, 0, a, ()) for a in range(ycap + 1)]
+        if pairs:
+            mults += [(mdt, mdu, 1, a, (k,))
+                      for a in range(ycap + 1) for k in xs]
+        for mult in mults:
+            row = {}
+            for gm, c in vec.items():
+                p = (gm[0] + mdt, gm[1] + mdu, gm[2] + mult[2],
+                     gm[3] + mult[3], tuple(sorted(gm[4] + mult[4])))
+                if p[3] > ycap or (p[4] and p[4][-1] > xcap):
+                    break
+                row[p] = c
+            else:
+                ech.insert(row)
+    return ech
+
+
+@pytest.mark.parametrize("ring", [
+    R_ONLY, GS, E1(2), E1(3), E2, CTRL,
+    RingId("E2", 2, frozenset({"n1"}))], ids=lambda r: r.describe()
+    + ("-omit-" + "-".join(sorted(r.omit)) if r.omit else ""))
+@pytest.mark.parametrize("pairs, ycap, xcap", [(False, 6, 4), (True, 8, 8)])
+def test_shared_span_restores_to_the_slice_span(ring, pairs, ycap, xcap):
+    # one Echelon per relator shape: restored to its slice's (dt, du), it is
+    # the span built at that slice, row for row; slices share an Echelon
+    # exactly when the same relators divide them
+    ctx = Context()
+    by_tags = {}
+    for dt in range(7 if ring.has_t else 1):
+        for du in range(3 if ring.has_u else 1):
+            ech = slice_span(ring, dt, du, ycap, xcap, pairs, QQ, ctx)
+            restored = [{(dt, du) + m[2:]: c for m, c in row.items()}
+                        for row in ech.basis()]
+            ref = _reference_span(ring, dt, du, ycap, xcap, pairs)
+            assert restored == ref.basis()
+            by_tags.setdefault(_dividing_tags(ring, dt, du, xcap),
+                               []).append(ech)
+    assert all(e is echs[0] for echs in by_tags.values() for e in echs)
+    firsts = [echs[0] for echs in by_tags.values()]
+    assert len({id(e) for e in firsts}) == len(firsts)
+    assert len(ctx.shapes) == len(by_tags)
 
 
 def test_vectorize_round_trip():
