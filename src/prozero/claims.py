@@ -606,6 +606,11 @@ class ClaimSpec:
 
 
 def _stage_window(p, du):
+    # below 4 stages every pro-zero row sees only gap-1 transitions, so
+    # each is window-limited and no verdict could be witnessed
+    if p["max_stage"] < 4:
+        raise WindowError("window-too-small: claim needs --max-stage >= 4, "
+                          "got %d" % p["max_stage"])
     need = p["max_stage"] + 2
     return need, need if du else 0, max(12, need + 2)
 

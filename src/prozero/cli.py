@@ -41,7 +41,6 @@ WINDOW_EXIT = 65
 
 class _Cli(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
         sys.exit(USAGE_EXIT)
 
@@ -52,17 +51,20 @@ def _build_parser():
                            "ring claims")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=True):
-        if ring:
-            p.add_argument("--ring", default=None,
-                           help="R | GS | E1 | E1[m=N] | E2 | CTRL")
-        p.add_argument("--dt", type=int, default=None)
-        p.add_argument("--du", type=int, default=None)
-        p.add_argument("--mx", type=int, default=None)
+    def add_field(p):
         p.add_argument("--field", default="q", help="q | fp:PRIME")
+
+    def common(p, window=True):
+        # only the flags the command reads: any other is a usage error
+        p.add_argument("--ring", default=None,
+                       help="R | GS | E1 | E1[m=N] | E2 | CTRL")
+        if window:
+            p.add_argument("--dt", type=int, default=None)
+            p.add_argument("--du", type=int, default=None)
+            p.add_argument("--mx", type=int, default=None)
+        add_field(p)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     pv = sub.add_parser("verify", help="run claim verifiers",
                         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -76,7 +78,7 @@ def _build_parser():
 
     pe = sub.add_parser("eval", help="evaluate expressions")
     pe.add_argument("exprs", nargs="+")
-    common(pe)
+    common(pe, window=False)
 
     pa = sub.add_parser("annihilator", help="windowed annihilator; here "
                         "--dt/--du give the target degree of t^dt*u^du")
@@ -93,7 +95,8 @@ def _build_parser():
     pp.add_argument("--max-stage", type=int, default=8, dest="max_stage")
 
     ps = sub.add_parser("selftest", help="seeded randomized properties")
-    common(ps, ring=False)
+    add_field(ps)
+    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--count", type=int, default=500,
                     help="products per ring")
     ps.add_argument("--round-trips", type=int, default=1000,
@@ -121,7 +124,7 @@ def _emit(doc, args, render_text):
 
 
 def _ring_of(args, default):
-    if getattr(args, "ring", None) is None:
+    if args.ring is None:
         return default
     return parse_ring(args.ring)
 
@@ -338,8 +341,7 @@ def cmd_selftest(args):
     field = field_from_spec(args.field)
     if args.count < 0 or args.round_trips < 0:
         raise ParseError("--count and --round-trips must be >= 0")
-    seed = args.seed if args.seed is not None else 0
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     rings = [R_ONLY, GS, E1(2), E1(3), E2, CTRL]
     ctx = Context()
     checked = 0
@@ -366,7 +368,7 @@ def cmd_selftest(args):
             return 2
         trips += 1
     print("selftest passed: %d dual-implementation products, "
-          "%d print/parse round-trips (seed %d)" % (checked, trips, seed))
+          "%d print/parse round-trips (seed %d)" % (checked, trips, args.seed))
     return 0
 
 

@@ -13,6 +13,13 @@ two-variable case). A reported witness is always replayable: its
 membership in the source module, its image, and the nonzero-ness of that
 image in the target are all recomputed from the relation span.
 
+A stage that does not fit inside the window is a WindowError naming it.
+
+A two-variable stage (`KoszulStage`) keeps its d1 table, the reduced
+image of every k1 generator; its d2 images, H0, H2 and the right module
+H1(u^i; H0(t^i)) of the short exact row (`h1_of_h0`) are read off it, so
+each Koszul image is reduced once per stage.
+
 Stage modules come from the run's Context (`oracle.Context`): each
 distinct (ring, system kind, stage, window, field) is built once per
 context and then shared by the pro-zero search, the witness replay and
@@ -24,13 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ
-from .linalg import Echelon, Subspace, kernel_basis, rank_of
-from .oracle import (Context, OracleError, Window, WindowSubspace,
-                     check_window_ring, kernel_of, shift_reduce, window_basis)
+from .linalg import Subspace, kernel_basis, rank_of
+from .oracle import (Context, OracleError, Window, WindowError,
+                     WindowSubspace, check_window_ring, kernel_of,
+                     shift_reduce, window_basis)
 
 
 def _sub_window(w, ddt, ddu=0):
-    return Window(max(w.Dt - ddt, 0), max(w.Du - ddu, 0), w.Mx)
+    """w shrunk by (ddt, ddu); a stage that does not fit is a WindowError."""
+    if w.Dt < ddt or w.Du < ddu:
+        raise WindowError("window-too-small: stage %d needs Dt >= %d and "
+                          "Du >= %d, got Dt=%d Du=%d"
+                          % (max(ddt, ddu), ddt, ddu, w.Dt, w.Du))
+    return Window(w.Dt - ddt, w.Du - ddu, w.Mx)
 
 
 def koszul_h1_single(ring, a, i, w, field=QQ, ctx=None):
@@ -84,17 +97,21 @@ def transition_zero(ring, a, j, i, w, field=QQ, ctx=None):
                        j - i if a == "u" else 0, w, field, ctx)
 
 
-@dataclass
+@dataclass(eq=False)
 class KoszulStage:
-    """The windowed three-term complex of (t^i, u^i) with its homology."""
+    """The windowed three-term complex of (t^i, u^i) with its homology.
+
+    Equality and hashing are by identity: a stage is an argument of
+    `h1_of_h0`, and comparing its tables field by field means nothing.
+    """
 
     ring: object
     i: int
     window: Window
     h0_dim: int
-    h0_direct_count: int
     h1_dim: int
     h2_dim: int
+    d1: dict              # ("et"|"eu", mono) -> reduced image, over all of k1
     cycles: list          # basis of ker d1, tagged ("et"|"eu", mono) -> c
     boundaries: list      # d2 images of the k2 basis, in basis order
     boundaries_rank: int
@@ -114,24 +131,17 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
     k1u = window_basis(ring, _sub_window(w, 0, i), field, ctx)
     k0 = window_basis(ring, w, field, ctx)
 
-    d1 = {}               # each d1 image is reduced once
-
-    def d1_image(lab):
-        if lab not in d1:
-            slot, m = lab
-            dt, du = (i, 0) if slot == "et" else (0, i)
-            d1[lab] = shift_reduce(ring, {m: field.one()}, dt, du, w, field,
-                                   ctx=ctx)
-        return d1[lab]
-
     domain = [("et", m) for m in k1t.monos] + [("eu", m) for m in k1u.monos]
-    cycles = kernel_basis(domain, d1_image, field)
+    shift = {"et": (i, 0), "eu": (0, i)}
+    d1 = {(s, m): shift_reduce(ring, {m: field.one()}, *shift[s], w, field,
+                               ctx=ctx)
+          for s, m in domain}          # each d1 image is reduced once
+    cycles = kernel_basis(domain, d1.__getitem__, field)
 
     def d2_image(m):
         # k2's window lies inside both k1 windows: d2 reads d1's images
-        out = {("et", mono): field.neg(c)
-               for mono, c in d1_image(("eu", m)).items()}
-        for mono, c in d1_image(("et", m)).items():
+        out = {("et", mono): field.neg(c) for mono, c in d1[("eu", m)].items()}
+        for mono, c in d1[("et", m)].items():
             out[("eu", mono)] = c
         return out
 
@@ -140,7 +150,7 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
     for b in boundaries:
         total = {}
         for lab, c in b.items():
-            for mono, cc in d1_image(lab).items():
+            for mono, cc in d1[lab].items():
                 acc = total.get(mono, field.zero())
                 acc = field.add(acc, field.mul(c, cc))
                 if field.is_zero(acc):
@@ -151,13 +161,11 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
             d_sq_zero = False
     b_rank = rank_of(boundaries, field)
     h1_dim = len(cycles) - b_rank
-    h0_rank = rank_of([d1_image(lab) for lab in domain], field)
-    h0_dim = len(k0.monos) - h0_rank
-    direct = sum(1 for m in k0.monos if m[0] < i and m[1] < i)
+    h0_dim = len(k0.monos) - rank_of(d1.values(), field)
     d2 = dict(zip(k2.monos, boundaries))
     h2 = kernel_basis(list(k2.monos), d2.__getitem__, field)
-    return KoszulStage(ring, i, w, h0_dim, direct, h1_dim, len(h2),
-                       cycles, boundaries, b_rank, d_sq_zero)
+    return KoszulStage(ring, i, w, h0_dim, h1_dim, len(h2), d1, cycles,
+                       boundaries, b_rank, d_sq_zero)
 
 
 class QuotientSpace:
@@ -192,38 +200,36 @@ def h0_of_h1(ring, i, w, field=QQ, ctx=None):
         raise OracleError("quotient homology needs a two-variable ring")
     ctx = Context.of(ctx)
     num = koszul_h1_single(ring, "t", i, _sub_window(w, i, 0), field, ctx)
-    inner = koszul_h1_single(ring, "t", i, _sub_window(w, i, i), field, ctx)
+    # Ann(t^i) is (t, u)-graded, so its echelon basis over the window one
+    # u^i-step down is the part of num's basis that fits there
+    du = _sub_window(w, i, i).Du
     den = [shift_reduce(ring, v, 0, i, w, field, ctx=ctx)
-           for v in inner.basis()]
-    den = [v for v in den if v]
+           for v in num.basis() if all(m[1] <= du for m in v)]
     return QuotientSpace(ring, w, num, den, field)
 
 
-def h1_of_h0(ring, i, w, field=QQ, ctx=None):
-    """Windowed H1 of u^i acting on the quotient by t^i.
+def h1_of_h0(stage, field):
+    """Windowed H1 of u^i acting on the quotient by t^i, read off a stage.
 
-    Numerator: w-slice vectors whose u^i multiple falls inside the image
-    of t^i. Denominator: the image of t^i one u-slice down.
+    Numerator: eu-slot monomials whose d1 image falls inside the image of
+    t^i (the et-slot d1 images). Denominator: the eu-slot part of the
+    stage's boundaries, the image of t^i one u^i-step down.
     """
-    if not ring.has_u:
-        raise OracleError("quotient homology needs a two-variable ring")
-    ctx = Context.of(ctx)
+    t_image = Subspace.spanned_by(
+        (img for (slot, _), img in stage.d1.items() if slot == "et"), field)
+    dom = [m for slot, m in stage.d1 if slot == "eu"]
+    num_vecs = kernel_basis(
+        dom, lambda m: t_image.reduce(stage.d1[("eu", m)]), field)
+    num = WindowSubspace(stage.ring, stage.window, num_vecs, field)
+    den = [{m: c for (slot, m), c in b.items() if slot == "eu"}
+           for b in stage.boundaries]
+    return QuotientSpace(stage.ring, stage.window, num, den, field)
 
-    def times(m, dt, du):
-        return shift_reduce(ring, {m: field.one()}, dt, du, w, field, ctx=ctx)
 
-    big = window_basis(ring, _sub_window(w, i, 0), field, ctx)
-    t_image = Echelon(field)
-    for m in big.monos:
-        t_image.insert(times(m, i, 0))
-    dom = window_basis(ring, _sub_window(w, 0, i), field, ctx)
-    num_vecs = kernel_basis(list(dom.monos),
-                            lambda m: t_image.reduce(times(m, 0, i)), field)
-    num = WindowSubspace(ring, w, num_vecs, field)
-    small = window_basis(ring, _sub_window(w, i, i), field, ctx)
-    den = [times(m, i, 0) for m in small.monos]
-    den = [v for v in den if v]
-    return QuotientSpace(ring, w, num, den, field)
+def _rank_gain(base, extra, field):
+    """How far the span of the vectors base grows when extra is added."""
+    span = Subspace.spanned_by(base, field)
+    return sum(span.add(v) is not None for v in extra)
 
 
 def ses_row_check(ring, i, w, field=QQ, ctx=None):
@@ -235,34 +241,24 @@ def ses_row_check(ring, i, w, field=QQ, ctx=None):
     Verified by exact dimension accounting plus the two structural facts
     (the composite vanishes, the left map's kernel is the denominator).
     The left module is the context's stage module, shared with the
-    pro-zero search of the same run.
+    pro-zero search of the same run; the right module is read off the
+    stage's d1 table and boundaries, so no Koszul image is reduced twice.
     """
     ctx = Context.of(ctx)
     left = _stage_module(ring, "H0(u;H1(t))", i, w, field, ctx)
     stage = koszul_pair(ring, i, w, field, ctx)
-    right = h1_of_h0(ring, i, w, field, ctx)
+    right = h1_of_h0(stage, field)
 
     # left map injectivity: span(boundaries + embedded numerator basis)
     # must grow by exactly dim(left)
-    ech = Echelon(field)
-    for b in stage.boundaries:
-        ech.insert(b)
-    grew = 0
-    for v in left.num.basis():
-        if ech.insert({("et", mono): c for mono, c in v.items()}) is not None:
-            grew += 1
-    inj = grew == left.dim
-
+    inj = _rank_gain(stage.boundaries,
+                     ({("et", m): c for m, c in v.items()}
+                      for v in left.num.basis()), field) == left.dim
     # right map: rank of projected cycle classes must equal dim(right),
     # and the composite (numerator basis -> second slot) must die
-    proj = Echelon(field)
-    for v in right.den.basis():
-        proj.insert(v)
-    den_rank = proj.dim
-    for cyc in stage.cycles:
-        proj.insert({m: c for (slot, m), c in cyc.items() if slot == "eu"})
-    psi_rank = proj.dim - den_rank
-    surj = psi_rank == right.dim
+    surj = _rank_gain(right.den.basis(),
+                      ({m: c for (slot, m), c in cyc.items() if slot == "eu"}
+                       for cyc in stage.cycles), field) == right.dim
     # the left map lands in cycles (so the composite with the right map
     # is zero on the nose: the second slot of (z, 0) is empty)
     lands_in_cycles = all(not shift_reduce(ring, v, i, 0, w, field, ctx=ctx)

@@ -169,10 +169,14 @@ GATES = [
     (["verify", "C-kernel-I0", "--mx", "50", "--field", "fp:32003",
       "--format", "json"],
      "bcfb941370d46e33e590e4eb11919cdf48b9125e05be282d1605dcee67bd4a5e"),
+    (["verify", "C-nwkpr", "--max-stage", "12", "--mx", "16",
+      "--format", "json"],
+     "d3d966a002b0be2832f1646899219063d1609e8725c4d71533670d8884291db3"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GATES, ids=["all", "kernel-wide"])
+@pytest.mark.parametrize("argv, digest", GATES,
+                         ids=["all", "kernel-wide", "nwkpr-deep"])
 def test_gate_reports_are_byte_identical(argv, digest, capsys):
     assert run_cli(argv) == 0
     out = capsys.readouterr().out
@@ -324,3 +328,52 @@ def test_claim_parameter_not_taken_is_usage_error(argv, flag, capsys):
     assert captured.out == ""
     assert captured.err == ("prozero: parse error: %s is not accepted by "
                             "claim C-basis\n" % flag)
+
+
+@pytest.mark.parametrize("argv, says", [
+    # every pro-zero row was window-limited, so these were FALSIFIED (exit 2)
+    (["verify", "C-nwkpr", "--max-stage", "3"], "--max-stage >= 4, got 3"),
+    (["verify", "C-remark-wpr", "--max-stage", "3"], "--max-stage >= 4, got 3"),
+    # a stage window was clamped to Du = 0: "denominator escapes numerator"
+    (["prozero", "--ring", "E2", "--system", "H0(u;H1(t))", "--du", "2"],
+     "stage 3 needs"),
+    # a stage window was clamped to Dt = 0: a witnessed verdict whose
+    # images lay outside the target window (exit 0)
+    (["prozero", "--ring", "E1", "--system", "H1(t)", "--dt", "3"],
+     "stage 4 needs"),
+])
+def test_stage_outside_window_is_window_error(argv, says, capsys):
+    assert run_cli(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("prozero: window-too-small: ")
+    assert says in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--format", "json"],
+    ["selftest", "--out", "report.txt"],
+    ["selftest", "--dt", "3"],
+    ["selftest", "--du", "3"],
+    ["selftest", "--mx", "14"],
+    ["eval", "--dt", "3", "x0"],
+    ["eval", "--du", "3", "x0"],
+    ["eval", "--mx", "14", "x0"],
+    ["eval", "--seed", "1", "x0"],
+    ["verify", "C-basis", "--seed", "1"],
+    ["annihilator", "--seed", "1"],
+    ["kernel", "--seed", "1", "t"],
+    ["prozero", "--system", "H1(t)", "--seed", "1"],
+])
+def test_flag_the_command_does_not_read_is_usage_error(argv, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+    # each was accepted and ignored (exit 0)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("prozero: error: unrecognized arguments: ")
+    assert captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())

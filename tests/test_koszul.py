@@ -4,13 +4,14 @@ import pytest
 
 from prozero import koszul
 from prozero.claims import run_claim
-from prozero.fields import QQ
-from prozero.linalg import rank_of
+from prozero.fields import QQ, field_from_spec
+from prozero.linalg import Echelon, Subspace, kernel_basis, rank_of
 from prozero.koszul import (h0_of_h1, h1_of_h0, koszul_h1_single, koszul_pair,
                             pro_zero_test, ses_row_check, transition_witness_replay,
                             transition_zero)
 from prozero.oracle import (Context, OracleError, Window, annihilator_oracle,
-                            poly_of_vec, vectorize, window_basis)
+                            poly_of_vec, shift_reduce, vectorize,
+                            window_basis)
 from prozero.rings import CTRL, E1, E2, GS, GradedPoly, SystemSpec
 
 W_PAIR = Window(6, 6, 10)
@@ -61,15 +62,79 @@ def test_h1_splits_as_quotient_sum():
     for i in (2, 3):
         st = koszul_pair(E2, i, W_PAIR)
         left = h0_of_h1(E2, i, W_PAIR)
-        right = h1_of_h0(E2, i, W_PAIR)
+        right = h1_of_h0(st, QQ)
         assert st.h1_dim == left.dim + right.dim
 
 
 def test_quotient_dims_frozen():
     assert h0_of_h1(E2, 2, W_PAIR).dim == 29
-    assert h1_of_h0(E2, 2, W_PAIR).dim == 3
+    assert h1_of_h0(koszul_pair(E2, 2, W_PAIR), QQ).dim == 3
     assert h0_of_h1(E2, 3, W_PAIR).dim == 43
-    assert h1_of_h0(E2, 3, W_PAIR).dim == 5
+    assert h1_of_h0(koszul_pair(E2, 3, W_PAIR), QQ).dim == 5
+
+
+def _scratch_h1_of_h0(ring, i, w, field):
+    # H1(u^i; H0(t^i)) built from nothing but the oracle: every image is
+    # reduced afresh over the stage's own sub-windows
+    def sub(ddt, ddu):
+        return window_basis(ring, Window(w.Dt - ddt, w.Du - ddu, w.Mx),
+                            field).monos
+
+    def times(m, dt, du):
+        return shift_reduce(ring, {m: field.one()}, dt, du, w, field)
+
+    t_image = Echelon(field)
+    for m in sub(i, 0):
+        t_image.insert(times(m, i, 0))
+    num = kernel_basis(list(sub(0, i)),
+                       lambda m: t_image.reduce(times(m, 0, i)), field)
+    den = [times(m, i, 0) for m in sub(i, i)]
+    return (Subspace.spanned_by(num, field).basis(),
+            Subspace.spanned_by(den, field).basis())
+
+
+def _scratch_h0_of_h1_den(ring, i, w, field):
+    # u^i * Ann(t^i), with Ann(t^i) computed over the window one u^i-step down
+    inner = koszul_h1_single(ring, "t", i, Window(w.Dt - i, w.Du - i, w.Mx),
+                             field)
+    den = [shift_reduce(ring, v, 0, i, w, field) for v in inner.basis()]
+    return Subspace.spanned_by(den, field).basis()
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_quotients_match_a_scratch_build(spec):
+    # the right module read off the stage's d1 table, and the left module's
+    # denominator read off its numerator, equal independent builds row for
+    # row
+    field = field_from_spec(spec)
+    for i in (2, 3, 4):
+        right = h1_of_h0(koszul_pair(E2, i, W_PAIR, field), field)
+        num, den = _scratch_h1_of_h0(E2, i, W_PAIR, field)
+        assert right.num.basis() == num
+        assert right.den.basis() == den
+        left = h0_of_h1(E2, i, W_PAIR, field)
+        assert left.den.basis() == _scratch_h0_of_h1_den(E2, i, W_PAIR, field)
+
+
+def test_ses_row_reduces_only_d1_and_the_landing_check(monkeypatch):
+    # with the left module already in the context (as after the pro-zero
+    # search), the row reduces each d1 image once and each left numerator
+    # vector once (lands_in_cycles); the right module reduces nothing
+    ctx = Context()
+    i = 3
+    left = koszul._stage_module(E2, "H0(u;H1(t))", i, W_PAIR, QQ, ctx)
+    k1 = sum(len(window_basis(E2, Window(dt, du, W_PAIR.Mx), ctx=ctx).monos)
+             for dt, du in ((3, 6), (6, 3)))
+    calls = []
+    real = koszul.shift_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(koszul, "shift_reduce", counting)
+    assert ses_row_check(E2, i, W_PAIR, ctx=ctx)
+    assert len(calls) == k1 + left.num.dim
 
 
 def test_ses_rows_exact():
