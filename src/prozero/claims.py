@@ -34,9 +34,10 @@ from functools import partial
 from .fields import QQ
 from .koszul import pro_zero_test, ses_row_check, transition_witness_replay
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
-                     kernel_of, mono_of_index, poly_of_vec, reduce_raw,
-                     shift_reduce, subspace_boundary_touch, system_kernel,
-                     torsion_subspace, vectorize, window_basis)
+                     check_window_budget, kernel_of, mono_of_index,
+                     poly_of_vec, reduce_raw, shift_reduce,
+                     subspace_boundary_touch, system_kernel, torsion_subspace,
+                     vectorize, window_basis)
 from .parser import ParseError, print_element
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, SystemSpec,
                     RingError, alpha_hat, ann_formula, apply_system,
@@ -151,7 +152,8 @@ class _Checks:
 def verify_basis(w, field, ctx):
     mxv = w.Mx
     ck = _Checks()
-    mb = window_basis(R_ONLY, Window(0, 0, mxv), field, ctx)
+    w0 = Window(0, 0, mxv)
+    mb = window_basis(R_ONLY, w0, field, ctx)
     pure_y = tuple(mono_of_index(("y", a)) for a in range(mxv + 1))
     pure_x = tuple(mono_of_index(("x", i)) for i in range(mxv + 1))
     want = tuple(sorted(pure_y + pure_x))
@@ -161,6 +163,7 @@ def verify_basis(w, field, ctx):
               (len(mb.monos), len(want)))
 
     cap2 = 2 * mxv + 2
+    check_window_budget(R_ONLY, w0, cap2, cap2, True)
     ok_pairs = True
     bad = None
     for i in range(mxv + 1):

@@ -324,7 +324,9 @@ def pro_zero_test(ring, system, max_stage, w, field=QQ, ctx=None):
     For n in 2..max_stage-1, try m in n+1..max_stage: the transition
     multiplies representatives by t^(m-n). If some m sends every stage-m
     class to the zero class, record the least such m; otherwise record a
-    replayable nonzero witness for every tested m.
+    replayable nonzero witness for every tested m. A verdict needs one
+    decisive row, one with a zero transition or not window-limited;
+    without one the search is a WindowError.
     """
     if max_stage < 3:
         raise OracleError("pro-zero search needs max_stage >= 3")
@@ -349,6 +351,10 @@ def pro_zero_test(ring, system, max_stage, w, field=QQ, ctx=None):
         if not row.least_zero_m and max_stage - n < 2:
             row.window_limited = True
         rows.append(row)
+    if all(r.window_limited for r in rows):
+        raise WindowError("window-too-small: every pro-zero row is "
+                          "window-limited at --max-stage %d; need >= %d"
+                          % (max_stage, max_stage + 1))
     witnessed = any(not r.least_zero_m and not r.window_limited for r in rows)
     verdict = "NOT-pro-zero-witnessed" if witnessed else "pro-zero-up-to-window"
     return ProZeroReport(ring, system, max_stage, w, rows, verdict)

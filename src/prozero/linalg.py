@@ -28,6 +28,13 @@ class Echelon:
     def pivots(self):
         return set(self.rows)
 
+    def copy(self):
+        """An independent Echelon with the same rows, in the same order."""
+        new = Echelon(self.field)
+        new.rows = {piv: dict(row) for piv, row in self.rows.items()}
+        new._uses = {col: set(pivs) for col, pivs in self._uses.items()}
+        return new
+
     def reduce(self, vec):
         """Normal form of vec modulo the row space. Does not mutate."""
         f = self.field

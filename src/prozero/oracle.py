@@ -12,6 +12,9 @@ slice and each slice span is tiny. With the slice's (dt, du) stripped
 (set to zero), a slice span depends only on which relators divide the
 slice, so one Echelon over stripped monomials is built per relator shape
 and shared, through the run's Context, by every slice of that shape.
+The bidegree-zero relators divide every slice and come first, so a shape
+span is the bidegree-zero span plus the shape's own t/u relators: it is
+built on a copy of the (0, 0) span, which is eliminated once per caps.
 Second, rewriting only moves monomials downward in the canonical order
 (y-exponents and x-indices shrink), so a slice span whose caps cover the
 input also covers everything reduction can produce.
@@ -37,6 +40,10 @@ from dataclasses import dataclass
 from .fields import QQ
 from .linalg import Echelon, Subspace, kernel_basis
 from .rings import GradedPoly, RingError, system_operators
+
+
+# What one window may hold, basis monomials and span rows together.
+WINDOW_BUDGET = 1_000_000
 
 
 class OracleError(ValueError):
@@ -74,11 +81,13 @@ class Context:
 
     `shapes` maps a relator shape (ring, dividing relator tags, ycap,
     xcap, pairs, field name) to the Echelon of its span over stripped
-    monomials; `spans` maps a slice key (ring, dt, du, ycap, xcap, pairs,
-    field name) to the Echelon of its shape, so a repeated slice skips
-    working out its shape. `stages` maps (ring, system kind, stage,
-    window, field name) to a stage module. Cached objects are shared, so
-    no consumer may mutate them. Hashes by identity.
+    monomials: a copy of the bidegree-zero span of the same caps (the
+    (0, 0) shape) plus the shape's own t/u relators. `spans` maps a slice
+    key (ring, dt, du, ycap, xcap, pairs, field name) to the Echelon of
+    its shape, so a repeated slice skips working out its shape. `stages`
+    maps (ring, system kind, stage, window, field name) to a stage module.
+    Cached objects are shared, so no consumer may mutate them; a shape
+    span built on the (0, 0) span mutates a copy. Hashes by identity.
     """
 
     def __init__(self):
@@ -154,29 +163,42 @@ def _x_indices(ring, cap):
     return range(0 if ring.variant == "CTRL" else cap + 1)
 
 
+def _relator_families(ring, dt, du, xtop):
+    """The relators of bidegree dividing (dt, du), family by family.
+
+    Each family is (tag prefix, index range, member): member(l) is the
+    raw vector of the relator tagged prefix + l. xtop caps the generator
+    x-indices. Sizing a family builds nothing, so a window's span rows can
+    be estimated before any span exists.
+    """
+    if ring.variant == "CTRL":   # x^a in the power slot, one relator x*t^2
+        return [("n", range(1 if dt >= 2 else 0),
+                 lambda l: {(2, 0, 0, 1, ()): 1})]
+    fams = [("a", range(xtop + 1),
+             lambda i: {(0, 0, 1, 0, (i - 1,)): 1, (0, 0, 1, 1, (i,)): -1}
+             if i else {(0, 0, 1, 1, (0,)): 1})]
+    if ring.variant == "E1":
+        fams.append(("n", range(min(xtop, dt - ring.m) + 1),
+                     lambda l: {(l + ring.m, 0, 1, 0, (l,)): 1}))
+    elif ring.variant == "E2":
+        fams.append(("n", range(min(xtop, dt - 2) + 1),
+                     lambda l: {(l + 2, 0, 1, 0, (l,)): 1}))
+        fams.append(("np", range(min(xtop, dt) + 1 if du >= 1 else 0),
+                     lambda l: {(l, 1, 1, 0, (l,)): 1}))
+    return fams
+
+
 def _slice_generators(ring, dt, du, xtop):
     """Relator polynomials of bidegree dividing (dt, du), as raw vectors.
 
-    xtop caps the generator x-indices. A tag always names the same
-    relator up to its bidegree, so the tags name a slice's relator shape;
-    they also let tests mutate the presentation through RingId.omit.
+    The bidegree-zero relators a0..a_xtop always come first. A tag always
+    names the same relator up to its bidegree, so the tags name a slice's
+    relator shape; they also let tests mutate the presentation through
+    RingId.omit.
     """
-    if ring.variant == "CTRL":   # x^a in the power slot, one relator x*t^2
-        gens = [("n0", {(2, 0, 0, 1, ()): 1})] if dt >= 2 else []
-    else:
-        gens = [("a0", {(0, 0, 1, 1, (0,)): 1})]
-        for i in range(xtop):
-            gens.append(("a%d" % (i + 1),
-                         {(0, 0, 1, 0, (i,)): 1, (0, 0, 1, 1, (i + 1,)): -1}))
-    if ring.variant == "E1":
-        for l in range(0, min(xtop, dt - ring.m) + 1):
-            gens.append(("n%d" % l, {(l + ring.m, 0, 1, 0, (l,)): 1}))
-    elif ring.variant == "E2":
-        for l in range(0, min(xtop, dt - 2) + 1):
-            gens.append(("n%d" % l, {(l + 2, 0, 1, 0, (l,)): 1}))
-        if du >= 1:
-            for l in range(0, min(xtop, dt) + 1):
-                gens.append(("np%d" % l, {(l, 1, 1, 0, (l,)): 1}))
+    gens = []
+    for prefix, ls, member in _relator_families(ring, dt, du, xtop):
+        gens += [("%s%d" % (prefix, l), member(l)) for l in ls]
     return [(tag, vec) for tag, vec in gens if tag not in ring.omit]
 
 
@@ -188,26 +210,34 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
     multipliers are x-free. With pairs=True multipliers may carry one
     x-factor, so the span also proves where two-x monomials die.
     Built once per context and relator shape; every slice whose dividing
-    relators are the same shares it.
+    relators are the same shares it. A shape that has more relators than
+    the (0, 0) slice starts from a copy of that slice's span, the span of
+    the bidegree-zero relators, and inserts only its own t/u relators.
     """
     ctx = Context.of(ctx)
     key = (ring, dt, du, ycap, xcap, pairs, field.name)
     ech = ctx.spans.get(key)
     if ech is None:
         gens = _slice_generators(ring, dt, du, xcap)
-        shape = (ring, tuple(tag for tag, _ in gens), ycap, xcap, pairs,
-                 field.name)
+        tags = tuple(tag for tag, _ in gens)
+        shape = (ring, tags, ycap, xcap, pairs, field.name)
         ech = ctx.shapes.get(shape)
         if ech is None:
+            zero = tuple(tag for tag, _ in _slice_generators(ring, 0, 0, xcap))
+            start = None
+            if zero and len(zero) < len(tags) and tags[:len(zero)] == zero:
+                start = slice_span(ring, 0, 0, ycap, xcap, pairs, field, ctx)
+                gens = gens[len(zero):]
             ech = ctx.shapes[shape] = _shape_span(ring, gens, ycap, xcap,
-                                                  pairs, field)
+                                                  pairs, field, start)
         ctx.spans[key] = ech
     return ech
 
 
-def _shape_span(ring, gens, ycap, xcap, pairs, field):
-    """Each relator, stripped of its bidegree, times every multiplier."""
-    ech = Echelon(field)
+def _shape_span(ring, gens, ycap, xcap, pairs, field, start=None):
+    """A copy of the start span (or an empty one), plus each relator,
+    stripped of its bidegree, times every multiplier."""
+    ech = Echelon(field) if start is None else start.copy()
     mults = [(0, 0, 0, a, ()) for a in range(ycap + 1)]
     if pairs:
         mults += [(0, 0, 1, a, (k,))
@@ -225,6 +255,31 @@ def _shape_span(ring, gens, ycap, xcap, pairs, field):
             else:
                 ech.insert(row)
     return ech
+
+
+def check_window_budget(ring, w, ycap, xcap, pairs=False):
+    """Refuse, before building anything, a window too large to compute.
+
+    The estimate is the window's ambient basis plus the rows of the shape
+    spans its slices use at these caps. A shape span holds at most its
+    relators times the multipliers: the copied bidegree-zero span plus its
+    own t/u relators. No relator has u-degree above 1, so the slices with
+    du <= 1 show every shape.
+    """
+    basis = (w.Dt + 1) * (w.Du + 1) * (w.Mx + 1 + len(_x_indices(ring, w.Mx)))
+    need = "~%d basis monomials" % basis
+    rows = 0
+    if basis <= WINDOW_BUDGET:
+        mults = (ycap + 1) * (1 + len(_x_indices(ring, xcap)) if pairs else 1)
+        shapes = {tuple(len(ls) for _, ls, _ in
+                        _relator_families(ring, dt, du, xcap))
+                  for dt in range(w.Dt + 1) for du in range(min(w.Du, 1) + 1)}
+        rows = sum(sum(shape) for shape in shapes) * mults
+        need += " and ~%d span rows" % rows
+    if basis + rows > WINDOW_BUDGET:
+        raise WindowError("window-too-large: Dt=%d Du=%d Mx=%d needs %s, "
+                          "over the budget of %d"
+                          % (w.Dt, w.Du, w.Mx, need, WINDOW_BUDGET))
 
 
 def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ, ctx=None):
@@ -268,6 +323,7 @@ def window_basis(ring, w, field=QQ, ctx=None):
     the slice's shape span.
     """
     check_window_ring(ring, w)
+    check_window_budget(ring, w, w.Mx + 2, w.Mx)
     ambient = [(0, 0, 0, a, ()) for a in range(w.Mx + 1)]
     ambient += [(0, 0, 1, 0, (i,)) for i in _x_indices(ring, w.Mx)]
     monos = []
@@ -326,7 +382,6 @@ def mul_map(ring, g, w, field=None, ctx=None):
         gvec = dict(g)
         field = field or QQ
     ctx = Context.of(ctx)
-    domain = window_basis(ring, w, field, ctx)
     g_has_x = any(m[2] for m in gvec)
     g_ymax = max((m[3] for m in gvec), default=0)
     if g_has_x:
@@ -337,6 +392,8 @@ def mul_map(ring, g, w, field=None, ctx=None):
         xcap = w.Mx
         ycap = w.Mx + 2 + g_ymax
         pairs = False
+    check_window_budget(ring, w, ycap, xcap, pairs)
+    domain = window_basis(ring, w, field, ctx)
     one = field.one()
     images = {m: reduce_raw(ring, raw_mul({m: one}, gvec, field),
                             ycap, xcap, pairs, field, ctx)

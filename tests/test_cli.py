@@ -341,6 +341,10 @@ def test_claim_parameter_not_taken_is_usage_error(argv, flag, capsys):
     # images lay outside the target window (exit 0)
     (["prozero", "--ring", "E1", "--system", "H1(t)", "--dt", "3"],
      "stage 4 needs"),
+    # the only row was window-limited: "pro-zero-up-to-window" (exit 0) for
+    # a system the paper proves is not pro-zero
+    (["prozero", "--ring", "E2", "--system", "H0(u;H1(t))", "--max-stage",
+      "3"], "every pro-zero row is window-limited at --max-stage 3"),
 ])
 def test_stage_outside_window_is_window_error(argv, says, capsys):
     assert run_cli(argv) == 65
@@ -377,3 +381,27 @@ def test_flag_the_command_does_not_read_is_usage_error(argv, capsys,
     assert captured.err.startswith("prozero: error: unrecognized arguments: ")
     assert captured.err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, says", [
+    # each built its basis and spans unchecked: the first two ran until
+    # killed at 20 s, the last two for 35 s or more and about 1 GB or more
+    (["kernel", "--ring", "E2", "--mx", "3000", "t"],
+     "Dt=8 Du=8 Mx=3000 needs ~486162 basis monomials and ~153507354 "
+     "span rows"),
+    (["kernel", "--ring", "E2", "--mx", "100000000", "t"],
+     "Dt=8 Du=8 Mx=100000000 needs ~16200000162 basis monomials,"),
+    # two-x spans: multiplying by x0 needs caps 2*Mx + 2
+    (["kernel", "--ring", "E2", "--mx", "30", "x0"], "~4725504 span rows"),
+    (["verify", "C-basis", "--mx", "60"], "~1875996 span rows"),
+])
+def test_window_over_budget_is_window_error(argv, says, capsys):
+    t0 = time.perf_counter()
+    assert run_cli(argv) == 65
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("prozero: window-too-large: ")
+    assert says in captured.err
+    assert captured.err.endswith("over the budget of 1000000\n")
+    assert captured.err.count("\n") == 1

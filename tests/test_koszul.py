@@ -9,9 +9,9 @@ from prozero.linalg import Echelon, Subspace, kernel_basis, rank_of
 from prozero.koszul import (h0_of_h1, h1_of_h0, koszul_h1_single, koszul_pair,
                             pro_zero_test, ses_row_check, transition_witness_replay,
                             transition_zero)
-from prozero.oracle import (Context, OracleError, Window, annihilator_oracle,
-                            poly_of_vec, shift_reduce, vectorize,
-                            window_basis)
+from prozero.oracle import (Context, OracleError, Window, WindowError,
+                            annihilator_oracle, poly_of_vec, shift_reduce,
+                            vectorize, window_basis)
 from prozero.rings import CTRL, E1, E2, GS, GradedPoly, SystemSpec
 
 W_PAIR = Window(6, 6, 10)
@@ -260,6 +260,16 @@ def test_pro_zero_gs_gap_one():
 def test_pro_zero_validates_stage_count():
     with pytest.raises(OracleError):
         pro_zero_test(E2, SystemSpec("H0(u;H1(t))"), 2, W_PAIR)
+
+
+def test_pro_zero_needs_a_decisive_row():
+    # at three stages the one row sees only a gap-1 transition: on E2 it is
+    # window-limited, so no verdict; on GS its zero transition decides
+    with pytest.raises(WindowError, match="window-limited"):
+        pro_zero_test(E2, SystemSpec("H0(u;H1(t))"), 3, Window(5, 5, 12))
+    rep = pro_zero_test(GS, SystemSpec("H1(t)"), 3, Window(5, 0, 12))
+    assert [(r.n, r.least_zero_m) for r in rep.rows] == [(2, 3)]
+    assert rep.verdict == "pro-zero-up-to-window"
 
 
 def test_nwkpr_builds_each_stage_once_per_context(monkeypatch):

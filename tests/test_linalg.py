@@ -140,3 +140,50 @@ def test_rank_of_golden():
     assert rank_of([{}], QQ) == 0
     assert rank_of([{0: one}, {0: two}], QQ) == 1
     assert rank_of([{0: one}, {1: one}, {0: one, 1: one}], QQ) == 2
+
+
+def _copy_is_independent(copy):
+    """Inserting into copy(src) leaves src's rows and column index as they
+    were, and the copy ends as if src had taken the inserts itself."""
+    rng = random.Random(19)
+    keys = list(range(10))
+    src = Echelon(QQ)
+    for _ in range(5):
+        src.insert(_rand_vec(rng, keys, QQ, density=0.4))
+    rows = {p: list(row.items()) for p, row in src.rows.items()}
+    uses = {c: set(pivs) for c, pivs in src._uses.items()}
+    more = [_rand_vec(rng, keys, QQ, density=0.4) for _ in range(4)]
+    dup = copy(src)
+    for v in more:
+        dup.insert(v)
+    replay = Echelon(QQ)
+    for p in rows:
+        replay.insert(dict(rows[p]))
+    for v in more:
+        replay.insert(v)
+    return ({p: list(row.items()) for p, row in src.rows.items()} == rows
+            and src._uses == uses and dup.basis() == replay.basis())
+
+
+def test_copy_is_independent_of_its_source():
+    # shared spans are read-only, so a span built on a copy must not write
+    # through to the span it copied
+    assert _copy_is_independent(Echelon.copy)
+    src = Echelon(QQ)
+    src.insert({0: QQ.one(), 1: QQ.one()})
+    dup = src.copy()
+    assert list(dup.rows) == list(src.rows) and dup.rows == src.rows
+    assert dup._uses == src._uses
+
+
+def test_copy_check_sees_a_shared_source():
+    # the check itself: a "copy" that is the source, or that shares its
+    # row dicts, fails it
+    def shallow(src):
+        dup = Echelon(src.field)
+        dup.rows = dict(src.rows)
+        dup._uses = {c: set(pivs) for c, pivs in src._uses.items()}
+        return dup
+
+    assert not _copy_is_independent(lambda src: src)
+    assert not _copy_is_independent(shallow)

@@ -6,11 +6,12 @@ import pytest
 
 from prozero.fields import QQ, PrimeField
 from prozero.linalg import Echelon
-from prozero.oracle import (Context, Window, WindowError, _slice_generators,
-                            annihilator_oracle, boundary_touch, joint_kernel,
-                            kernel_of, mul_map, poly_of_vec, reduce_raw,
-                            slice_span, system_kernel, torsion_subspace,
-                            vectorize, window_basis)
+from prozero.oracle import (Context, Window, WindowError, _shape_span,
+                            _slice_generators, annihilator_oracle,
+                            boundary_touch, joint_kernel, kernel_of, mul_map,
+                            poly_of_vec, reduce_raw, slice_span,
+                            system_kernel, torsion_subspace, vectorize,
+                            window_basis)
 from prozero.rings import (CTRL, E1, E2, GS, R_ONLY, GradedPoly, RingId,
                            SystemSpec, ann_formula)
 
@@ -102,10 +103,16 @@ def _reference_span(ring, dt, du, ycap, xcap, pairs):
     return ech
 
 
-@pytest.mark.parametrize("ring", [
-    R_ONLY, GS, E1(2), E1(3), E2, CTRL,
-    RingId("E2", 2, frozenset({"n1"}))], ids=lambda r: r.describe()
-    + ("-omit-" + "-".join(sorted(r.omit)) if r.omit else ""))
+SPAN_RINGS = [R_ONLY, GS, E1(2), E1(3), E2, CTRL,
+              RingId("E2", 2, frozenset({"n1"}))]
+
+
+def _ring_id(ring):
+    return ring.describe() + ("-omit-" + "-".join(sorted(ring.omit))
+                              if ring.omit else "")
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=_ring_id)
 @pytest.mark.parametrize("pairs, ycap, xcap", [(False, 6, 4), (True, 8, 8)])
 def test_shared_span_restores_to_the_slice_span(ring, pairs, ycap, xcap):
     # one Echelon per relator shape: restored to its slice's (dt, du), it is
@@ -126,6 +133,60 @@ def test_shared_span_restores_to_the_slice_span(ring, pairs, ycap, xcap):
     firsts = [echs[0] for echs in by_tags.values()]
     assert len({id(e) for e in firsts}) == len(firsts)
     assert len(ctx.shapes) == len(by_tags)
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=_ring_id)
+def test_any_build_order_gives_the_same_spans(ring, monkeypatch):
+    # every slice of both pairs modes, built in a shuffled order in one
+    # context: each shared Echelon is the slice span, with the row and key
+    # order of a build from scratch, and the bidegree-zero relators are
+    # inserted once per caps, into the (0, 0) span that the others copy
+    caps = {False: (6, 4), True: (8, 8)}
+    slices = [(dt, du, pairs) for dt in range(7 if ring.has_t else 1)
+              for du in range(3 if ring.has_u else 1) for pairs in caps]
+    random.Random(47).shuffle(slices)
+    inserted = []
+    real_insert = Echelon.insert
+
+    def spy(self, vec):
+        inserted.append((self, dict(vec)))
+        return real_insert(self, vec)
+
+    def scratch_inserts(gens, pairs):
+        # the insert sequence of a build from scratch, and the build
+        start = len(inserted)
+        ech = _shape_span(ring, gens, *caps[pairs], pairs, QQ)
+        return [vec for _, vec in inserted[start:]], ech
+
+    monkeypatch.setattr(Echelon, "insert", spy)
+    ctx = Context()
+    spans = {(dt, du, pairs): slice_span(ring, dt, du, *caps[pairs], pairs,
+                                         QQ, ctx)
+             for dt, du, pairs in slices}
+    by_echelon = {}
+    for ech, vec in inserted:
+        by_echelon.setdefault(id(ech), []).append(vec)
+    for pairs, (ycap, xcap) in caps.items():
+        zero_seq, _ = scratch_inserts(_slice_generators(ring, 0, 0, xcap),
+                                      pairs)
+        zero = spans[(0, 0, pairs)]
+        assert by_echelon.get(id(zero), []) == zero_seq
+        for (dt, du, p), ech in spans.items():
+            if p != pairs:
+                continue
+            seq, scratch = scratch_inserts(
+                _slice_generators(ring, dt, du, xcap), pairs)
+            assert list(ech.rows) == list(scratch.rows)
+            assert all(list(row) == list(scratch.rows[piv])
+                       for piv, row in ech.rows.items())
+            restored = [{(dt, du) + m[2:]: c for m, c in row.items()}
+                        for row in ech.basis()]
+            ref = _reference_span(ring, dt, du, ycap, xcap, pairs)
+            assert restored == ref.basis()
+            if ech is not zero:
+                assert seq[:len(zero_seq)] == zero_seq
+                assert by_echelon.get(id(ech), []) == seq[len(zero_seq):]
+    assert set(by_echelon) <= {id(ech) for ech in ctx.shapes.values()}
 
 
 def test_vectorize_round_trip():
