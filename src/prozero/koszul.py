@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ
-from .linalg import Subspace, kernel_basis, rank_of
+from .linalg import Subspace, kernel_basis
 from .oracle import (Context, OracleError, Window, WindowError,
                      WindowSubspace, check_window_ring, kernel_of,
                      shift_reduce, window_basis)
@@ -159,11 +159,12 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
                     total[mono] = acc
         if total:
             d_sq_zero = False
-    b_rank = rank_of(boundaries, field)
-    h1_dim = len(cycles) - b_rank
-    h0_dim = len(k0.monos) - rank_of(d1.values(), field)
+    # ranks by rank-nullity: rank d1 = |k1| - |ker d1|, rank d2 = |k2| - |H2|
+    h0_dim = len(k0.monos) - (len(domain) - len(cycles))
     d2 = dict(zip(k2.monos, boundaries))
     h2 = kernel_basis(list(k2.monos), d2.__getitem__, field)
+    b_rank = len(k2.monos) - len(h2)
+    h1_dim = len(cycles) - b_rank
     return KoszulStage(ring, i, w, h0_dim, h1_dim, len(h2), d1, cycles,
                        boundaries, b_rank, d_sq_zero)
 

@@ -14,12 +14,19 @@ from .fields import QQ
 
 
 class Echelon:
-    """Incrementally built reduced row echelon form."""
+    """Incrementally built reduced row echelon form.
+
+    A copy shares its source's row dicts and use sets copy-on-write.
+    """
 
     def __init__(self, field=QQ):
         self.field = field
         self.rows = {}        # pivot column -> row dict, leading coeff 1
         self._uses = {}       # column -> set of pivot columns of rows using it
+        # rows and _uses as they stood at the last copy() this Echelon took
+        # part in: an entry still identical to its value there is shared
+        self._shared_rows = {}
+        self._shared_uses = {}
 
     @property
     def dim(self):
@@ -29,25 +36,43 @@ class Echelon:
         return set(self.rows)
 
     def copy(self):
-        """An independent Echelon with the same rows, in the same order."""
+        """An Echelon with the same rows, in the same order.
+
+        The copy shares every row dict and use set with this Echelon, and
+        both sides mark them shared, so the first write on either side
+        copies what it writes to. Every insert adds a row, so an Echelon
+        with as many rows as its marks has not changed since, and its
+        marks still hold for another copy.
+        """
+        if len(self._shared_rows) != len(self.rows):
+            self._shared_rows = dict(self.rows)
+            self._shared_uses = dict(self._uses)
         new = Echelon(self.field)
-        new.rows = {piv: dict(row) for piv, row in self.rows.items()}
-        new._uses = {col: set(pivs) for col, pivs in self._uses.items()}
+        new.rows = dict(self.rows)
+        new._uses = dict(self._uses)
+        new._shared_rows = self._shared_rows
+        new._shared_uses = self._shared_uses
         return new
 
     def reduce(self, vec):
-        """Normal form of vec modulo the row space. Does not mutate."""
+        """Normal form of vec modulo the row space. Does not mutate.
+
+        No row holds a pivot but its own, so clearing a pivot column
+        never brings another back: one pass over vec's pivot columns, in
+        descending order, does what repeatedly clearing the largest would.
+        """
         f = self.field
+        rows = self.rows
         out = dict(vec)
-        while True:
-            hit = None
-            for col in out:
-                if col in self.rows and (hit is None or col > hit):
-                    hit = col
-            if hit is None:
-                return out
+        hits = []
+        for col in out:
+            if col in rows:
+                hits.append(col)
+        if len(hits) > 1:
+            hits.sort(reverse=True)
+        for hit in hits:
             c = out.pop(hit)
-            for col, rc in self.rows[hit].items():
+            for col, rc in rows[hit].items():
                 if col == hit:
                     continue
                 acc = out.get(col)
@@ -56,6 +81,7 @@ class Echelon:
                     out.pop(col, None)
                 else:
                     out[col] = v
+        return out
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -70,27 +96,47 @@ class Echelon:
         if row[piv] != f.one():
             inv = f.inv(row[piv])
             row = {c: f.mul(inv, v) for c, v in row.items()}
-        # keep the form fully reduced: clear piv from every older row
-        for other_piv in list(self._uses.get(piv, ())):
-            other = self.rows[other_piv]
+        rows, uses = self.rows, self._uses
+        shared_rows, shared_uses = self._shared_rows, self._shared_uses
+        # keep the form fully reduced: clear piv from every older row; a
+        # shared row or use set is replaced, never written to
+        for other_piv in uses.pop(piv, ()):
+            other = rows[other_piv]
+            if other is shared_rows.get(other_piv):
+                other = rows[other_piv] = dict(other)
             c = other.pop(piv)
-            self._uses[piv].discard(other_piv)
             for col, rc in row.items():
                 if col == piv:
                     continue
                 acc = other.get(col)
                 v = f.sub(acc if acc is not None else f.zero(), f.mul(c, rc))
                 if f.is_zero(v):
-                    if col in other:
+                    if acc is not None:
                         del other[col]
-                        self._uses[col].discard(other_piv)
+                        s = uses[col]
+                        if s is shared_uses.get(col):
+                            uses[col] = s - {other_piv}
+                        else:
+                            s.discard(other_piv)
                 else:
-                    if col not in other:
-                        self._uses.setdefault(col, set()).add(other_piv)
+                    if acc is None:
+                        s = uses.get(col)
+                        if s is None:
+                            uses[col] = {other_piv}
+                        elif s is shared_uses.get(col):
+                            uses[col] = s | {other_piv}
+                        else:
+                            s.add(other_piv)
                     other[col] = v
-        self.rows[piv] = row
+        rows[piv] = row
         for col in row:
-            self._uses.setdefault(col, set()).add(piv)
+            s = uses.get(col)
+            if s is None:
+                uses[col] = {piv}
+            elif s is shared_uses.get(col):
+                uses[col] = s | {piv}
+            else:
+                s.add(piv)
         return piv
 
     def basis(self):
@@ -161,10 +207,3 @@ def kernel_basis(domain, image_fn, field=QQ):
         if piv[0] == 0:
             out.append({domain[p]: c for (_, p), c in ech.rows[piv].items()})
     return out
-
-
-def rank_of(vectors, field=QQ):
-    ech = Echelon(field)
-    for v in vectors:
-        ech.insert(v)
-    return ech.dim

@@ -15,6 +15,8 @@ and shared, through the run's Context, by every slice of that shape.
 The bidegree-zero relators divide every slice and come first, so a shape
 span is the bidegree-zero span plus the shape's own t/u relators: it is
 built on a copy of the (0, 0) span, which is eliminated once per caps.
+The copy is copy-on-write (`Echelon.copy`), so a shape holds its own
+dict only for the rows its t/u relators change and shares the rest.
 Second, rewriting only moves monomials downward in the canonical order
 (y-exponents and x-indices shrink), so a slice span whose caps cover the
 input also covers everything reduction can produce.
@@ -81,13 +83,15 @@ class Context:
 
     `shapes` maps a relator shape (ring, dividing relator tags, ycap,
     xcap, pairs, field name) to the Echelon of its span over stripped
-    monomials: a copy of the bidegree-zero span of the same caps (the
-    (0, 0) shape) plus the shape's own t/u relators. `spans` maps a slice
-    key (ring, dt, du, ycap, xcap, pairs, field name) to the Echelon of
-    its shape, so a repeated slice skips working out its shape. `stages`
-    maps (ring, system kind, stage, window, field name) to a stage module.
-    Cached objects are shared, so no consumer may mutate them; a shape
-    span built on the (0, 0) span mutates a copy. Hashes by identity.
+    monomials: the bidegree-zero span of the same caps (the (0, 0) shape)
+    plus the shape's own t/u relators. `spans` maps a slice key (ring,
+    dt, du, ycap, xcap, pairs, field name) to the Echelon of its shape,
+    so a repeated slice skips working out its shape. `stages` maps (ring,
+    system kind, stage, window, field name) to a stage module. Cached
+    objects are shared, so no consumer may mutate them; a shape span
+    starts from a copy-on-write copy of the (0, 0) span, which shares the
+    rows the shape leaves alone and copies those it changes. Hashes by
+    identity.
     """
 
     def __init__(self):
@@ -212,7 +216,8 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
     Built once per context and relator shape; every slice whose dividing
     relators are the same shares it. A shape that has more relators than
     the (0, 0) slice starts from a copy of that slice's span, the span of
-    the bidegree-zero relators, and inserts only its own t/u relators.
+    the bidegree-zero relators, and inserts only its own t/u relators;
+    the copy shares every row those inserts leave unchanged.
     """
     ctx = Context.of(ctx)
     key = (ring, dt, du, ycap, xcap, pairs, field.name)
@@ -235,8 +240,8 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
 
 
 def _shape_span(ring, gens, ycap, xcap, pairs, field, start=None):
-    """A copy of the start span (or an empty one), plus each relator,
-    stripped of its bidegree, times every multiplier."""
+    """A copy-on-write copy of the start span (or an empty span), plus
+    each relator, stripped of its bidegree, times every multiplier."""
     ech = Echelon(field) if start is None else start.copy()
     mults = [(0, 0, 0, a, ()) for a in range(ycap + 1)]
     if pairs:
@@ -257,29 +262,41 @@ def _shape_span(ring, gens, ycap, xcap, pairs, field, start=None):
     return ech
 
 
-def check_window_budget(ring, w, ycap, xcap, pairs=False):
+def check_window_budget(ring, w, ycap, xcap, pairs=False, reach=(0, 0)):
     """Refuse, before building anything, a window too large to compute.
 
     The estimate is the window's ambient basis plus the rows of the shape
-    spans its slices use at these caps. A shape span holds at most its
-    relators times the multipliers: the copied bidegree-zero span plus its
-    own t/u relators. No relator has u-degree above 1, so the slices with
-    du <= 1 show every shape.
+    spans its caller builds: those of the window's own slices at the
+    basis caps (`window_basis`), and those at these caps of every slice
+    up to (Dt, Du) + reach, where a map's images land (`mul_map`, whose
+    images reach past the window by g's degrees). A shape span holds at
+    most its relators times the multipliers: the bidegree-zero relators it
+    shares with the (0, 0) span plus its own t/u relators. No relator has
+    u-degree above 1, so the slices with du <= 1 show every shape.
+    Returns the estimate.
     """
-    basis = (w.Dt + 1) * (w.Du + 1) * (w.Mx + 1 + len(_x_indices(ring, w.Mx)))
+    # per slice y^0..y^Mx and x_0..x_Mx (CTRL: its powers only), counted
+    # without len(range(...)), which overflows on a huge Mx
+    basis = ((w.Dt + 1) * (w.Du + 1) * (w.Mx + 1)
+             * (1 if ring.variant == "CTRL" else 2))
     need = "~%d basis monomials" % basis
     rows = 0
     if basis <= WINDOW_BUDGET:
-        mults = (ycap + 1) * (1 + len(_x_indices(ring, xcap)) if pairs else 1)
-        shapes = {tuple(len(ls) for _, ls, _ in
-                        _relator_families(ring, dt, du, xcap))
-                  for dt in range(w.Dt + 1) for du in range(min(w.Du, 1) + 1)}
-        rows = sum(sum(shape) for shape in shapes) * mults
+        spans = {(yc, xc, pr, tuple(len(ls) for _, ls, _ in
+                                    _relator_families(ring, dt, du, xc)))
+                 for yc, xc, pr, dtop, dutop in (
+                     (w.Mx + 2, w.Mx, False, w.Dt, w.Du),
+                     (ycap, xcap, pairs, w.Dt + reach[0], w.Du + reach[1]))
+                 for dt in range(dtop + 1) for du in range(min(dutop, 1) + 1)}
+        rows = sum(sum(sizes) * (yc + 1)
+                   * (1 + len(_x_indices(ring, xc)) if pr else 1)
+                   for yc, xc, pr, sizes in spans)
         need += " and ~%d span rows" % rows
     if basis + rows > WINDOW_BUDGET:
         raise WindowError("window-too-large: Dt=%d Du=%d Mx=%d needs %s, "
                           "over the budget of %d"
                           % (w.Dt, w.Du, w.Mx, need, WINDOW_BUDGET))
+    return basis + rows
 
 
 def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ, ctx=None):
@@ -392,7 +409,9 @@ def mul_map(ring, g, w, field=None, ctx=None):
         xcap = w.Mx
         ycap = w.Mx + 2 + g_ymax
         pairs = False
-    check_window_budget(ring, w, ycap, xcap, pairs)
+    reach = (max((m[0] for m in gvec), default=0),
+             max((m[1] for m in gvec), default=0))
+    check_window_budget(ring, w, ycap, xcap, pairs, reach)
     domain = window_basis(ring, w, field, ctx)
     one = field.one()
     images = {m: reduce_raw(ring, raw_mul({m: one}, gvec, field),

@@ -357,6 +357,10 @@ class GradedPoly:
         return "<%s: %s>" % (self.ring.describe(), print_element(self))
 
 
+# The largest precision a formal solution is built to.
+MAX_PRECISION = 1000
+
+
 @dataclass(frozen=True)
 class PrecisionElement:
     """A graded polynomial known modulo total degree `precision`."""
@@ -385,6 +389,9 @@ def alpha_hat(ring, n, field=QQ):
         raise RingError("formal solution needs a t-graded ring with x-indices")
     if n < 1:
         raise RingError("precision must be >= 1")
+    if n > MAX_PRECISION:    # the solution has n terms: refuse, do not hang
+        raise RingError("precision must be at most %d, got %d"
+                        % (MAX_PRECISION, n))
     terms = {(i, 0): {("x", i): field.one()} for i in range(n)}
     return PrecisionElement(GradedPoly(ring, terms, field), n)
 

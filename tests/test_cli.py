@@ -383,17 +383,31 @@ def test_flag_the_command_does_not_read_is_usage_error(argv, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("prec", ["1001", str(10 ** 9)])
+def test_precision_over_the_cap_is_usage_error(prec, capsys):
+    # the formal solution has one term per degree below the precision:
+    # 10**9 ran until killed
+    t0 = time.perf_counter()
+    assert run_cli(["verify", "C-approx-fail-E1", "--prec", prec]) == 64
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("prozero: invalid parameter: precision must be "
+                            "at most 1000, got %s\n" % prec)
+    assert run_cli(["verify", "C-gs-demo", "--prec", "1000"]) == 0
+
+
 @pytest.mark.parametrize("argv, says", [
     # each built its basis and spans unchecked: the first two ran until
     # killed at 20 s, the last two for 35 s or more and about 1 GB or more
     (["kernel", "--ring", "E2", "--mx", "3000", "t"],
-     "Dt=8 Du=8 Mx=3000 needs ~486162 basis monomials and ~153507354 "
+     "Dt=8 Du=8 Mx=3000 needs ~486162 basis monomials and ~171609438 "
      "span rows"),
     (["kernel", "--ring", "E2", "--mx", "100000000", "t"],
      "Dt=8 Du=8 Mx=100000000 needs ~16200000162 basis monomials,"),
     # two-x spans: multiplying by x0 needs caps 2*Mx + 2
-    (["kernel", "--ring", "E2", "--mx", "30", "x0"], "~4725504 span rows"),
-    (["verify", "C-basis", "--mx", "60"], "~1875996 span rows"),
+    (["kernel", "--ring", "E2", "--mx", "30", "x0"], "~4746228 span rows"),
+    (["verify", "C-basis", "--mx", "60"], "~1879839 span rows"),
 ])
 def test_window_over_budget_is_window_error(argv, says, capsys):
     t0 = time.perf_counter()

@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
-from prozero.fields import QQ, PrimeField
-from prozero.linalg import Echelon, Subspace, kernel_basis, rank_of
+import pytest
+
+from prozero.fields import QQ, PrimeField, field_from_spec
+from prozero.linalg import Echelon, Subspace, kernel_basis
 
 
 def _rand_vec(rng, keys, field, density=0.6):
@@ -116,7 +118,7 @@ def test_kernel_basis_rank_nullity():
                 return dict(mat[c])
 
             ker = kernel_basis(list(range(cols)), image, field)
-            r = rank_of(list(mat.values()), field)
+            r = Subspace.spanned_by(list(mat.values()), field).dim
             assert len(ker) == cols - r
             for kv in ker:
                 # apply the matrix to the kernel vector by hand
@@ -130,16 +132,20 @@ def test_kernel_basis_rank_nullity():
                         else:
                             out[rk] = acc
                 assert out == {}
-            assert rank_of(ker, field) == len(ker)
+            assert Subspace.spanned_by(ker, field).dim == len(ker)
 
 
 def test_rank_of_golden():
     one = QQ.one()
     two = QQ.from_int(2)
-    assert rank_of([], QQ) == 0
-    assert rank_of([{}], QQ) == 0
-    assert rank_of([{0: one}, {0: two}], QQ) == 1
-    assert rank_of([{0: one}, {1: one}, {0: one, 1: one}], QQ) == 2
+
+    def rank(vectors):
+        return Subspace.spanned_by(vectors, QQ).dim
+
+    assert rank([]) == 0
+    assert rank([{}]) == 0
+    assert rank([{0: one}, {0: two}]) == 1
+    assert rank([{0: one}, {1: one}, {0: one, 1: one}]) == 2
 
 
 def _copy_is_independent(copy):
@@ -187,3 +193,100 @@ def test_copy_check_sees_a_shared_source():
 
     assert not _copy_is_independent(lambda src: src)
     assert not _copy_is_independent(shallow)
+
+
+def _scan_reduce(ech, vec):
+    """Echelon.reduce as it was: clear the largest pivot column left,
+    scanning for it afresh after every step."""
+    f = ech.field
+    out = dict(vec)
+    while True:
+        hit = None
+        for col in out:
+            if col in ech.rows and (hit is None or col > hit):
+                hit = col
+        if hit is None:
+            return out
+        c = out.pop(hit)
+        for col, rc in ech.rows[hit].items():
+            if col == hit:
+                continue
+            acc = out.get(col)
+            v = f.sub(acc if acc is not None else f.zero(), f.mul(c, rc))
+            if f.is_zero(v):
+                out.pop(col, None)
+            else:
+                out[col] = v
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_one_pass_reduce_matches_the_scan(spec):
+    # over q the pivots are not units, so rows and results hold Fractions;
+    # results agree in key order too, so rows and reports do not move
+    field = field_from_spec(spec)
+    rng = random.Random(61)
+    saw_fraction = False
+    for trial in range(40):
+        keys = [(rng.randint(0, 3), rng.randint(0, 9)) for _ in range(14)]
+        ech = Echelon(field)
+        for _ in range(rng.randint(1, 9)):
+            vec = _rand_vec(rng, keys, field, density=0.3)
+            assert list(ech.reduce(vec).items()) == \
+                list(_scan_reduce(ech, vec).items())
+            ech.insert(vec)
+        for _ in range(10):
+            vec = _rand_vec(rng, keys, field, density=rng.random())
+            got = ech.reduce(vec)
+            assert list(got.items()) == list(_scan_reduce(ech, vec).items())
+            assert not set(got) & set(ech.rows)
+            saw_fraction |= any(isinstance(c, Fraction) for c in got.values())
+    assert saw_fraction == (spec == "q")
+
+
+def _state(ech):
+    return ({p: list(row.items()) for p, row in ech.rows.items()},
+            {c: set(pivs) for c, pivs in ech._uses.items()})
+
+
+def test_copies_never_write_through_in_any_direction():
+    # a tree of copies (copies of copies, several copies of one source,
+    # before and after it changes) with inserts into every member, in a
+    # random order: each member ends as a replay of its own inserts, and an
+    # insert changes no other member
+    rng = random.Random(71)
+    keys = list(range(12))
+    for trial in range(30):
+        echs, history = [Echelon(QQ)], [[]]
+        for _ in range(25):
+            k = rng.randrange(len(echs))
+            if rng.random() < 0.3:
+                echs.append(echs[k].copy())
+                history.append(list(history[k]))
+                continue
+            before = [_state(e) for e in echs]
+            vec = _rand_vec(rng, keys, QQ, density=0.3)
+            echs[k].insert(vec)
+            history[k].append(vec)
+            assert all(_state(e) == s for j, (e, s) in
+                       enumerate(zip(echs, before)) if j != k)
+        for ech, vecs in zip(echs, history):
+            replay = Echelon(QQ)
+            for v in vecs:
+                replay.insert(v)
+            assert _state(ech) == _state(replay)
+
+
+def test_inserting_into_the_source_leaves_its_copy_as_it_was():
+    # the reverse of test_copy_is_independent_of_its_source
+    rng = random.Random(23)
+    keys = list(range(10))
+    src = Echelon(QQ)
+    for _ in range(5):
+        src.insert(_rand_vec(rng, keys, QQ, density=0.4))
+    dup = src.copy()
+    assert all(dup.rows[p] is row for p, row in src.rows.items())
+    state = _state(dup)
+    for _ in range(4):
+        src.insert(_rand_vec(rng, keys, QQ, density=0.4))
+    assert _state(dup) == state
+    assert src.dim > dup.dim

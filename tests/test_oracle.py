@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from prozero import oracle
 from prozero.fields import QQ, PrimeField
 from prozero.linalg import Echelon
 from prozero.oracle import (Context, Window, WindowError, _shape_span,
@@ -187,6 +188,53 @@ def test_any_build_order_gives_the_same_spans(ring, monkeypatch):
                 assert seq[:len(zero_seq)] == zero_seq
                 assert by_echelon.get(id(ech), []) == seq[len(zero_seq):]
     assert set(by_echelon) <= {id(ech) for ech in ctx.shapes.values()}
+
+
+def _deep(ech):
+    return ({p: list(row.items()) for p, row in ech.rows.items()},
+            {c: set(pivs) for c, pivs in ech._uses.items()})
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=_ring_id)
+def test_shapes_share_the_rows_they_leave_alone(ring, monkeypatch):
+    # every shape of both pairs modes, built in a shuffled order: no span
+    # changes after its build (the (0, 0) span above all, which every other
+    # shape copies), and each shape holds the (0, 0) span's own row dict
+    # and use set wherever its t/u relators left them unchanged
+    caps = {False: (6, 4), True: (8, 8)}
+    slices = [(dt, du, pairs) for dt in range(7 if ring.has_t else 1)
+              for du in range(3 if ring.has_u else 1) for pairs in caps]
+    random.Random(53).shuffle(slices)
+    at_build = {}
+    real_build = oracle._shape_span
+
+    def recording(*args, **kwargs):
+        ech = real_build(*args, **kwargs)
+        at_build[id(ech)] = _deep(ech)
+        return ech
+
+    monkeypatch.setattr(oracle, "_shape_span", recording)
+    ctx = Context()
+    for dt, du, pairs in slices:
+        slice_span(ring, dt, du, *caps[pairs], pairs, QQ, ctx)
+    assert len(at_build) == len(ctx.shapes)
+    assert all(_deep(ech) == at_build[id(ech)] for ech in ctx.shapes.values())
+    copies = shared = 0
+    for pairs, (ycap, xcap) in caps.items():
+        zero = slice_span(ring, 0, 0, ycap, xcap, pairs, QQ, ctx)
+        for shape, ech in ctx.shapes.items():
+            if shape[4] != pairs or ech is zero or not zero.rows \
+                    or not set(zero.rows) <= set(ech.rows):
+                continue
+            copies += 1
+            for piv, row in zero.rows.items():
+                same = list(ech.rows[piv].items()) == list(row.items())
+                assert (ech.rows[piv] is row) == same
+                shared += same
+            for col, pivs in zero._uses.items():
+                assert (ech._uses[col] is pivs) == (ech._uses[col] == pivs)
+    # R and GS have one shape per caps; CTRL's (0, 0) span is empty
+    assert bool(shared) == bool(copies) == (ring.variant in ("E1", "E2"))
 
 
 def test_vectorize_round_trip():
