@@ -38,6 +38,9 @@ from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, RingError)
 USAGE_EXIT = 64
 WINDOW_EXIT = 65
 
+# The most products per ring, and the most round-trips, one selftest runs.
+MAX_SELFTEST = 100_000
+
 
 class _Cli(argparse.ArgumentParser):
     def error(self, message):
@@ -339,8 +342,10 @@ def _raw_product(ring, p, q, field, ctx=None):
 
 def cmd_selftest(args):
     field = field_from_spec(args.field)
-    if args.count < 0 or args.round_trips < 0:
-        raise ParseError("--count and --round-trips must be >= 0")
+    if not (0 <= args.count <= MAX_SELFTEST
+            and 0 <= args.round_trips <= MAX_SELFTEST):
+        raise ParseError("--count and --round-trips must be from 0 to %d"
+                         % MAX_SELFTEST)
     rng = random.Random(args.seed)
     rings = [R_ONLY, GS, E1(2), E1(3), E2, CTRL]
     ctx = Context()

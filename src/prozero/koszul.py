@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import QQ
-from .linalg import Subspace, kernel_basis
+from .linalg import Echelon, kernel_basis
 from .oracle import (Context, OracleError, Window, WindowError,
                      WindowSubspace, check_window_ring, kernel_of,
                      shift_reduce, window_basis)
@@ -178,7 +178,7 @@ class QuotientSpace:
         self.window = window
         self.field = field
         self.num = num                      # WindowSubspace
-        self.den = Subspace.spanned_by(den_vectors, field)
+        self.den = Echelon.spanned_by(den_vectors, field)
         if not all(num.contains(v) for v in self.den.basis()):
             raise OracleError("denominator escapes numerator")
 
@@ -216,7 +216,7 @@ def h1_of_h0(stage, field):
     t^i (the et-slot d1 images). Denominator: the eu-slot part of the
     stage's boundaries, the image of t^i one u^i-step down.
     """
-    t_image = Subspace.spanned_by(
+    t_image = Echelon.spanned_by(
         (img for (slot, _), img in stage.d1.items() if slot == "et"), field)
     dom = [m for slot, m in stage.d1 if slot == "eu"]
     num_vecs = kernel_basis(
@@ -229,8 +229,8 @@ def h1_of_h0(stage, field):
 
 def _rank_gain(base, extra, field):
     """How far the span of the vectors base grows when extra is added."""
-    span = Subspace.spanned_by(base, field)
-    return sum(span.add(v) is not None for v in extra)
+    span = Echelon.spanned_by(base, field)
+    return sum(span.insert(v) is not None for v in extra)
 
 
 def ses_row_check(ring, i, w, field=QQ, ctx=None):

@@ -2,10 +2,11 @@
 
 Rows and vectors are dicts column-label -> scalar with no stored zeros.
 Column labels can be anything totally ordered (tuples of ints mostly).
-The echelon keeps itself fully reduced, so pivot rows double as a
-canonical rewriting system: reducing any vector yields its unique normal
-form modulo the row space. Pivots are chosen as the maximal column of a
-row, which makes rewriting strictly order-decreasing and hence finite.
+The echelon keeps its rows fully reduced (a layer, its own rows; see
+`Echelon`), so pivot rows double as a canonical rewriting system:
+reducing any vector yields its unique normal form modulo the row space.
+Pivots are chosen as the maximal column of a row, which makes rewriting
+strictly order-decreasing and hence finite.
 """
 
 from __future__ import annotations
@@ -16,72 +17,69 @@ from .fields import QQ
 class Echelon:
     """Incrementally built reduced row echelon form.
 
-    A copy shares its source's row dicts and use sets copy-on-write.
+    `Echelon(field, base)` is a layer on a read-only base Echelon: it
+    spans the base's rows plus its own and never writes to the base. Its
+    own rows are inserted reduced modulo the base, so none holds a base
+    pivot; a base row may hold one of the layer's pivots, so `reduce`
+    clears the base's pivot columns first.
     """
 
-    def __init__(self, field=QQ):
+    def __init__(self, field=QQ, base=None):
         self.field = field
-        self.rows = {}        # pivot column -> row dict, leading coeff 1
-        self._uses = {}       # column -> set of pivot columns of rows using it
-        # rows and _uses as they stood at the last copy() this Echelon took
-        # part in: an entry still identical to its value there is shared
-        self._shared_rows = {}
-        self._shared_uses = {}
+        self.base = base
+        self.rows = {}        # own pivot column -> row dict, leading coeff 1
+        self._uses = {}       # column -> set of own pivots of rows using it
+        # the row dicts of every layer, the bottom base first
+        self._layers = (() if base is None else base._layers) + (self.rows,)
+
+    @classmethod
+    def spanned_by(cls, vectors, field=QQ):
+        ech = cls(field)
+        for v in vectors:
+            ech.insert(v)
+        return ech
 
     @property
     def dim(self):
-        return len(self.rows)
+        return sum(len(rows) for rows in self._layers)
 
     def pivots(self):
-        return set(self.rows)
-
-    def copy(self):
-        """An Echelon with the same rows, in the same order.
-
-        The copy shares every row dict and use set with this Echelon, and
-        both sides mark them shared, so the first write on either side
-        copies what it writes to. Every insert adds a row, so an Echelon
-        with as many rows as its marks has not changed since, and its
-        marks still hold for another copy.
-        """
-        if len(self._shared_rows) != len(self.rows):
-            self._shared_rows = dict(self.rows)
-            self._shared_uses = dict(self._uses)
-        new = Echelon(self.field)
-        new.rows = dict(self.rows)
-        new._uses = dict(self._uses)
-        new._shared_rows = self._shared_rows
-        new._shared_uses = self._shared_uses
-        return new
+        return set().union(*self._layers)
 
     def reduce(self, vec):
-        """Normal form of vec modulo the row space. Does not mutate.
+        """Normal form of vec modulo the row space. Does not mutate."""
+        out = dict(vec)
+        self._clear(out, self._layers)
+        return out
 
-        No row holds a pivot but its own, so clearing a pivot column
-        never brings another back: one pass over vec's pivot columns, in
+    def _clear(self, vec, layers):
+        """Clear vec's pivot columns of each layer in turn, in place.
+
+        No row of a layer holds another of its pivots or a pivot of a
+        layer below, so clearing a column never brings back one already
+        cleared: one pass per layer over vec's pivot columns, in
         descending order, does what repeatedly clearing the largest would.
         """
         f = self.field
-        rows = self.rows
-        out = dict(vec)
-        hits = []
-        for col in out:
-            if col in rows:
-                hits.append(col)
-        if len(hits) > 1:
-            hits.sort(reverse=True)
-        for hit in hits:
-            c = out.pop(hit)
-            for col, rc in rows[hit].items():
-                if col == hit:
-                    continue
-                acc = out.get(col)
-                v = f.sub(acc if acc is not None else f.zero(), f.mul(c, rc))
-                if f.is_zero(v):
-                    out.pop(col, None)
-                else:
-                    out[col] = v
-        return out
+        for rows in layers:
+            hits = []
+            for col in vec:
+                if col in rows:
+                    hits.append(col)
+            if len(hits) > 1:
+                hits.sort(reverse=True)
+            for hit in hits:
+                c = vec.pop(hit)
+                for col, rc in rows[hit].items():
+                    if col == hit:
+                        continue
+                    acc = vec.get(col)
+                    v = f.sub(acc if acc is not None else f.zero(),
+                              f.mul(c, rc))
+                    if f.is_zero(v):
+                        vec.pop(col, None)
+                    else:
+                        vec[col] = v
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -97,13 +95,9 @@ class Echelon:
             inv = f.inv(row[piv])
             row = {c: f.mul(inv, v) for c, v in row.items()}
         rows, uses = self.rows, self._uses
-        shared_rows, shared_uses = self._shared_rows, self._shared_uses
-        # keep the form fully reduced: clear piv from every older row; a
-        # shared row or use set is replaced, never written to
+        # keep the own rows fully reduced: clear piv from every older one
         for other_piv in uses.pop(piv, ()):
             other = rows[other_piv]
-            if other is shared_rows.get(other_piv):
-                other = rows[other_piv] = dict(other)
             c = other.pop(piv)
             for col, rc in row.items():
                 if col == piv:
@@ -113,18 +107,12 @@ class Echelon:
                 if f.is_zero(v):
                     if acc is not None:
                         del other[col]
-                        s = uses[col]
-                        if s is shared_uses.get(col):
-                            uses[col] = s - {other_piv}
-                        else:
-                            s.discard(other_piv)
+                        uses[col].discard(other_piv)
                 else:
                     if acc is None:
                         s = uses.get(col)
                         if s is None:
                             uses[col] = {other_piv}
-                        elif s is shared_uses.get(col):
-                            uses[col] = s | {other_piv}
                         else:
                             s.add(other_piv)
                     other[col] = v
@@ -133,52 +121,29 @@ class Echelon:
             s = uses.get(col)
             if s is None:
                 uses[col] = {piv}
-            elif s is shared_uses.get(col):
-                uses[col] = s | {piv}
             else:
                 s.add(piv)
         return piv
 
     def basis(self):
-        """Canonical basis: pivot rows in descending pivot order."""
-        return [dict(self.rows[p]) for p in sorted(self.rows, reverse=True)]
+        """Canonical basis: fully reduced rows in descending pivot order.
 
-
-class Subspace:
-    """A subspace presented by a fully reduced echelon basis."""
-
-    def __init__(self, field=QQ):
-        self.ech = Echelon(field)
-        self.field = field
-
-    @classmethod
-    def spanned_by(cls, vectors, field=QQ):
-        s = cls(field)
-        for v in vectors:
-            s.ech.insert(v)
-        return s
-
-    @property
-    def dim(self):
-        return self.ech.dim
-
-    def contains(self, vec):
-        return self.ech.contains(vec)
-
-    def reduce(self, vec):
-        return self.ech.reduce(vec)
-
-    def add(self, vec):
-        return self.ech.insert(vec)
-
-    def basis(self):
-        return self.ech.basis()
+        A layer's row is fully reduced once the pivots of the layers above
+        it are cleared from it, which gives e_p - reduce(e_p) at pivot p.
+        """
+        out = {}
+        for k, rows in enumerate(self._layers):
+            for p, row in rows.items():
+                out[p] = row = dict(row)
+                self._clear(row, self._layers[k + 1:])
+        return [out[p] for p in sorted(out, reverse=True)]
 
     def contains_subspace(self, other):
         return all(self.contains(row) for row in other.basis())
 
     def __eq__(self, other):
-        if not isinstance(other, Subspace):
+        """Equal row spaces."""
+        if not isinstance(other, Echelon):
             return NotImplemented
         return self.dim == other.dim and self.contains_subspace(other)
 

@@ -14,9 +14,9 @@ slice, so one Echelon over stripped monomials is built per relator shape
 and shared, through the run's Context, by every slice of that shape.
 The bidegree-zero relators divide every slice and come first, so a shape
 span is the bidegree-zero span plus the shape's own t/u relators: it is
-built on a copy of the (0, 0) span, which is eliminated once per caps.
-The copy is copy-on-write (`Echelon.copy`), so a shape holds its own
-dict only for the rows its t/u relators change and shares the rest.
+a layer (`Echelon(field, base)`) holding only the rows of its t/u
+relators, on the (0, 0) span of the same caps, which is eliminated once
+per caps and never written to again.
 Second, rewriting only moves monomials downward in the canonical order
 (y-exponents and x-indices shrink), so a slice span whose caps cover the
 input also covers everything reduction can produce.
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import Echelon, Subspace, kernel_basis
+from .linalg import Echelon, kernel_basis
 from .rings import GradedPoly, RingError, system_operators
 
 
@@ -88,9 +88,8 @@ class Context:
     dt, du, ycap, xcap, pairs, field name) to the Echelon of its shape,
     so a repeated slice skips working out its shape. `stages` maps (ring,
     system kind, stage, window, field name) to a stage module. Cached
-    objects are shared, so no consumer may mutate them; a shape span
-    starts from a copy-on-write copy of the (0, 0) span, which shares the
-    rows the shape leaves alone and copies those it changes. Hashes by
+    objects are shared, so no consumer may mutate them; a shape span is a
+    layer on the (0, 0) span, which it reads and never writes. Hashes by
     identity.
     """
 
@@ -215,9 +214,9 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
     x-factor, so the span also proves where two-x monomials die.
     Built once per context and relator shape; every slice whose dividing
     relators are the same shares it. A shape that has more relators than
-    the (0, 0) slice starts from a copy of that slice's span, the span of
-    the bidegree-zero relators, and inserts only its own t/u relators;
-    the copy shares every row those inserts leave unchanged.
+    the (0, 0) slice is a layer on that slice's span, the span of the
+    bidegree-zero relators, and holds only the rows of its own t/u
+    relators.
     """
     ctx = Context.of(ctx)
     key = (ring, dt, du, ycap, xcap, pairs, field.name)
@@ -229,20 +228,20 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
         ech = ctx.shapes.get(shape)
         if ech is None:
             zero = tuple(tag for tag, _ in _slice_generators(ring, 0, 0, xcap))
-            start = None
+            base = None
             if zero and len(zero) < len(tags) and tags[:len(zero)] == zero:
-                start = slice_span(ring, 0, 0, ycap, xcap, pairs, field, ctx)
+                base = slice_span(ring, 0, 0, ycap, xcap, pairs, field, ctx)
                 gens = gens[len(zero):]
             ech = ctx.shapes[shape] = _shape_span(ring, gens, ycap, xcap,
-                                                  pairs, field, start)
+                                                  pairs, field, base)
         ctx.spans[key] = ech
     return ech
 
 
-def _shape_span(ring, gens, ycap, xcap, pairs, field, start=None):
-    """A copy-on-write copy of the start span (or an empty span), plus
-    each relator, stripped of its bidegree, times every multiplier."""
-    ech = Echelon(field) if start is None else start.copy()
+def _shape_span(ring, gens, ycap, xcap, pairs, field, base=None):
+    """An Echelon, a layer on base if one is given, of each relator
+    stripped of its bidegree times every multiplier."""
+    ech = Echelon(field, base)
     mults = [(0, 0, 0, a, ()) for a in range(ycap + 1)]
     if pairs:
         mults += [(0, 0, 1, a, (k,))
@@ -431,7 +430,7 @@ class WindowSubspace:
         self.ring = ring
         self.window = window
         self.field = field
-        self.space = Subspace.spanned_by(vectors, field)
+        self.space = Echelon.spanned_by(vectors, field)
 
     @property
     def dim(self):
@@ -524,7 +523,7 @@ def torsion_subspace(ring, w, K=None, field=QQ, ctx=None):
 
 # -- window hygiene -----------------------------------------------------------
 
-def boundary_touch(vec, w, ring=None):
+def boundary_touch(vec, w):
     """True if the vector leans on the coefficient-direction window edge.
 
     Contact at y-exponent (CTRL: x-power) Mx or x-index Mx means enlarging

@@ -219,7 +219,7 @@ def _power(name, e):
     return "%s^%d" % (name, e)
 
 
-def _mono_text(ring, idx, dt, du):
+def _mono_text(idx, dt, du):
     parts = []
     kind, n = idx
     if kind == "y" and n > 0:
@@ -245,7 +245,7 @@ def print_element(p):
         return "0"
     out = []
     for dt, du, idx, c in items:
-        mono = _mono_text(p.ring, idx, dt, du)
+        mono = _mono_text(idx, dt, du)
         cr = field.render(c)
         neg = cr.startswith("-")
         if neg:

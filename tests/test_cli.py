@@ -131,7 +131,10 @@ def test_out_write_failure_is_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("argv", [["--count", "-5"], ["--round-trips", "-1"]])
+@pytest.mark.parametrize("argv", [["--count", "-5"], ["--round-trips", "-1"],
+                                  ["--count", "100001"],
+                                  ["--count", "0", "--round-trips",
+                                   "1000000000000"]])
 def test_selftest_rejects_negative_counts(argv, capsys):
     assert run_cli(["selftest"] + argv) == 64
     captured = capsys.readouterr()

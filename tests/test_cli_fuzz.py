@@ -74,7 +74,7 @@ def _argv(rng):
         if rng.random() < 0.2:
             argv += ["--prec", _int(rng, -1, 6)]
     if cmd == "selftest":
-        # a huge count is work asked for, not an input to refuse
+        # counts over the cap are among the huge values below
         argv += ["--seed", _int(rng, -5, 10 ** 6),
                  "--count", rng.choice(["0", "1", "-1"]),
                  "--round-trips", str(rng.randint(-1, 9))]
@@ -87,8 +87,8 @@ def _argv(rng):
     return argv
 
 
-# huge values: windows the budget refuses (65) and a precision over its
-# cap (64), each before building anything
+# huge values: windows the budget refuses (65), and a precision and
+# selftest counts over their caps (64), each before building anything
 HUGE = [
     (["kernel", "--ring", "E2", "--mx", str(10 ** 9), "t"], 65),
     (["kernel", "--ring", "E1", "--dt", "4000", "--mx", "4002", "t - y"], 65),
@@ -99,6 +99,8 @@ HUGE = [
       "--max-stage", str(10 ** 6)], 65),
     (["kernel", "--ring", "E1", "--mx", str(2 ** 64), "t"], 65),
     (["verify", "C-approx-fail-E2", "--prec", str(10 ** 9)], 64),
+    (["selftest", "--count", "0", "--round-trips", str(10 ** 12)], 64),
+    (["selftest", "--count", str(10 ** 9)], 64),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from prozero import koszul
 from prozero.claims import run_claim
 from prozero.fields import QQ, field_from_spec
-from prozero.linalg import Echelon, Subspace, kernel_basis
+from prozero.linalg import Echelon, kernel_basis
 from prozero.koszul import (h0_of_h1, h1_of_h0, koszul_h1_single, koszul_pair,
                             pro_zero_test, ses_row_check, transition_witness_replay,
                             transition_zero)
@@ -26,7 +26,7 @@ def test_stage_dims_frozen():
     st2 = koszul_pair(E2, 2, W_PAIR)
     assert (st2.h0_dim, st2.h1_dim, st2.h2_dim) == (85, 32, 9)
     assert st2.boundaries_rank == 475
-    assert Subspace.spanned_by(st2.boundaries).dim == 475
+    assert Echelon.spanned_by(st2.boundaries).dim == 475
     assert len(st2.cycles) == 507
     assert st2.d_squared_zero
     st3 = koszul_pair(E2, 3, W_PAIR)
@@ -37,9 +37,9 @@ def test_stage_dims_frozen():
     # the ranks come from rank-nullity; eliminating the images agrees
     k0 = len(window_basis(E2, W_PAIR).monos)
     for st in (st2, st3):
-        assert st.h0_dim == k0 - Subspace.spanned_by(st.d1.values()).dim
+        assert st.h0_dim == k0 - Echelon.spanned_by(st.d1.values()).dim
         assert st.boundaries_rank == \
-            Subspace.spanned_by(st.boundaries).dim
+            Echelon.spanned_by(st.boundaries).dim
 
 
 def test_koszul_pair_reduces_each_differential_once(monkeypatch):
@@ -95,8 +95,8 @@ def _scratch_h1_of_h0(ring, i, w, field):
     num = kernel_basis(list(sub(0, i)),
                        lambda m: t_image.reduce(times(m, 0, i)), field)
     den = [times(m, i, 0) for m in sub(i, i)]
-    return (Subspace.spanned_by(num, field).basis(),
-            Subspace.spanned_by(den, field).basis())
+    return (Echelon.spanned_by(num, field).basis(),
+            Echelon.spanned_by(den, field).basis())
 
 
 def _scratch_h0_of_h1_den(ring, i, w, field):
@@ -104,7 +104,7 @@ def _scratch_h0_of_h1_den(ring, i, w, field):
     inner = koszul_h1_single(ring, "t", i, Window(w.Dt - i, w.Du - i, w.Mx),
                              field)
     den = [shift_reduce(ring, v, 0, i, w, field) for v in inner.basis()]
-    return Subspace.spanned_by(den, field).basis()
+    return Echelon.spanned_by(den, field).basis()
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:32003"])

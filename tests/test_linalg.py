@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from prozero.fields import QQ, PrimeField, field_from_spec
-from prozero.linalg import Echelon, Subspace, kernel_basis
+from prozero.linalg import Echelon, kernel_basis
 
 
 def _rand_vec(rng, keys, field, density=0.6):
@@ -77,13 +77,13 @@ def test_subspace_equality_ignores_spanning_order():
     keys = list(range(10))
     for _ in range(20):
         vecs = [_rand_vec(rng, keys, QQ) for _ in range(5)]
-        a = Subspace.spanned_by(vecs, QQ)
+        a = Echelon.spanned_by(vecs, QQ)
         shuffled = list(vecs)
         rng.shuffle(shuffled)
         # scale each vector: the span must not move
         scaled = [{k: QQ.mul(QQ.from_int(3), c) for k, c in v.items()}
                   for v in shuffled]
-        b = Subspace.spanned_by(scaled, QQ)
+        b = Echelon.spanned_by(scaled, QQ)
         assert a == b
         assert a.contains_subspace(b) and b.contains_subspace(a)
 
@@ -93,7 +93,7 @@ def test_subspace_reduce_canonical():
     rng = random.Random(5)
     keys = list(range(6))
     vecs = [_rand_vec(rng, keys, QQ) for _ in range(3)]
-    sub = Subspace.spanned_by(vecs, QQ)
+    sub = Echelon.spanned_by(vecs, QQ)
     probe = _rand_vec(rng, keys, QQ)
     shifted = dict(probe)
     for v in vecs:
@@ -118,7 +118,7 @@ def test_kernel_basis_rank_nullity():
                 return dict(mat[c])
 
             ker = kernel_basis(list(range(cols)), image, field)
-            r = Subspace.spanned_by(list(mat.values()), field).dim
+            r = Echelon.spanned_by(list(mat.values()), field).dim
             assert len(ker) == cols - r
             for kv in ker:
                 # apply the matrix to the kernel vector by hand
@@ -132,7 +132,7 @@ def test_kernel_basis_rank_nullity():
                         else:
                             out[rk] = acc
                 assert out == {}
-            assert Subspace.spanned_by(ker, field).dim == len(ker)
+            assert Echelon.spanned_by(ker, field).dim == len(ker)
 
 
 def test_rank_of_golden():
@@ -140,59 +140,12 @@ def test_rank_of_golden():
     two = QQ.from_int(2)
 
     def rank(vectors):
-        return Subspace.spanned_by(vectors, QQ).dim
+        return Echelon.spanned_by(vectors, QQ).dim
 
     assert rank([]) == 0
     assert rank([{}]) == 0
     assert rank([{0: one}, {0: two}]) == 1
     assert rank([{0: one}, {1: one}, {0: one, 1: one}]) == 2
-
-
-def _copy_is_independent(copy):
-    """Inserting into copy(src) leaves src's rows and column index as they
-    were, and the copy ends as if src had taken the inserts itself."""
-    rng = random.Random(19)
-    keys = list(range(10))
-    src = Echelon(QQ)
-    for _ in range(5):
-        src.insert(_rand_vec(rng, keys, QQ, density=0.4))
-    rows = {p: list(row.items()) for p, row in src.rows.items()}
-    uses = {c: set(pivs) for c, pivs in src._uses.items()}
-    more = [_rand_vec(rng, keys, QQ, density=0.4) for _ in range(4)]
-    dup = copy(src)
-    for v in more:
-        dup.insert(v)
-    replay = Echelon(QQ)
-    for p in rows:
-        replay.insert(dict(rows[p]))
-    for v in more:
-        replay.insert(v)
-    return ({p: list(row.items()) for p, row in src.rows.items()} == rows
-            and src._uses == uses and dup.basis() == replay.basis())
-
-
-def test_copy_is_independent_of_its_source():
-    # shared spans are read-only, so a span built on a copy must not write
-    # through to the span it copied
-    assert _copy_is_independent(Echelon.copy)
-    src = Echelon(QQ)
-    src.insert({0: QQ.one(), 1: QQ.one()})
-    dup = src.copy()
-    assert list(dup.rows) == list(src.rows) and dup.rows == src.rows
-    assert dup._uses == src._uses
-
-
-def test_copy_check_sees_a_shared_source():
-    # the check itself: a "copy" that is the source, or that shares its
-    # row dicts, fails it
-    def shallow(src):
-        dup = Echelon(src.field)
-        dup.rows = dict(src.rows)
-        dup._uses = {c: set(pivs) for c, pivs in src._uses.items()}
-        return dup
-
-    assert not _copy_is_independent(lambda src: src)
-    assert not _copy_is_independent(shallow)
 
 
 def _scan_reduce(ech, vec):
@@ -243,50 +196,42 @@ def test_one_pass_reduce_matches_the_scan(spec):
     assert saw_fraction == (spec == "q")
 
 
-def _state(ech):
+def _deep(ech):
     return ({p: list(row.items()) for p, row in ech.rows.items()},
             {c: set(pivs) for c, pivs in ech._uses.items()})
 
 
-def test_copies_never_write_through_in_any_direction():
-    # a tree of copies (copies of copies, several copies of one source,
-    # before and after it changes) with inserts into every member, in a
-    # random order: each member ends as a replay of its own inserts, and an
-    # insert changes no other member
-    rng = random.Random(71)
-    keys = list(range(12))
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_layered_echelon_matches_a_flat_build(spec):
+    # two sibling layers on a base and a layer on the first of them, each
+    # against one flat Echelon given the inserts of everything under it and
+    # then its own: the same pivots picked, and the same reduce, pivots,
+    # dim and canonical basis; no layer changes what it is stacked on
+    field = field_from_spec(spec)
+    rng = random.Random(83)
     for trial in range(30):
-        echs, history = [Echelon(QQ)], [[]]
-        for _ in range(25):
-            k = rng.randrange(len(echs))
-            if rng.random() < 0.3:
-                echs.append(echs[k].copy())
-                history.append(list(history[k]))
-                continue
-            before = [_state(e) for e in echs]
-            vec = _rand_vec(rng, keys, QQ, density=0.3)
-            echs[k].insert(vec)
-            history[k].append(vec)
-            assert all(_state(e) == s for j, (e, s) in
-                       enumerate(zip(echs, before)) if j != k)
-        for ech, vecs in zip(echs, history):
-            replay = Echelon(QQ)
-            for v in vecs:
-                replay.insert(v)
-            assert _state(ech) == _state(replay)
-
-
-def test_inserting_into_the_source_leaves_its_copy_as_it_was():
-    # the reverse of test_copy_is_independent_of_its_source
-    rng = random.Random(23)
-    keys = list(range(10))
-    src = Echelon(QQ)
-    for _ in range(5):
-        src.insert(_rand_vec(rng, keys, QQ, density=0.4))
-    dup = src.copy()
-    assert all(dup.rows[p] is row for p, row in src.rows.items())
-    state = _state(dup)
-    for _ in range(4):
-        src.insert(_rand_vec(rng, keys, QQ, density=0.4))
-    assert _state(dup) == state
-    assert src.dim > dup.dim
+        keys = [(rng.randint(0, 3), rng.randint(0, 9)) for _ in range(14)]
+        base_seq = [_rand_vec(rng, keys, field, density=0.3)
+                    for _ in range(rng.randint(0, 8))]
+        base = Echelon.spanned_by(base_seq, field)
+        snapshot = _deep(base)
+        stacks = [(base, base_seq)]
+        for parent in (0, 0, 1):
+            under, seq = stacks[parent]
+            under_snapshot = _deep(under)
+            layer, flat = Echelon(field, under), Echelon.spanned_by(seq, field)
+            own = [_rand_vec(rng, keys, field, density=0.3)
+                   for _ in range(rng.randint(1, 8))]
+            for vec in own:
+                assert layer.insert(vec) == flat.insert(vec)
+            stacks.append((layer, seq + own))
+            assert layer.base is under and _deep(under) == under_snapshot
+            assert layer.pivots() == flat.pivots()
+            assert layer.dim == flat.dim
+            assert layer.basis() == flat.basis()
+            for _ in range(10):
+                vec = _rand_vec(rng, keys, field, density=rng.random())
+                got = layer.reduce(vec)
+                assert got == flat.reduce(vec)
+                assert not set(got) & layer.pivots()
+        assert _deep(base) == snapshot
