@@ -34,7 +34,7 @@ from .fields import QQ
 from .linalg import Echelon, kernel_basis
 from .oracle import (Context, OracleError, Window, WindowError,
                      WindowSubspace, check_window_ring, kernel_of,
-                     shift_reduce, window_basis)
+                     map_images, shift_reduce, window_basis)
 
 
 def _sub_window(w, ddt, ddu=0):
@@ -131,11 +131,12 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
     k1u = window_basis(ring, _sub_window(w, 0, i), field, ctx)
     k0 = window_basis(ring, w, field, ctx)
 
-    domain = [("et", m) for m in k1t.monos] + [("eu", m) for m in k1u.monos]
-    shift = {"et": (i, 0), "eu": (0, i)}
-    d1 = {(s, m): shift_reduce(ring, {m: field.one()}, *shift[s], w, field,
-                               ctx=ctx)
-          for s, m in domain}          # each d1 image is reduced once
+    d1 = {}                            # each d1 image is reduced once
+    for slot, k1, g in (("et", k1t, (i, 0)), ("eu", k1u, (0, i))):
+        images = map_images(ring, k1.monos, {g + (0, 0, ()): field.one()},
+                            w.Mx + 2, w.Mx, False, field, ctx)
+        d1.update(((slot, m), img) for m, img in images.items())
+    domain = list(d1)
     cycles = kernel_basis(domain, d1.__getitem__, field)
 
     def d2_image(m):

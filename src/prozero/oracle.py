@@ -21,6 +21,11 @@ Second, rewriting only moves monomials downward in the canonical order
 (y-exponents and x-indices shrink), so a slice span whose caps cover the
 input also covers everything reduction can produce.
 
+A linear map's images are reduced slice by slice (`map_images`): the
+domain is walked one (dt, du) slice at a time, and each span its images
+land in is looked up once for the slice. `annihilator_oracle` maps only
+the (0, 0) slice, the one it reads.
+
 Raw monomial shape: (dt, du, nx, ypow, xs) with xs a sorted tuple of
 x-indices and nx = len(xs), so plain tuple comparison is the canonical
 term order. Every ring uses this one shape. In CTRL = k[x,t]/(x t^2) the
@@ -38,6 +43,8 @@ module level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .fields import QQ
 from .linalg import Echelon, kernel_basis
@@ -412,11 +419,44 @@ def mul_map(ring, g, w, field=None, ctx=None):
              max((m[1] for m in gvec), default=0))
     check_window_budget(ring, w, ycap, xcap, pairs, reach)
     domain = window_basis(ring, w, field, ctx)
-    one = field.one()
-    images = {m: reduce_raw(ring, raw_mul({m: one}, gvec, field),
-                            ycap, xcap, pairs, field, ctx)
-              for m in domain.monos}
+    images = map_images(ring, domain.monos, gvec, ycap, xcap, pairs, field,
+                        ctx)
     return LinMap(ring, w, domain, images, field)
+
+
+def map_images(ring, monos, gvec, ycap, xcap, pairs=False, field=QQ,
+               ctx=None):
+    """Reduced image of each domain monomial times the raw vector gvec.
+
+    The domain is walked slice by slice, so each span a slice's images
+    land in is looked up once for the slice, not once per monomial; sorted
+    monomials make each slice one run. Within a slice, the terms of g of
+    one bidegree send a monomial to one target slice, where its stripped
+    products are reduced against that slice's span. Returns a dict
+    domain monomial -> reduced raw vector.
+    """
+    one = field.one()
+    by_slice = {}
+    for (dt, du, nx, y, xs), c in gvec.items():
+        c = field.mul(one, c)
+        if not field.is_zero(c):
+            by_slice.setdefault((dt, du), []).append(((0, 0, nx, y, xs), c))
+    gslices = sorted(by_slice.items())
+    images = {}
+    for (dt, du), run in groupby(monos, itemgetter(0, 1)):
+        targets = [(dt + gdt, du + gdu, terms,
+                    slice_span(ring, dt + gdt, du + gdu, ycap, xcap, pairs,
+                               field, ctx))
+                   for (gdt, gdu), terms in gslices]
+        for m in run:
+            stripped = (0, 0) + m[2:]
+            out = {}
+            for tdt, tdu, terms, ech in targets:
+                sub = {mono_mul(stripped, gm): c for gm, c in terms}
+                for (_, _, nx, y, xs), c in ech.reduce(sub).items():
+                    out[(tdt, tdu, nx, y, xs)] = c
+            images[m] = out
+    return images
 
 
 class WindowSubspace:
@@ -494,16 +534,22 @@ def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
     """Windowed annihilator of t^dt u^du inside the coefficient slice.
 
     Domain: the (t, u)-degree-zero part of the window basis. A vector is
-    kept iff its product with the monomial reduces to zero.
+    kept iff its product with the monomial reduces to zero. Only that
+    slice is mapped, at the caps of a whole-window `mul_map`, and the
+    window is refused exactly where that map would refuse it.
     """
     if dt < 0 or du < 0:
         raise OracleError("shift degree must be >= 0, got t^%d u^%d"
                           % (dt, du))
     if dt > w.Dt or du > w.Du:
         raise WindowError("window-too-small: shift degree exceeds window")
-    lm = mul_map(ring, {(dt, du, 0, 0, ()): field.one()}, w, field, ctx)
-    slice0 = [m for m in lm.domain.monos if (m[0], m[1]) == (0, 0)]
-    vecs = kernel_basis(slice0, lambda m: lm.images[m], field)
+    check_window_budget(ring, w, w.Mx + 2, w.Mx, False, (dt, du))
+    check_window_ring(ring, w)
+    ctx = Context.of(ctx)
+    slice0 = window_basis(ring, Window(0, 0, w.Mx), field, ctx).monos
+    images = map_images(ring, slice0, {(dt, du, 0, 0, ()): field.one()},
+                        w.Mx + 2, w.Mx, False, field, ctx)
+    vecs = kernel_basis(list(slice0), images.__getitem__, field)
     return WindowSubspace(ring, w, vecs, field)
 
 

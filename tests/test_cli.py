@@ -411,6 +411,11 @@ def test_precision_over_the_cap_is_usage_error(prec, capsys):
     # two-x spans: multiplying by x0 needs caps 2*Mx + 2
     (["kernel", "--ring", "E2", "--mx", "30", "x0"], "~4746228 span rows"),
     (["verify", "C-basis", "--mx", "60"], "~1879839 span rows"),
+    # annihilator maps only its (0, 0) slice but is refused as a map of
+    # the whole window
+    (["annihilator", "--ring", "E2", "--dt", "1", "--mx", "3000"],
+     "Dt=8 Du=3 Mx=3000 needs ~216072 basis monomials and ~171609438 "
+     "span rows"),
 ])
 def test_window_over_budget_is_window_error(argv, says, capsys):
     t0 = time.perf_counter()

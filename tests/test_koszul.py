@@ -42,23 +42,35 @@ def test_stage_dims_frozen():
             Echelon.spanned_by(st.boundaries).dim
 
 
+def _count_images(monkeypatch):
+    # images koszul reduces: monomials handed to map_images plus
+    # shift_reduce calls
+    reduced = []
+    real_map, real_shift = koszul.map_images, koszul.shift_reduce
+
+    def mapping(ring, monos, *args, **kwargs):
+        reduced.extend(monos)
+        return real_map(ring, monos, *args, **kwargs)
+
+    def shifting(*args, **kwargs):
+        reduced.append(args)
+        return real_shift(*args, **kwargs)
+
+    monkeypatch.setattr(koszul, "map_images", mapping)
+    monkeypatch.setattr(koszul, "shift_reduce", shifting)
+    return reduced
+
+
 def test_koszul_pair_reduces_each_differential_once(monkeypatch):
-    # one shift_reduce per d1 image (domain: the t- and u-slots of k1);
+    # one reduced image per d1 image (domain: the t- and u-slots of k1);
     # k2's window lies inside both k1 windows, so the d2 images, the
     # d^2 = 0 check, the h0 rank and the h2 kernel all reuse them
     ctx = Context()
     sizes = [len(window_basis(E2, Window(dt, du, W_PAIR.Mx), ctx=ctx).monos)
              for dt, du in ((3, 6), (6, 3), (3, 3))]
-    calls = []
-    real = koszul.shift_reduce
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(koszul, "shift_reduce", counting)
+    reduced = _count_images(monkeypatch)
     st = koszul_pair(E2, 3, W_PAIR, ctx=ctx)
-    assert len(calls) == sizes[0] + sizes[1]
+    assert len(reduced) == sizes[0] + sizes[1]
     assert (st.h0_dim, st.h1_dim, st.h2_dim) == (185, 48, 7)
     assert st.d_squared_zero
 
@@ -131,16 +143,9 @@ def test_ses_row_reduces_only_d1_and_the_landing_check(monkeypatch):
     left = koszul._stage_module(E2, "H0(u;H1(t))", i, W_PAIR, QQ, ctx)
     k1 = sum(len(window_basis(E2, Window(dt, du, W_PAIR.Mx), ctx=ctx).monos)
              for dt, du in ((3, 6), (6, 3)))
-    calls = []
-    real = koszul.shift_reduce
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(koszul, "shift_reduce", counting)
+    reduced = _count_images(monkeypatch)
     assert ses_row_check(E2, i, W_PAIR, ctx=ctx)
-    assert len(calls) == k1 + left.num.dim
+    assert len(reduced) == k1 + left.num.dim
 
 
 def test_ses_rows_exact():

@@ -5,14 +5,14 @@ import random
 import pytest
 
 from prozero import oracle
-from prozero.fields import QQ, PrimeField
-from prozero.linalg import Echelon
+from prozero.fields import QQ, PrimeField, field_from_spec
+from prozero.linalg import Echelon, kernel_basis
 from prozero.oracle import (Context, Window, WindowError, _shape_span,
                             _slice_generators, annihilator_oracle,
-                            boundary_touch, joint_kernel, kernel_of, mul_map,
-                            poly_of_vec, reduce_raw, slice_span,
-                            system_kernel, torsion_subspace, vectorize,
-                            window_basis)
+                            boundary_touch, joint_kernel, kernel_of,
+                            map_images, mul_map, poly_of_vec, raw_mul,
+                            reduce_raw, slice_span, system_kernel,
+                            torsion_subspace, vectorize, window_basis)
 from prozero.rings import (CTRL, E1, E2, GS, R_ONLY, GradedPoly, RingId,
                            SystemSpec, ann_formula)
 
@@ -285,6 +285,79 @@ def test_annihilator_matches_formula_everywhere():
                 assert got.dim == len(want)
                 for idx in want:
                     assert got.contains_poly(_gen(ring, idx))
+
+
+ANN_CASES = [
+    (E1(2), Window(6, 0, 8), [(d, 0) for d in range(7)]),
+    (E1(3), Window(6, 0, 8), [(d, 0) for d in range(7)]),
+    (E2, Window(5, 2, 8), [(0, 0), (1, 0), (3, 0), (0, 1), (2, 1), (4, 2)]),
+    (CTRL, Window(6, 0, 8), [(d, 0) for d in range(5)]),
+    (RingId("E1", 2, frozenset({"n0"})), Window(6, 0, 8),
+     [(d, 0) for d in range(5)]),
+]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+@pytest.mark.parametrize("ring, w, shifts", ANN_CASES,
+                         ids=[_ring_id(c[0]) for c in ANN_CASES])
+def test_annihilator_is_the_slice0_kernel_of_a_window_map(ring, w, shifts,
+                                                          spec):
+    # mapping the (0, 0) slice alone gives the kernel of the (0, 0) part
+    # of the whole-window map, basis for basis
+    field = field_from_spec(spec)
+    ctx = Context()
+    for dt, du in shifts:
+        lm = mul_map(ring, {(dt, du, 0, 0, ()): field.one()}, w, field, ctx)
+        slice0 = [m for m in lm.domain.monos if m[:2] == (0, 0)]
+        want = kernel_basis(slice0, lm.images.__getitem__, field)
+        got = annihilator_oracle(ring, dt, du, w, field, ctx)
+        assert got.basis() == Echelon.spanned_by(want, field).basis()
+
+
+@pytest.mark.parametrize("ring, w, shifts", ANN_CASES[2:4],
+                         ids=[_ring_id(c[0]) for c in ANN_CASES[2:4]])
+def test_annihilator_maps_only_the_slice0_basis(ring, w, shifts,
+                                                monkeypatch):
+    # it maps the slice-(0, 0) basis monomials and nothing else, and looks
+    # up only spans that the whole-window map looks up
+    dt, du = shifts[-1]
+    whole = Context()
+    lm = mul_map(ring, {(dt, du, 0, 0, ()): 1}, w, ctx=whole)
+    slice0 = tuple(m for m in lm.domain.monos if m[:2] == (0, 0))
+    mapped = []
+    real = oracle.map_images
+
+    def spy(ring, monos, *args, **kwargs):
+        mapped.append(tuple(monos))
+        return real(ring, monos, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "map_images", spy)
+    ctx = Context()
+    annihilator_oracle(ring, dt, du, w, ctx=ctx)
+    assert mapped == [slice0]
+    assert set(ctx.spans) < set(whole.spans)
+
+
+@pytest.mark.parametrize("ring, g", [
+    (E1(2), {(2, 0, 0, 0, ()): 1}),
+    (E1(2), {(1, 0, 0, 0, ()): 1, (0, 0, 0, 1, ()): -1}),       # t - y
+    (E2, {(0, 1, 1, 0, (2,)): 3, (1, 0, 0, 2, ()): 1, (0, 0, 0, 1, ()): -1}),
+    (CTRL, {(1, 0, 0, 1, ()): 1, (2, 0, 0, 0, ()): 2}),
+])
+def test_map_images_match_reduce_raw(ring, g):
+    # slice-by-slice images equal each monomial's product reduced whole,
+    # in any domain order
+    w = Window(4, 2 if ring.has_u else 0, 6)
+    monos = window_basis(ring, w).monos
+    for ycap, xcap, pairs in ((w.Mx + 4, w.Mx, False),
+                              (2 * w.Mx + 4, 2 * w.Mx + 2, True)):
+        ctx = Context()
+        want = {m: reduce_raw(ring, raw_mul({m: 1}, g), ycap, xcap, pairs,
+                              QQ, ctx)
+                for m in monos}
+        for order in (monos, monos[::-1]):
+            assert map_images(ring, order, g, ycap, xcap, pairs, QQ,
+                              ctx) == want
 
 
 def test_kernel_dims_frozen():
