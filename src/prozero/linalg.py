@@ -7,6 +7,11 @@ The echelon keeps its rows fully reduced (a layer, its own rows; see
 reducing any vector yields its unique normal form modulo the row space.
 Pivots are chosen as the maximal column of a row, which makes rewriting
 strictly order-decreasing and hence finite.
+
+`kernel_basis` eliminates only maps with a multi-term image. When every
+image is one monomial or zero (the Koszul d1 and the t^dt maps), rows
+meet only in a shared target column, so the elimination's RREF is read
+off by grouping the domain by target, with no Echelon.
 """
 
 from __future__ import annotations
@@ -161,14 +166,51 @@ def kernel_basis(domain, image_fn, field=QQ):
     relation among the images, i.e. a kernel vector. Such rows never see
     further image-side elimination (their columns are all below the image
     block), so reading them off at the end is sound.
+
+    When every image has at most one term, a row meets another only in
+    its one target column, so the elimination's RREF is known in closed
+    form: it is read off the targets with no Echelon (`_monomial_kernel`),
+    the same rows, scalars and key order.
     """
+    images = [image_fn(lab) for lab in domain]
+    if all(len(img) <= 1 for img in images):
+        return _monomial_kernel(domain, images, field)
     ech = Echelon(field)
-    for pos, lab in enumerate(domain):
-        row = {(1, col): c for col, c in image_fn(lab).items()}
+    for pos, img in enumerate(images):
+        row = {(1, col): c for col, c in img.items()}
         row[(0, pos)] = field.one()
         ech.insert(row)
     out = []
     for piv in sorted(ech.rows, reverse=True):
         if piv[0] == 0:
             out.append({domain[p]: c for (_, p), c in ech.rows[piv].items()})
+    return out
+
+
+def _monomial_kernel(domain, images, field):
+    """The RREF `kernel_basis`'s elimination gives when no image has two
+    terms.
+
+    Rows then never mix: the first label of each target column, p1 with
+    coefficient c1, takes the pivot there, normalised by inv(c1) unless
+    c1 is one, and each later label p_j of that column reduces to the
+    marker row e_j - c_j inv(c1) e_1; a zero image gives e_j. Those
+    marker pivots are never touched again, so they are the kernel, in
+    descending domain position.
+    """
+    f = field
+    first = {}                 # target column -> (label, inv of its coeff)
+    out = []
+    for lab, img in zip(domain, images):
+        if not img:
+            out.append({lab: f.one()})
+            continue
+        (col, c), = img.items()
+        hit = first.get(col)
+        if hit is None:
+            first[col] = (lab, f.one() if c == f.one() else f.inv(c))
+        else:
+            out.append({lab: f.one(),
+                        hit[0]: f.sub(f.zero(), f.mul(c, hit[1]))})
+    out.reverse()
     return out

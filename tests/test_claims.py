@@ -8,7 +8,7 @@ import re
 import pytest
 
 from prozero import claims
-from prozero.claims import CLAIM_IDS, SCOPE_NOTE, run_all, run_claim, suite_json
+from prozero.claims import CLAIM_IDS, SCOPE_NOTE, run_all, run_claim, suite_doc
 from prozero.oracle import WindowError
 from prozero.parser import ParseError
 from prozero.rings import E1, GS, RingError, RingId
@@ -44,12 +44,36 @@ def test_scope_note_present(suite):
         assert SCOPE_NOTE in r.notes
 
 
+def _suite_json(reports):
+    return json.dumps(suite_doc(reports), sort_keys=True, indent=2)
+
+
 def test_suite_json_deterministic(suite):
-    a = suite_json(suite)
-    b = suite_json(run_all())
+    a = _suite_json(suite)
+    b = _suite_json(run_all())
     assert a == b
     doc = json.loads(a)
     assert len(doc["reports"]) == len(CLAIM_IDS)
+
+
+def test_cli_prints_the_suite_doc(suite, capsys):
+    # `verify all` runs the same run_all and suite_doc as the tests
+    from prozero.cli import main
+    assert main(["verify", "all", "--format", "json"]) == 0
+    assert capsys.readouterr().out == _suite_json(suite) + "\n"
+
+
+def test_xi_witness_computes_each_annihilator_once(monkeypatch):
+    seen = []
+    real = claims.annihilator_oracle
+
+    def spy(ring, dt, du, *args):
+        seen.append((ring, dt, du))
+        return real(ring, dt, du, *args)
+
+    monkeypatch.setattr(claims, "annihilator_oracle", spy)
+    assert run_claim("C-xi-witness").status == "verified"
+    assert seen == [(E1(2), n, 0) for n in range(1, 8)]
 
 
 def test_witness_content(suite):

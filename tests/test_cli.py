@@ -8,6 +8,7 @@ import time
 import jsonschema
 import pytest
 
+import prozero.claims as claims
 import prozero.cli as cli
 from prozero.claims import ClaimReport
 
@@ -143,11 +144,46 @@ def test_selftest_rejects_negative_counts(argv, capsys):
     assert argv[0] in captured.err
 
 
+def _summed_random_poly(rng, ring, field):
+    """The selftest generator as it was: a GradedPoly sum of monomials."""
+    from prozero.rings import GradedPoly
+    terms = GradedPoly.zero(ring, field)
+    for _ in range(rng.randint(1, 4)):
+        c = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        dt = rng.randint(0, 3) if ring.has_t else 0
+        du = rng.randint(0, 2) if ring.has_u else 0
+        if ring.variant == "CTRL":
+            idx = ("x", rng.randint(1, 4)) if rng.random() < 0.7 else ("y", 0)
+        else:
+            idx = (("x", rng.randint(0, 6)) if rng.random() < 0.5
+                   else ("y", rng.randint(0, 3)))
+        terms = terms + GradedPoly.monomial(ring, c, idx, dt, du, field)
+    return terms
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003", "fp:2"])
+def test_random_poly_is_the_summed_generator(spec):
+    # same draws, same element, same rng state after (term order is not
+    # kept, and print_element sorts the terms)
+    import random
+    from prozero.fields import field_from_spec
+    from prozero.rings import CTRL, E1, E2, GS, R_ONLY
+    field = field_from_spec(spec)
+    for seed in range(5):
+        new, old = random.Random(seed), random.Random(seed)
+        for ring in (R_ONLY, GS, E1(2), E1(3), E2, CTRL):
+            for _ in range(300):
+                p = cli._random_poly(new, ring, field)
+                q = _summed_random_poly(old, ring, field)
+                assert p == q
+            assert new.getstate() == old.getstate()
+
+
 def test_verify_falsified_and_inconclusive_codes(monkeypatch, capsys):
     # the status -> exit code mapping, driven through stub reports
     def fake(claim_id, **kw):
         return ClaimReport(claim_id, "E1[m=2]", {}, fake.status, [], [])
-    monkeypatch.setattr(cli, "run_claim", fake)
+    monkeypatch.setattr(claims, "run_claim", fake)
     fake.status = "FALSIFIED"
     assert run_cli(["verify", "C-ann-t"]) == 2
     assert "FALSIFIED" in capsys.readouterr().out

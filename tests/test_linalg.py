@@ -235,3 +235,116 @@ def test_layered_echelon_matches_a_flat_build(spec):
                 assert got == flat.reduce(vec)
                 assert not set(got) & layer.pivots()
         assert _deep(base) == snapshot
+
+
+def _eliminated_kernel(domain, image_fn, field):
+    """kernel_basis's augmented elimination, applied to every map."""
+    ech = Echelon(field)
+    for pos, lab in enumerate(domain):
+        row = {(1, col): c for col, c in image_fn(lab).items()}
+        row[(0, pos)] = field.one()
+        ech.insert(row)
+    return [{domain[p]: c for (_, p), c in ech.rows[piv].items()}
+            for piv in sorted(ech.rows, reverse=True) if piv[0] == 0]
+
+
+def _exact(vectors):
+    """Vectors as lists of (key, scalar, scalar type): equal only if the
+    keys come in the same order and the scalars are the same objects."""
+    return [[(k, c, type(c)) for k, c in v.items()] for v in vectors]
+
+
+def _monomial_map(rng, field, n):
+    """A map on n shuffled labels, each sent to one of a few targets (so
+    targets repeat) with a scalar drawn from -9..9, or to zero. Over q a
+    scalar is sometimes a Fraction with denominator 1, as parsed ones are."""
+    domain = [("lab", k) for k in range(n)]
+    rng.shuffle(domain)
+    targets = [(rng.randint(0, 2), rng.randint(0, 3))
+               for _ in range(rng.randint(1, max(1, n // 2)))]
+    images = {}
+    for lab in domain:
+        c = rng.randint(-9, 9)
+        c = field.from_fraction(c, 1) if rng.random() < 0.3 else \
+            field.from_int(c)
+        images[lab] = ({} if field.is_zero(c) or rng.random() < 0.15
+                       else {rng.choice(targets): c})
+    return domain, images
+
+
+def _count_echelons(monkeypatch):
+    built = []
+    init = Echelon.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Echelon, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003", "fp:2"])
+def test_monomial_kernel_is_the_eliminated_kernel(spec, monkeypatch):
+    # images of at most one term: the kernel is read off the targets with
+    # no Echelon, and equals the elimination's RREF in rows, key order
+    # and scalar types (Fractions over q, where first coefficients other
+    # than +-1 are inverted)
+    field = field_from_spec(spec)
+    rng = random.Random(97)
+    built = _count_echelons(monkeypatch)
+    saw = {"zero": False, "repeat": False, "non_unit_first": spec == "fp:2"}
+    for trial in range(60):
+        domain, images = _monomial_map(rng, field, rng.randint(0, 24))
+        firsts = {}
+        for lab in domain:
+            for col, c in images[lab].items():
+                saw["repeat"] |= col in firsts
+                firsts.setdefault(col, c)
+            saw["zero"] |= not images[lab]
+        saw["non_unit_first"] |= any(c not in (field.one(), field.neg(1))
+                                     for c in firsts.values())
+        want = _eliminated_kernel(domain, images.__getitem__, field)
+        before = len(built)
+        got = kernel_basis(domain, images.__getitem__, field)
+        assert len(built) == before
+        assert _exact(got) == _exact(want)
+    assert all(saw.values()), saw
+
+
+def test_a_multi_term_image_keeps_the_elimination(monkeypatch):
+    rng = random.Random(5)
+    domain, images = _monomial_map(rng, QQ, 16)
+    images[domain[7]] = {(9, 0): QQ.from_int(2), (9, 1): QQ.from_int(3)}
+    want = _eliminated_kernel(domain, images.__getitem__, QQ)
+    built = _count_echelons(monkeypatch)
+    got = kernel_basis(domain, images.__getitem__, QQ)
+    assert len(built) == 1
+    assert _exact(got) == _exact(want)
+
+
+def test_koszul_cycle_kernel_builds_no_echelon(monkeypatch):
+    # d1 sends each k1 generator to one monomial or to zero, so its cycle
+    # kernel is read off the targets; the h2 kernel (two-term d2 images)
+    # still eliminates
+    from prozero import koszul
+    from prozero.oracle import Context, Window
+    from prozero.rings import E2
+
+    built = _count_echelons(monkeypatch)
+    calls = []
+
+    def spy(domain, image_fn, field):
+        before = len(built)
+        out = kernel_basis(domain, image_fn, field)
+        calls.append((domain, len(built) - before, out))
+        return out
+
+    monkeypatch.setattr(koszul, "kernel_basis", spy)
+    stage = koszul.koszul_pair(E2, 2, Window(6, 6, 10), QQ, Context())
+    (d1_domain, d1_built, cycles), (_, h2_built, _) = calls
+    assert d1_domain == list(stage.d1)
+    assert all(len(img) <= 1 for img in stage.d1.values())
+    assert cycles == stage.cycles and cycles
+    assert d1_built == 0
+    assert h2_built == 1
