@@ -512,15 +512,12 @@ def verify_xi_witnesses(w, field, ctx):
     ck = _Checks()
     wit = []
     dims = []
-    ann_n1 = None
     for n in range(1, n_max + 1):
         xi = {mono_of_index(("x", n - 1)): field.one()}
         alive = shift_reduce(ring, xi, n, 0, w, field, ctx=ctx)
         dead = shift_reduce(ring, xi, n + 1, 0, w, field, ctx=ctx)
         red_ok = bool(alive) and not dead
-        # Ann(t^n) is the previous step's Ann(t^(n+1))
-        ann_n = (annihilator_oracle(ring, n, 0, w, field, ctx)
-                 if ann_n1 is None else ann_n1)
+        ann_n = annihilator_oracle(ring, n, 0, w, field, ctx)
         ann_n1 = annihilator_oracle(ring, n + 1, 0, w, field, ctx)
         orc_ok = (not ann_n.contains(xi)) and ann_n1.contains(xi)
         ck.expect(red_ok and orc_ok,

@@ -9,14 +9,17 @@ linear algebra against that relation span.
 Two structural facts keep this fast. First, every relator row is
 homogeneous in (t, u)-bidegree, so the relation span decomposes slice by
 slice and each slice span is tiny. With the slice's (dt, du) stripped
-(set to zero), a slice span depends only on which relators divide the
-slice, so one Echelon over stripped monomials is built per relator shape
-and shared, through the run's Context, by every slice of that shape.
-The bidegree-zero relators divide every slice and come first, so a shape
-span is the bidegree-zero span plus the shape's own t/u relators: it is
-a layer (`Echelon(field, base)`) holding only the rows of its t/u
-relators, on the (0, 0) span of the same caps, which is eliminated once
-per caps and never written to again.
+(set to zero), a slice span depends only on the stripped relator rows
+that divide the slice and on the caps: every t/u relator strips to a
+bare x_l (CTRL's to its power x), whichever ring and tag it came from.
+So there is one span per distinct set of stripped relator rows and
+caps, shared across the slices and rings of one run through its
+Context; a row stripped twice (E2's n_l and np_l) is inserted once. The
+bidegree-zero rows divide every slice and come first, so a shape span is
+the bidegree-zero span plus its own t/u rows: it is a layer
+(`Echelon(field, base)`) holding only those rows, on the (0, 0) span of
+the same caps, which is eliminated once per caps and never written to
+again.
 Second, rewriting only moves monomials downward in the canonical order
 (y-exponents and x-indices shrink), so a slice span whose caps cover the
 input also covers everything reduction can produce.
@@ -36,8 +39,8 @@ products and reductions need no CTRL case.
 Every function that reaches `slice_span` takes a trailing `ctx`, the
 Context of the run. Leaving it out (ctx=None) gives the call a fresh
 context of its own; passing one context to many calls lets them share
-slice spans (and, in `koszul`, stage modules). Nothing is cached at
-module level.
+slice spans and annihilators (and, in `koszul`, stage modules). Nothing
+is cached at module level.
 """
 
 from __future__ import annotations
@@ -86,23 +89,28 @@ class Window:
 
 
 class Context:
-    """The caches of one run: slice spans and Koszul stage modules.
+    """The caches of one run: slice spans, annihilators and Koszul stage
+    modules.
 
-    `shapes` maps a relator shape (ring, dividing relator tags, ycap,
-    xcap, pairs, field name) to the Echelon of its span over stripped
-    monomials: the bidegree-zero span of the same caps (the (0, 0) shape)
-    plus the shape's own t/u relators. `spans` maps a slice key (ring,
-    dt, du, ycap, xcap, pairs, field name) to the Echelon of its shape,
-    so a repeated slice skips working out its shape. `stages` maps (ring,
-    system kind, stage, window, field name) to a stage module. Cached
-    objects are shared, so no consumer may mutate them; a shape span is a
-    layer on the (0, 0) span, which it reads and never writes. Hashes by
-    identity.
+    `shapes` maps a shape key (x-multiplier range, bidegree-zero rows or
+    the layer's base, t/u rows, ycap, xcap, pairs, field name) to the
+    Echelon of its span over stripped monomials: one span per distinct
+    set of stripped relator rows and caps, shared across the slices and
+    rings of one run. A key holds no ring, so rings whose slices strip to
+    the same rows share one Echelon. `spans` maps a slice key (ring, dt, du, ycap, xcap, pairs,
+    field name) to the Echelon of its shape, so a repeated slice skips
+    working out its rows. `annihilators` maps (ring, dt, du, window, field
+    name) to the WindowSubspace of `annihilator_oracle`. `stages` maps
+    (ring, system kind, stage, window, field name) to a stage module.
+    Cached objects are shared, so no consumer may mutate them; a shape
+    span is a layer on the (0, 0) span, which it reads and never writes.
+    Hashes by identity.
     """
 
     def __init__(self):
         self.shapes = {}
         self.spans = {}
+        self.annihilators = {}
         self.stages = {}
 
     @staticmethod
@@ -201,15 +209,26 @@ def _relator_families(ring, dt, du, xtop):
 def _slice_generators(ring, dt, du, xtop):
     """Relator polynomials of bidegree dividing (dt, du), as raw vectors.
 
-    The bidegree-zero relators a0..a_xtop always come first. A tag always
-    names the same relator up to its bidegree, so the tags name a slice's
-    relator shape; they also let tests mutate the presentation through
-    RingId.omit.
+    The bidegree-zero relators a0..a_xtop always come first. The tags let
+    tests mutate the presentation through RingId.omit.
     """
     gens = []
     for prefix, ls, member in _relator_families(ring, dt, du, xtop):
         gens += [("%s%d" % (prefix, l), member(l)) for l in ls]
     return [(tag, vec) for tag, vec in gens if tag not in ring.omit]
+
+
+def _stripped_rows(ring, dt, du, xcap):
+    """The slice's relators with its (dt, du) stripped, each row a tuple
+    of (monomial, coefficient) pairs, as (bidegree-zero rows, the slice's
+    own t/u rows). A repeated row is dropped and its first occurrence
+    kept, in generation order."""
+    rows = {}
+    for _, vec in _slice_generators(ring, dt, du, xcap):
+        rows.setdefault(tuple(((0, 0) + m[2:], c) for m, c in vec.items()),
+                        next(iter(vec))[:2] == (0, 0))
+    return (tuple(row for row, zero in rows.items() if zero),
+            tuple(row for row, zero in rows.items() if not zero))
 
 
 def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
@@ -219,52 +238,53 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
     With pairs=False the ambient carries at most one x-factor and relator
     multipliers are x-free. With pairs=True multipliers may carry one
     x-factor, so the span also proves where two-x monomials die.
-    Built once per context and relator shape; every slice whose dividing
-    relators are the same shares it. A shape that has more relators than
-    the (0, 0) slice is a layer on that slice's span, the span of the
-    bidegree-zero relators, and holds only the rows of its own t/u
-    relators.
+    One span per distinct set of stripped relator rows and caps, shared
+    across the slices and rings of one run: the shape key holds the rows,
+    the x-multiplier range, the caps, pairs and the field, and no ring, so
+    the same rows are inserted in the same order whichever slice builds
+    it. A slice with both bidegree-zero and t/u rows is a layer on the
+    (0, 0) span of the same caps, the span of its bidegree-zero rows, and
+    holds only its t/u rows; its key names that base by identity in place
+    of the base's rows (the base lives in the context as long as the key).
     """
     ctx = Context.of(ctx)
     key = (ring, dt, du, ycap, xcap, pairs, field.name)
     ech = ctx.spans.get(key)
     if ech is None:
-        gens = _slice_generators(ring, dt, du, xcap)
-        tags = tuple(tag for tag, _ in gens)
-        shape = (ring, tags, ycap, xcap, pairs, field.name)
+        xs = _x_indices(ring, xcap)
+        zero, own = _stripped_rows(ring, dt, du, xcap)
+        base = None
+        if zero and own:
+            base = slice_span(ring, 0, 0, ycap, xcap, pairs, field, ctx)
+            zero = id(base)     # the base's rows, named by the base
+        shape = (xs, zero, own, ycap, xcap, pairs, field.name)
         ech = ctx.shapes.get(shape)
         if ech is None:
-            zero = tuple(tag for tag, _ in _slice_generators(ring, 0, 0, xcap))
-            base = None
-            if zero and len(zero) < len(tags) and tags[:len(zero)] == zero:
-                base = slice_span(ring, 0, 0, ycap, xcap, pairs, field, ctx)
-                gens = gens[len(zero):]
-            ech = ctx.shapes[shape] = _shape_span(ring, gens, ycap, xcap,
+            rows = own if base is not None else zero + own
+            ech = ctx.shapes[shape] = _shape_span(rows, xs, ycap, xcap,
                                                   pairs, field, base)
         ctx.spans[key] = ech
     return ech
 
 
-def _shape_span(ring, gens, ycap, xcap, pairs, field, base=None):
-    """An Echelon, a layer on base if one is given, of each relator
-    stripped of its bidegree times every multiplier."""
+def _shape_span(rows, xs, ycap, xcap, pairs, field, base=None):
+    """An Echelon, a layer on base if one is given, of each stripped row
+    times every multiplier; xs is the range of multiplier x-indices."""
     ech = Echelon(field, base)
     mults = [(0, 0, 0, a, ()) for a in range(ycap + 1)]
     if pairs:
-        mults += [(0, 0, 1, a, (k,))
-                  for a in range(ycap + 1) for k in _x_indices(ring, xcap)]
-    for _, gvec in gens:
-        stripped = [((0, 0) + gm[2:], field.from_int(c))
-                    for gm, c in gvec.items()]
+        mults += [(0, 0, 1, a, (k,)) for a in range(ycap + 1) for k in xs]
+    for row in rows:
+        terms = [(gm, field.from_int(c)) for gm, c in row]
         for m in mults:
-            row = {}
-            for gm, c in stripped:
+            vec = {}
+            for gm, c in terms:
                 p = mono_mul(gm, m)
                 if p[3] > ycap or (p[4] and p[4][-1] > xcap):
                     break
-                row[p] = c
+                vec[p] = c
             else:
-                ech.insert(row)
+                ech.insert(vec)
     return ech
 
 
@@ -536,7 +556,9 @@ def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
     Domain: the (t, u)-degree-zero part of the window basis. A vector is
     kept iff its product with the monomial reduces to zero. Only that
     slice is mapped, at the caps of a whole-window `mul_map`, and the
-    window is refused exactly where that map would refuse it.
+    window is refused exactly where that map would refuse it. Computed
+    once per context; the subspace is shared, so callers must not mutate
+    it.
     """
     if dt < 0 or du < 0:
         raise OracleError("shift degree must be >= 0, got t^%d u^%d"
@@ -546,11 +568,15 @@ def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
     check_window_budget(ring, w, w.Mx + 2, w.Mx, False, (dt, du))
     check_window_ring(ring, w)
     ctx = Context.of(ctx)
-    slice0 = window_basis(ring, Window(0, 0, w.Mx), field, ctx).monos
-    images = map_images(ring, slice0, {(dt, du, 0, 0, ()): field.one()},
-                        w.Mx + 2, w.Mx, False, field, ctx)
-    vecs = kernel_basis(list(slice0), images.__getitem__, field)
-    return WindowSubspace(ring, w, vecs, field)
+    key = (ring, dt, du, w, field.name)
+    ann = ctx.annihilators.get(key)
+    if ann is None:
+        slice0 = window_basis(ring, Window(0, 0, w.Mx), field, ctx).monos
+        images = map_images(ring, slice0, {(dt, du, 0, 0, ()): field.one()},
+                            w.Mx + 2, w.Mx, False, field, ctx)
+        vecs = kernel_basis(list(slice0), images.__getitem__, field)
+        ann = ctx.annihilators[key] = WindowSubspace(ring, w, vecs, field)
+    return ann
 
 
 def torsion_subspace(ring, w, K=None, field=QQ, ctx=None):

@@ -4,12 +4,13 @@ import ast
 import json
 import pathlib
 import re
+import sys
 
 import pytest
 
-from prozero import claims
+from prozero import claims, oracle
 from prozero.claims import CLAIM_IDS, SCOPE_NOTE, run_all, run_claim, suite_doc
-from prozero.oracle import WindowError
+from prozero.oracle import Context, WindowError
 from prozero.parser import ParseError
 from prozero.rings import E1, GS, RingError, RingId
 
@@ -63,17 +64,54 @@ def test_cli_prints_the_suite_doc(suite, capsys):
     assert capsys.readouterr().out == _suite_json(suite) + "\n"
 
 
+def _count_annihilator_work(monkeypatch):
+    """Record each annihilator_oracle call the claims make, and each
+    annihilator the oracle computes (a kernel_basis call made from it)."""
+    calls, computed = [], []
+    real_ann, real_kernel = claims.annihilator_oracle, oracle.kernel_basis
+
+    def ann_spy(ring, dt, du, w, field, ctx):
+        calls.append((ring, dt, du, w, field.name))
+        return real_ann(ring, dt, du, w, field, ctx)
+
+    def kernel_spy(*args):
+        if sys._getframe(1).f_code is real_ann.__code__:
+            computed.append(calls[-1])
+        return real_kernel(*args)
+
+    monkeypatch.setattr(claims, "annihilator_oracle", ann_spy)
+    monkeypatch.setattr(oracle, "kernel_basis", kernel_spy)
+    return calls, computed
+
+
 def test_xi_witness_computes_each_annihilator_once(monkeypatch):
-    seen = []
-    real = claims.annihilator_oracle
-
-    def spy(ring, dt, du, *args):
-        seen.append((ring, dt, du))
-        return real(ring, dt, du, *args)
-
-    monkeypatch.setattr(claims, "annihilator_oracle", spy)
+    _, computed = _count_annihilator_work(monkeypatch)
     assert run_claim("C-xi-witness").status == "verified"
-    assert seen == [(E1(2), n, 0) for n in range(1, 8)]
+    assert [key[:3] for key in computed] == [(E1(2), n, 0)
+                                             for n in range(1, 8)]
+
+
+def test_verify_all_computes_each_annihilator_once(suite, monkeypatch):
+    # the run's Context hands a repeated annihilator back, so C-remark-wpr
+    # reuses C-ann-t's chain and C-ann-t its own Ann(t^3)
+    calls, computed = _count_annihilator_work(monkeypatch)
+    ctx = Context()
+    reports = run_all(ctx=ctx)
+    assert _suite_json(reports) == _suite_json(suite)
+    assert len(computed) == len(set(calls)) == len(ctx.annihilators) == 57
+    assert len(calls) > len(computed)
+    assert sorted(map(repr, computed)) == sorted(map(repr, set(calls)))
+
+
+def test_mutation_does_not_leak_through_a_shared_context():
+    # the mutated ring's spans and annihilators are its own: a verdict
+    # before and after it in the same context is unchanged
+    ctx = Context()
+    assert run_claim("C-ann-t", ctx=ctx, ring=E1(2)).status == "verified"
+    rep = run_claim("C-ann-t", ctx=ctx, ring=MUTATED)
+    assert rep.status == "FALSIFIED"
+    assert any(w.startswith("COUNTER:") for w in rep.witnesses)
+    assert run_claim("C-ann-t", ctx=ctx, ring=E1(2)).status == "verified"
 
 
 def test_witness_content(suite):

@@ -72,9 +72,15 @@ def test_reduce_raw_idempotent_and_linear():
         assert red(red(raw)) == red(raw)
 
 
-def _dividing_tags(ring, dt, du, xcap):
-    return tuple(tag for tag, vec in _slice_generators(ring, dt, du, xcap)
-                 if all(m[0] <= dt and m[1] <= du for m in vec))
+def _dividing_rows(ring, dt, du, xcap):
+    """The relators dividing (dt, du) with their bidegree zeroed, in
+    generation order, each repeated row kept once."""
+    rows = []
+    for _, vec in _slice_generators(ring, dt, du, xcap):
+        row = tuple(((0, 0) + m[2:], c) for m, c in vec.items())
+        if all(m[0] <= dt and m[1] <= du for m in vec) and row not in rows:
+            rows.append(row)
+    return tuple(rows)
 
 
 def _reference_span(ring, dt, du, ycap, xcap, pairs):
@@ -116,11 +122,11 @@ def _ring_id(ring):
 @pytest.mark.parametrize("ring", SPAN_RINGS, ids=_ring_id)
 @pytest.mark.parametrize("pairs, ycap, xcap", [(False, 6, 4), (True, 8, 8)])
 def test_shared_span_restores_to_the_slice_span(ring, pairs, ycap, xcap):
-    # one Echelon per relator shape: restored to its slice's (dt, du), it is
-    # the span built at that slice, row for row; slices share an Echelon
-    # exactly when the same relators divide them
+    # restored to its slice's (dt, du), each shared Echelon is the span
+    # built at that slice, row for row; slices share an Echelon exactly
+    # when their deduplicated stripped rows and caps are equal
     ctx = Context()
-    by_tags = {}
+    by_rows = {}
     for dt in range(7 if ring.has_t else 1):
         for du in range(3 if ring.has_u else 1):
             ech = slice_span(ring, dt, du, ycap, xcap, pairs, QQ, ctx)
@@ -128,12 +134,12 @@ def test_shared_span_restores_to_the_slice_span(ring, pairs, ycap, xcap):
                         for row in ech.basis()]
             ref = _reference_span(ring, dt, du, ycap, xcap, pairs)
             assert restored == ref.basis()
-            by_tags.setdefault(_dividing_tags(ring, dt, du, xcap),
+            by_rows.setdefault(_dividing_rows(ring, dt, du, xcap),
                                []).append(ech)
-    assert all(e is echs[0] for echs in by_tags.values() for e in echs)
-    firsts = [echs[0] for echs in by_tags.values()]
+    assert all(e is echs[0] for echs in by_rows.values() for e in echs)
+    firsts = [echs[0] for echs in by_rows.values()]
     assert len({id(e) for e in firsts}) == len(firsts)
-    assert len(ctx.shapes) == len(by_tags)
+    assert len(ctx.shapes) == len(by_rows)
 
 
 @pytest.mark.parametrize("ring", SPAN_RINGS, ids=_ring_id)
@@ -141,8 +147,8 @@ def test_any_build_order_gives_the_same_spans(ring, monkeypatch):
     # every slice of both pairs modes, built in a shuffled order in one
     # context: each shared Echelon has the pivots and canonical basis of a
     # build from scratch, the bidegree-zero relators are inserted once per
-    # caps, into the (0, 0) span, and every other shape inserts only its
-    # own t/u relators
+    # caps, into the (0, 0) span, and a layer inserts its own deduplicated
+    # rows
     caps = {False: (6, 4), True: (8, 8)}
     slices = [(dt, du, pairs) for dt in range(7 if ring.has_t else 1)
               for du in range(3 if ring.has_u else 1) for pairs in caps]
@@ -154,10 +160,13 @@ def test_any_build_order_gives_the_same_spans(ring, monkeypatch):
         inserted.append((self, dict(vec)))
         return real_insert(self, vec)
 
-    def scratch_inserts(gens, pairs):
+    def scratch_inserts(dt, du, pairs):
         # the insert sequence of a build from scratch, and the build
+        ycap, xcap = caps[pairs]
+        xs = [] if ring.variant == "CTRL" else range(xcap + 1)
         start = len(inserted)
-        ech = _shape_span(ring, gens, *caps[pairs], pairs, QQ)
+        ech = _shape_span(_dividing_rows(ring, dt, du, xcap), xs, ycap, xcap,
+                          pairs, QQ)
         return [vec for _, vec in inserted[start:]], ech
 
     monkeypatch.setattr(Echelon, "insert", spy)
@@ -169,15 +178,13 @@ def test_any_build_order_gives_the_same_spans(ring, monkeypatch):
     for ech, vec in inserted:
         by_echelon.setdefault(id(ech), []).append(vec)
     for pairs, (ycap, xcap) in caps.items():
-        zero_seq, _ = scratch_inserts(_slice_generators(ring, 0, 0, xcap),
-                                      pairs)
+        zero_seq, _ = scratch_inserts(0, 0, pairs)
         zero = spans[(0, 0, pairs)]
         assert by_echelon.get(id(zero), []) == zero_seq
         for (dt, du, p), ech in spans.items():
             if p != pairs:
                 continue
-            seq, scratch = scratch_inserts(
-                _slice_generators(ring, dt, du, xcap), pairs)
+            seq, scratch = scratch_inserts(dt, du, pairs)
             assert ech.pivots() == scratch.pivots()
             assert ech.basis() == scratch.basis()
             restored = [{(dt, du) + m[2:]: c for m, c in row.items()}
@@ -188,6 +195,36 @@ def test_any_build_order_gives_the_same_spans(ring, monkeypatch):
                 assert seq[:len(zero_seq)] == zero_seq
                 assert by_echelon.get(id(ech), []) == seq[len(zero_seq):]
     assert set(by_echelon) <= {id(ech) for ech in ctx.shapes.values()}
+
+
+@pytest.mark.parametrize("pairs, ycap, xcap", [(False, 6, 4), (True, 8, 8)])
+def test_rings_share_spans_with_equal_stripped_rows(pairs, ycap, xcap):
+    # one context for the whole family: a span is keyed by its stripped
+    # rows and caps, not by the ring that asked for it
+    ctx = Context()
+    spans = {}
+    for ring in SPAN_RINGS:
+        for dt in range(9 if ring.has_t else 1):
+            for du in range(3 if ring.has_u else 1):
+                ech = slice_span(ring, dt, du, ycap, xcap, pairs, QQ, ctx)
+                restored = [{(dt, du) + m[2:]: c for m, c in row.items()}
+                            for row in ech.basis()]
+                ref = _reference_span(ring, dt, du, ycap, xcap, pairs)
+                assert restored == ref.basis()
+                spans[(ring, dt, du)] = ech
+    zero = spans[(R_ONLY, 0, 0)]
+    assert all(spans[(ring, 0, 0)] is zero
+               for ring in (R_ONLY, GS, E1(2), E1(3), E2))
+    for dt in range(8):
+        assert spans[(E1(2), dt, 0)] is spans[(E2, dt, 0)]
+        assert spans[(E1(3), dt + 1, 0)] is spans[(E1(2), dt, 0)]
+    # E2's n_l and np_l strip to the same x_l, kept once
+    for dt in range(7):
+        assert spans[(E2, dt, 1)] is spans[(E1(2), dt + 2, 0)]
+    ctrl = {id(ech) for (ring, _, _), ech in spans.items() if ring == CTRL}
+    assert ctrl.isdisjoint(id(ech) for (ring, _, _), ech in spans.items()
+                           if ring != CTRL)
+    assert len(ctx.shapes) == len({id(ech) for ech in spans.values()})
 
 
 def _deep(ech):
@@ -225,7 +262,7 @@ def test_shapes_share_the_rows_they_leave_alone(ring, monkeypatch):
         assert zero.base is None
         stacked = zero if _slice_generators(ring, 0, 0, xcap) else None
         for shape, ech in ctx.shapes.items():
-            if shape[4] == pairs and ech is not zero:
+            if shape[5] == pairs and ech is not zero:
                 assert ech.base is stacked
                 layers += stacked is not None
     # R and GS have one shape per caps; CTRL's (0, 0) span is empty
