@@ -6,7 +6,9 @@ The echelon keeps its rows fully reduced (a layer, its own rows; see
 `Echelon`), so pivot rows double as a canonical rewriting system:
 reducing any vector yields its unique normal form modulo the row space.
 Pivots are chosen as the maximal column of a row, which makes rewriting
-strictly order-decreasing and hence finite.
+strictly order-decreasing and hence finite. Besides its rows, an
+echelon keeps only the inverse index of their non-pivot columns, which
+back-substitution reads when a new pivot must be cleared from older rows.
 
 `kernel_basis` eliminates only maps with a multi-term image. When every
 image is one monomial or zero (the Koszul d1 and the t^dt maps), rows
@@ -33,7 +35,8 @@ class Echelon:
         self.field = field
         self.base = base
         self.rows = {}        # own pivot column -> row dict, leading coeff 1
-        self._uses = {}       # column -> set of own pivots of rows using it
+        # non-pivot column -> set of own pivots of the rows holding it
+        self._uses = {}
         # the row dicts of every layer, the bottom base first
         self._layers = (() if base is None else base._layers) + (self.rows,)
 
@@ -50,6 +53,12 @@ class Echelon:
 
     def pivots(self):
         return set().union(*self._layers)
+
+    def non_pivots(self, cols):
+        """The columns of cols that are no pivot, in their order."""
+        for rows in self._layers:
+            cols = [c for c in cols if c not in rows]
+        return cols
 
     def reduce(self, vec):
         """Normal form of vec modulo the row space. Does not mutate."""
@@ -123,6 +132,8 @@ class Echelon:
                     other[col] = v
         rows[piv] = row
         for col in row:
+            if col == piv:
+                continue
             s = uses.get(col)
             if s is None:
                 uses[col] = {piv}
@@ -138,9 +149,11 @@ class Echelon:
         """
         out = {}
         for k, rows in enumerate(self._layers):
+            above = self._layers[k + 1:]
             for p, row in rows.items():
                 out[p] = row = dict(row)
-                self._clear(row, self._layers[k + 1:])
+                if above:
+                    self._clear(row, above)
         return [out[p] for p in sorted(out, reverse=True)]
 
     def contains_subspace(self, other):

@@ -372,9 +372,8 @@ def window_basis(ring, w, field=QQ, ctx=None):
     monos = []
     for dt in range(w.Dt + 1):
         for du in range(w.Du + 1):
-            pivots = slice_span(ring, dt, du, w.Mx + 2, w.Mx, False, field,
-                                ctx).pivots()
-            monos += [(dt, du) + m[2:] for m in ambient if m not in pivots]
+            ech = slice_span(ring, dt, du, w.Mx + 2, w.Mx, False, field, ctx)
+            monos += [(dt, du) + m[2:] for m in ech.non_pivots(ambient)]
     return MonoBasis(ring, w, tuple(sorted(monos)))
 
 

@@ -227,6 +227,8 @@ def test_layered_echelon_matches_a_flat_build(spec):
             stacks.append((layer, seq + own))
             assert layer.base is under and _deep(under) == under_snapshot
             assert layer.pivots() == flat.pivots()
+            assert layer.non_pivots(keys) == [k for k in keys
+                                              if k not in flat.pivots()]
             assert layer.dim == flat.dim
             assert layer.basis() == flat.basis()
             for _ in range(10):
@@ -348,3 +350,115 @@ def test_koszul_cycle_kernel_builds_no_echelon(monkeypatch):
     assert cycles == stage.cycles and cycles
     assert d1_built == 0
     assert h2_built == 1
+
+
+# -- the inverse index back-substitution reads ------------------------------
+
+def _assert_uses_is_the_inverse_index(ech):
+    """`_uses` files each own row under its non-pivot columns only: no key
+    is an own pivot, and each set is exactly the rows holding its column
+    (none is left empty: a column cancelled from an older row is held by
+    the new row)."""
+    assert not set(ech._uses) & set(ech.rows)
+    want = {}
+    for p, row in ech.rows.items():
+        for c in row:
+            if c != p:
+                want.setdefault(c, set()).add(p)
+    assert ech._uses == want
+
+
+def _check_every_insert(monkeypatch):
+    """Check the inverse index after each Echelon.insert. Returns a count
+    of inserts that added a pivot and of those whose back-substitution
+    cancelled a column of an older row."""
+    seen = {"pivots": 0, "cancelled": 0}
+    insert = Echelon.insert
+
+    def checked(self, vec):
+        before = {p: set(row) for p, row in self.rows.items()}
+        piv = insert(self, vec)
+        _assert_uses_is_the_inverse_index(self)
+        if piv is not None:
+            seen["pivots"] += 1
+            seen["cancelled"] += any(cols - {piv} - set(self.rows[p])
+                                     for p, cols in before.items())
+        return piv
+
+    monkeypatch.setattr(Echelon, "insert", checked)
+    return seen
+
+
+def _unit_vec(rng, keys, field):
+    """One to four entries of +-1: rows sharing columns then often cancel
+    in back-substitution."""
+    return {k: field.from_int(rng.choice((1, -1)))
+            for k in rng.sample(keys, rng.randint(1, min(4, len(keys))))}
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_uses_is_the_inverse_index_of_a_flat_build(spec, monkeypatch):
+    field = field_from_spec(spec)
+    rng = random.Random(29)
+    seen = _check_every_insert(monkeypatch)
+    for trial in range(60):
+        keys = list(range(rng.randint(1, 12)))
+        make = _unit_vec if trial % 2 else _rand_vec
+        Echelon.spanned_by([make(rng, keys, field)
+                            for _ in range(rng.randint(1, 14))], field)
+    assert seen["pivots"] > 100 and seen["cancelled"] > 10, seen
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_uses_is_the_inverse_index_of_each_layer(spec, monkeypatch):
+    # a base, a layer on it and a layer on that: each indexes its own
+    # rows only, checked again for each once the layers above it are filled
+    field = field_from_spec(spec)
+    rng = random.Random(31)
+    seen = _check_every_insert(monkeypatch)
+    stacked = 0
+    for trial in range(40):
+        keys = [(rng.randint(0, 3), rng.randint(0, 5)) for _ in range(16)]
+        layers = []
+        for _ in range(3):
+            layers.append(Echelon(field, layers[-1] if layers else None))
+            for _ in range(rng.randint(1, 6)):
+                layers[-1].insert(_unit_vec(rng, keys, field))
+        for layer in layers:
+            _assert_uses_is_the_inverse_index(layer)
+        stacked += bool(layers[0].rows and layers[2].rows)
+    assert stacked > 20
+    assert seen["pivots"] > 100 and seen["cancelled"] > 10, seen
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003"])
+def test_uses_is_the_inverse_index_of_a_kernel_elimination(spec,
+                                                           monkeypatch):
+    field = field_from_spec(spec)
+    rng = random.Random(37)
+    targets = [(a, b) for a in range(2) for b in range(4)]
+    seen = _check_every_insert(monkeypatch)
+    built = _count_echelons(monkeypatch)
+    for trial in range(30):
+        domain = [("lab", k) for k in range(rng.randint(2, 16))]
+        images = {lab: _unit_vec(rng, targets, field) for lab in domain}
+        images[domain[0]] = {targets[0]: field.one(),
+                             targets[1]: field.one()}
+        kernel_basis(domain, images.__getitem__, field)
+    assert len(built) == 30
+    assert seen["pivots"] > 100 and seen["cancelled"] > 10, seen
+
+
+def test_uses_is_the_inverse_index_in_every_span_of_verify_all(monkeypatch):
+    # every Echelon one `verify all` builds: the shape spans and layers
+    # of its Context, and its kernel eliminations
+    from prozero.claims import run_all
+    from prozero.oracle import Context
+
+    built = _count_echelons(monkeypatch)
+    ctx = Context()
+    run_all(ctx=ctx)
+    assert {id(ech) for ech in ctx.shapes.values()} <= set(map(id, built))
+    assert any(ech.base is not None for ech in ctx.shapes.values())
+    for ech in built:
+        _assert_uses_is_the_inverse_index(ech)
