@@ -36,11 +36,11 @@ from functools import partial
 from .fields import QQ
 from .koszul import pro_zero_test, ses_row_check, transition_witness_replay
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
-                     check_window_budget, kernel_of, mono_of_index,
-                     poly_of_vec, reduce_raw, shift_reduce,
+                     check_window_budget, index_of_mono, kernel_of,
+                     mono_of_index, reduce_raw, shift_reduce,
                      subspace_boundary_touch, system_kernel, torsion_subspace,
                      vectorize, window_basis)
-from .parser import ParseError, print_element
+from .parser import ParseError, print_element, print_terms
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, SystemSpec,
                     RingError, alpha_hat, ann_formula, apply_system,
                     apply_system_raw)
@@ -82,12 +82,17 @@ class ClaimReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _render(ring, vec, field):
-    return print_element(poly_of_vec(ring, vec, field))
+def render_vec(ring, vec, field):
+    """An oracle vector printed from its raw monomials, as `print_element`
+    prints an element: raw-monomial order is the print order. No element
+    is built, so no closed-form rule drops a term the oracle kept."""
+    return print_terms([(m[0], m[1], index_of_mono(m, ring), c)
+                        for m, c in sorted(vec.items())], field)
 
 
-def _render_sub(ring, sub, field):
-    rows = [_render(ring, v, field) for v in sub.basis()]
+def render_basis(ring, sub, field):
+    """The basis of the Echelon sub, rendered in ascending pivot order."""
+    rows = [render_vec(ring, v, field) for v in sub.basis()]
     rows.reverse()  # basis() is descending-pivot; render ascending
     return rows
 
@@ -159,10 +164,10 @@ def verify_basis(w, field, ctx):
     pure_y = tuple(mono_of_index(("y", a)) for a in range(mxv + 1))
     pure_x = tuple(mono_of_index(("x", i)) for i in range(mxv + 1))
     want = tuple(sorted(pure_y + pure_x))
-    ck.expect(mb.monos == want,
+    ck.expect(mb == want,
               "degree-zero window complement is exactly {y^a} + {x_i}",
               "complement has %d monomials, expected %d" %
-              (len(mb.monos), len(want)))
+              (len(mb), len(want)))
 
     cap2 = 2 * mxv + 2
     check_window_budget(R_ONLY, w0, cap2, cap2, True)
@@ -246,7 +251,7 @@ def verify_ann(w, field, ctx, ring, table):
                       "GS ann(t^%d) has dim %d" % (dtv, g.dim))
         if ck.failure is None and w.Dt >= 3:
             a3 = annihilator_oracle(ring, 3, 0, w, field, ctx)
-            wit = [", ".join(_render_sub(ring, a3, field)) or "(trivial)"]
+            wit = [", ".join(render_basis(ring, a3, field)) or "(trivial)"]
         params["m"] = ring.m
     return ck.report(ring.describe(), params, wit)
 
@@ -262,7 +267,7 @@ def _induction_replay(ring, vec, w, ck, field, tag, ctx):
     cs = _t_slices(vec)
     n_top = w.Dt
     c = {i: cs.get(i, {}) for i in range(n_top + 1)}
-    rendered = _render(ring, vec, field)
+    rendered = render_vec(ring, vec, field)
     if shift_reduce(ring, c[0], 0, 0, w, field, 1, ctx):
         ck.expect(False, "%s: c0*y = 0" % tag, "c0*y != 0 for %s" % rendered)
         return False
@@ -295,7 +300,7 @@ def verify_essential(w, field, ctx, ring):
     ck = _Checks()
     tmy = (GradedPoly.gen(ring, "t", field)
            - GradedPoly.gen(ring, "y", field))
-    ker = kernel_of(ring, tmy, w, field, ctx)
+    ker = kernel_of(ring, [vectorize(tmy)], w, field, ctx)
     ck.expect(ker.dim > 0, "kernel of (t - y) is nonzero (dim %d)" % ker.dim,
               "kernel is trivial at Dt=%d Mx=%d" % (w.Dt, w.Mx))
     x0t = (GradedPoly.gen(ring, ("x", 0), field)
@@ -306,7 +311,7 @@ def verify_essential(w, field, ctx, ring):
               "expected witness is not a kernel vector")
     const_ok = all(_no_constant(v) for v in ker.basis())
     ck.expect(const_ok, "every kernel basis vector has zero constant term",
-              next((_render(ring, v, field) for v in ker.basis()
+              next((render_vec(ring, v, field) for v in ker.basis()
                     if not _no_constant(v)), ""))
     replayed = 0
     for k, v in enumerate(ker.basis()):
@@ -318,7 +323,7 @@ def verify_essential(w, field, ctx, ring):
         ck.note("induction equations (c0*y = 0, the %d downward steps, "
                 "the top kill, and the top expansion) replayed on all %d "
                 "kernel vectors" % (w.Dt, ker.dim))
-    touched = subspace_boundary_touch(ker)
+    touched = subspace_boundary_touch(ker, w)
     if not touched:
         ck.note("no kernel vector touches the window boundary")
     params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "m": ring.m,
@@ -333,21 +338,21 @@ def verify_essential(w, field, ctx, ring):
 def verify_kernel_I0(w, field, ctx):
     ck = _Checks()
     tmy = GradedPoly.gen(E2, "t", field) - GradedPoly.gen(E2, "y", field)
-    ker = kernel_of(E2, tmy, w, field, ctx)
+    ker = kernel_of(E2, [vectorize(tmy)], w, field, ctx)
     ck.expect(ker.dim > 0, "kernel of (t - y) on E2 is nonzero (dim %d)"
               % ker.dim, "kernel is trivial")
     x0t = GradedPoly.gen(E2, ("x", 0), field) * GradedPoly.gen(E2, "t", field)
-    ck.expect(ker.contains_poly(x0t), "witness x0*t lies in the kernel",
+    ck.expect(ker.contains(vectorize(x0t)), "witness x0*t lies in the kernel",
               "x0*t is not a kernel vector")
     const_ok = all(_no_constant(v) for v in ker.basis())
     ck.expect(const_ok,
               "every kernel basis vector has zero degree-(0,0) component",
-              next((_render(E2, v, field) for v in ker.basis()
+              next((render_vec(E2, v, field) for v in ker.basis()
                     if not _no_constant(v)), ""))
     in_ideal = all(all(m[4] for m in v) for v in ker.basis())
     ck.expect(in_ideal, "every kernel basis vector lies in the x-generator "
               "ideal", "a kernel vector has an x-free monomial")
-    touched = subspace_boundary_touch(ker)
+    touched = subspace_boundary_touch(ker, w)
     params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx,
               "kernel_dim": ker.dim}
     return ck.report(E2.describe(), params,
@@ -369,7 +374,7 @@ def verify_bounded_E2(w, field, ctx):
                    None)
         ck.expect(bad is None, "%s * T = 0 exactly" % name,
                   "" if bad is None else
-                  "%s survives %s" % (_render(E2, bad, field), name))
+                  "%s survives %s" % (render_vec(E2, bad, field), name))
     x0 = {mono_of_index(("x", 0)): field.one()}
     ck.expect(T.contains(x0)
               and not shift_reduce(E2, x0, 0, 1, w, field, ctx=ctx),
@@ -403,7 +408,7 @@ def verify_nwkpr(w, field, ctx, max_stage):
                                              ctx):
                 chain_ok = False
                 break
-            wit_strs.append(_render(E2, witv, field))
+            wit_strs.append(render_vec(E2, witv, field))
     ck.expect(chain_ok,
               "witness chain x_(v-2) for v=3..%d, each image replayed nonzero"
               % max_stage, "witness chain broken")
@@ -427,17 +432,18 @@ def demo_gs(w, field, ctx, prec):
     n_ap = prec
     ck = _Checks()
     tmy = GradedPoly.gen(GS, "t", field) - GradedPoly.gen(GS, "y", field)
-    ker = kernel_of(GS, tmy, w, field, ctx)
+    ker = kernel_of(GS, [vectorize(tmy)], w, field, ctx)
     ck.expect(ker.dim == 0, "kernel of (t - y) on the window is trivial",
               "kernel dim %d" % ker.dim)
     # backward-substitution ingredients, each recomputed
-    anny = kernel_of(R_ONLY, GradedPoly.gen(R_ONLY, "y", field),
+    anny = kernel_of(R_ONLY, [vectorize(GradedPoly.gen(R_ONLY, "y", field))],
                      Window(0, 0, w.Mx), field, ctx)
     x0 = {mono_of_index(("x", 0)): field.one()}
     ck.expect(anny.dim == 1 and anny.contains(x0),
               "Ann(y) in the coefficient ring is exactly k*x0",
               "Ann(y) has dim %d" % anny.dim)
-    tinj = kernel_of(GS, GradedPoly.gen(GS, "t", field), w, field, ctx)
+    tinj = kernel_of(GS, [vectorize(GradedPoly.gen(GS, "t", field))], w,
+                     field, ctx)
     ck.expect(tinj.dim == 0, "t acts injectively on the window",
               "t has a windowed kernel of dim %d" % tinj.dim)
     ck.note("backward substitution: top coefficient dies, each lower "
@@ -487,14 +493,14 @@ def demo_approx_failure(w, field, ctx, ring, n, prec):
     const_ok = all(_no_constant(v) for v in ker.basis())
     ck.expect(const_ok,
               "every windowed solution has zero degree-(0,0) component",
-              next((_render(ring, v, field) for v in ker.basis()
+              next((render_vec(ring, v, field) for v in ker.basis()
                     if not _no_constant(v)), ""))
     ck.expect(bool(ah.body.component(0, 0)),
               "formal solution has constant term x0 != 0",
               "formal solution lost its constant term")
     ck.note("approximation fails: no windowed solution is congruent to the "
             "formal solution in degree (0,0)")
-    touched = subspace_boundary_touch(ker)
+    touched = subspace_boundary_touch(ker, w)
     params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "n": n,
               "n_approx": n_ap, "solution_dim": ker.dim}
     if ring.variant == "E1":

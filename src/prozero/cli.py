@@ -25,12 +25,12 @@ import json
 import random
 import sys
 
-from .claims import CLAIM_IDS, SCHEMA_VERSION, run_all, suite_doc
+from .claims import (CLAIM_IDS, SCHEMA_VERSION, render_basis, render_vec,
+                     run_all, suite_doc)
 from .fields import FieldError, field_from_spec
 from .koszul import pro_zero_test
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
-                     joint_kernel, kernel_of, mul_map, OracleError,
-                     poly_of_vec, raw_mul, reduce_raw, vectorize)
+                     kernel_of, OracleError, raw_mul, reduce_raw, vectorize)
 from .parser import ParseError, parse_element, parse_ring, parse_system, print_element
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, RingError)
 
@@ -213,9 +213,7 @@ def cmd_annihilator(args):
     mx = args.mx if args.mx is not None else max(12, max(wdt, wdu) + 2)
     w = Window(wdt, wdu, mx)
     sub = annihilator_oracle(ring, tdt, tdu, w, field)
-    basis = [print_element(poly_of_vec(ring, v, field))
-             for v in sub.basis()]
-    basis.reverse()
+    basis = render_basis(ring, sub, field)
     doc = {"schema_version": SCHEMA_VERSION, "ring": ring.describe(),
            "dt": tdt, "du": tdu,
            "window": {"dt": w.Dt, "du": w.Du, "mx": w.Mx},
@@ -234,14 +232,8 @@ def cmd_kernel(args):
     polys = [parse_element(text, ring, field) for text in args.exprs]
     if any(p.is_zero() for p in polys):
         raise ParseError("kernel of the zero map is the whole window")
-    ctx = Context()
-    if len(polys) == 1:
-        sub = kernel_of(ring, polys[0], w, field, ctx)
-    else:
-        sub = joint_kernel(ring, [mul_map(ring, p, w, field, ctx)
-                                  for p in polys])
-    basis = [print_element(poly_of_vec(ring, v, field)) for v in sub.basis()]
-    basis.reverse()
+    sub = kernel_of(ring, [vectorize(p) for p in polys], w, field)
+    basis = render_basis(ring, sub, field)
     doc = {"schema_version": SCHEMA_VERSION, "ring": ring.describe(),
            "maps": [print_element(p) for p in polys],
            "window": {"dt": w.Dt, "du": w.Du, "mx": w.Mx},
@@ -270,9 +262,7 @@ def cmd_prozero(args):
             "n": row.n,
             "least_zero_m": row.least_zero_m,
             "window_limited": row.window_limited,
-            "witnesses": [{"m": m,
-                           "witness": print_element(
-                               poly_of_vec(ring, v, field))}
+            "witnesses": [{"m": m, "witness": render_vec(ring, v, field)}
                           for m, v in row.witnesses],
         })
     doc = {"schema_version": SCHEMA_VERSION, "ring": ring.describe(),

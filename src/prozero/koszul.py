@@ -33,8 +33,8 @@ from dataclasses import dataclass, field as dc_field
 from .fields import QQ
 from .linalg import Echelon, kernel_basis
 from .oracle import (Context, OracleError, Window, WindowError,
-                     WindowSubspace, check_window_ring, kernel_of,
-                     map_images, shift_reduce, window_basis)
+                     check_window_ring, kernel_of, map_images, shift_reduce,
+                     window_basis)
 
 
 def _sub_window(w, ddt, ddu=0):
@@ -56,7 +56,7 @@ def koszul_h1_single(ring, a, i, w, field=QQ, ctx=None):
         raise OracleError("stage must be >= 1")
     shift = {(i if a == "t" else 0, i if a == "u" else 0, 0, 0, ()):
              field.one()}
-    return kernel_of(ring, shift, w, field, ctx)
+    return kernel_of(ring, [shift], w, field, ctx)
 
 
 def _transition(ring, src, dt, du, w, field, ctx, tgt=None):
@@ -133,7 +133,7 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
 
     d1 = {}                            # each d1 image is reduced once
     for slot, k1, g in (("et", k1t, (i, 0)), ("eu", k1u, (0, i))):
-        images = map_images(ring, k1.monos, {g + (0, 0, ()): field.one()},
+        images = map_images(ring, k1, {g + (0, 0, ()): field.one()},
                             w.Mx + 2, w.Mx, False, field, ctx)
         d1.update(((slot, m), img) for m, img in images.items())
     domain = list(d1)
@@ -146,7 +146,7 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
             out[("eu", mono)] = c
         return out
 
-    boundaries = [d2_image(m) for m in k2.monos]
+    boundaries = [d2_image(m) for m in k2]
     d_sq_zero = True
     for b in boundaries:
         total = {}
@@ -161,10 +161,10 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
         if total:
             d_sq_zero = False
     # ranks by rank-nullity: rank d1 = |k1| - |ker d1|, rank d2 = |k2| - |H2|
-    h0_dim = len(k0.monos) - (len(domain) - len(cycles))
-    d2 = dict(zip(k2.monos, boundaries))
-    h2 = kernel_basis(list(k2.monos), d2.__getitem__, field)
-    b_rank = len(k2.monos) - len(h2)
+    h0_dim = len(k0) - (len(domain) - len(cycles))
+    d2 = dict(zip(k2, boundaries))
+    h2 = kernel_basis(list(k2), d2.__getitem__, field)
+    b_rank = len(k2) - len(h2)
     h1_dim = len(cycles) - b_rank
     return KoszulStage(ring, i, w, h0_dim, h1_dim, len(h2), d1, cycles,
                        boundaries, b_rank, d_sq_zero)
@@ -174,11 +174,8 @@ class QuotientSpace:
     """num / den with a canonical complement: representatives are reduced
     against the denominator's echelon, so equal classes render equally."""
 
-    def __init__(self, ring, window, num, den_vectors, field=QQ):
-        self.ring = ring
-        self.window = window
-        self.field = field
-        self.num = num                      # WindowSubspace
+    def __init__(self, num, den_vectors, field=QQ):
+        self.num = num                      # an Echelon
         self.den = Echelon.spanned_by(den_vectors, field)
         if not all(num.contains(v) for v in self.den.basis()):
             raise OracleError("denominator escapes numerator")
@@ -207,7 +204,7 @@ def h0_of_h1(ring, i, w, field=QQ, ctx=None):
     du = _sub_window(w, i, i).Du
     den = [shift_reduce(ring, v, 0, i, w, field, ctx=ctx)
            for v in num.basis() if all(m[1] <= du for m in v)]
-    return QuotientSpace(ring, w, num, den, field)
+    return QuotientSpace(num, den, field)
 
 
 def h1_of_h0(stage, field):
@@ -222,10 +219,10 @@ def h1_of_h0(stage, field):
     dom = [m for slot, m in stage.d1 if slot == "eu"]
     num_vecs = kernel_basis(
         dom, lambda m: t_image.reduce(stage.d1[("eu", m)]), field)
-    num = WindowSubspace(stage.ring, stage.window, num_vecs, field)
+    num = Echelon.spanned_by(num_vecs, field)
     den = [{m: c for (slot, m), c in b.items() if slot == "eu"}
            for b in stage.boundaries]
-    return QuotientSpace(stage.ring, stage.window, num, den, field)
+    return QuotientSpace(num, den, field)
 
 
 def _rank_gain(base, extra, field):
@@ -307,7 +304,7 @@ def _h_module(ring, kind, i, w, field, ctx):
     """Build the stage-i module of an inverse system, with its denominator."""
     if kind == "H1(t)":
         sub = koszul_h1_single(ring, "t", i, _sub_window(w, i, 0), field, ctx)
-        return QuotientSpace(ring, w, sub, [], field)
+        return QuotientSpace(sub, [], field)
     return h0_of_h1(ring, i, w, field, ctx)
 
 

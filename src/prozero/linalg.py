@@ -52,6 +52,10 @@ class Echelon:
         return sum(len(rows) for rows in self._layers)
 
     def pivots(self):
+        """Every layer's pivot columns. No code path here calls it; it
+        stays because tests compare spans by it and the benchmark tracer
+        wraps it by name (`bench/tracer.py` METHODS), where a missing
+        method stops `bench/run.py --trace 1` with a KeyError."""
         return set().union(*self._layers)
 
     def non_pivots(self, cols):

@@ -26,8 +26,12 @@ input also covers everything reduction can produce.
 
 A linear map's images are reduced slice by slice (`map_images`): the
 domain is walked one (dt, du) slice at a time, and each span its images
-land in is looked up once for the slice. `annihilator_oracle` maps only
-the (0, 0) slice, the one it reads.
+land in is looked up once for the slice. `mul_map` maps a window's basis
+(`window_basis`, a sorted tuple of raw monomials) and `kernel_of` takes
+the common kernel of one or more maps as an `Echelon` over that basis:
+every windowed kernel (a system's solutions, torsion, annihilators, the
+Koszul H1 of one element) is one. `annihilator_oracle` takes it on the
+(0, 0) slice alone, the one it reads.
 
 Raw monomial shape: (dt, du, nx, ypow, xs) with xs a sorted tuple of
 x-indices and nx = len(xs), so plain tuple comparison is the canonical
@@ -51,7 +55,7 @@ from operator import itemgetter
 
 from .fields import QQ
 from .linalg import Echelon, kernel_basis
-from .rings import GradedPoly, RingError, system_operators
+from .rings import RingError, system_operators
 
 
 # What one window may hold, basis monomials and span rows together.
@@ -97,11 +101,12 @@ class Context:
     Echelon of its span over stripped monomials: one span per distinct
     set of stripped relator rows and caps, shared across the slices and
     rings of one run. A key holds no ring, so rings whose slices strip to
-    the same rows share one Echelon. `spans` maps a slice key (ring, dt, du, ycap, xcap, pairs,
-    field name) to the Echelon of its shape, so a repeated slice skips
-    working out its rows. `annihilators` maps (ring, dt, du, window, field
-    name) to the WindowSubspace of `annihilator_oracle`. `stages` maps
-    (ring, system kind, stage, window, field name) to a stage module.
+    the same rows share one Echelon. `spans` maps a slice key (ring, dt,
+    du, ycap, xcap, pairs, field name) to the Echelon of its shape, so a
+    repeated slice skips working out its rows. `annihilators` maps (ring,
+    dt, du, window, field name) to the kernel Echelon of
+    `annihilator_oracle`. `stages` maps (ring, system kind, stage, window,
+    field name) to a stage module.
     Cached objects are shared, so no consumer may mutate them; a shape
     span is a layer on the (0, 0) span, which it reads and never writes.
     Hashes by identity.
@@ -350,17 +355,9 @@ def shift_reduce(ring, vec, dt, du, w, field=QQ, ypow=0, ctx=None):
 
 # -- windowed monomial bases ------------------------------------------------
 
-@dataclass(frozen=True)
-class MonoBasis:
-    """Ordered reduced monomial basis of a window."""
-
-    ring: object
-    window: Window
-    monos: tuple
-
-
 def window_basis(ring, w, field=QQ, ctx=None):
-    """The canonical reduced basis of the window, from the presentation.
+    """The canonical reduced basis of the window, from the presentation,
+    as a sorted tuple of raw monomials.
 
     Per slice: ambient monomials whose stripped form is not a pivot of
     the slice's shape span.
@@ -374,7 +371,7 @@ def window_basis(ring, w, field=QQ, ctx=None):
         for du in range(w.Du + 1):
             ech = slice_span(ring, dt, du, w.Mx + 2, w.Mx, False, field, ctx)
             monos += [(dt, du) + m[2:] for m in ech.non_pivots(ambient)]
-    return MonoBasis(ring, w, tuple(sorted(monos)))
+    return tuple(sorted(monos))
 
 
 # -- elements <-> vectors ----------------------------------------------------
@@ -388,45 +385,18 @@ def vectorize(p):
     return out
 
 
-def poly_of_vec(ring, vec, field=QQ):
-    terms = {}
-    for m, c in vec.items():
-        terms.setdefault((m[0], m[1]), {})[index_of_mono(m, ring)] = c
-    return GradedPoly(ring, terms, field)
-
-
 # -- linear maps and kernels -------------------------------------------------
 
-@dataclass
-class LinMap:
-    """Multiplication by a fixed element, domain monomial by monomial."""
-
-    ring: object
-    window: Window
-    domain: MonoBasis
-    images: dict  # domain mono -> reduced raw vector in the enlarged window
-    field: object
-
-
-def mul_map(ring, g, w, field=None, ctx=None):
-    """Exact multiplication-by-g map from the window's reduced basis.
+def mul_map(ring, g, w, field=QQ, ctx=None):
+    """Exact multiplication by the raw vector g on the window's reduced
+    basis: a dict domain monomial -> reduced image, in basis order.
 
     Images are computed in the enlarged codomain (degree and coefficient
     caps grow by g's degrees), then reduced against the relation span, so
     a kernel vector here really multiplies to zero.
     """
-    if isinstance(g, GradedPoly):
-        if g.ring != ring:
-            raise RingError("ring mismatch in mul_map")
-        field = g.field
-        gvec = vectorize(g)
-    else:
-        gvec = dict(g)
-        field = field or QQ
-    ctx = Context.of(ctx)
-    g_has_x = any(m[2] for m in gvec)
-    g_ymax = max((m[3] for m in gvec), default=0)
-    if g_has_x:
+    g_ymax = max((m[3] for m in g), default=0)
+    if any(m[2] for m in g):
         xcap = 2 * w.Mx + 2
         ycap = xcap + g_ymax
         pairs = True
@@ -434,13 +404,11 @@ def mul_map(ring, g, w, field=None, ctx=None):
         xcap = w.Mx
         ycap = w.Mx + 2 + g_ymax
         pairs = False
-    reach = (max((m[0] for m in gvec), default=0),
-             max((m[1] for m in gvec), default=0))
+    reach = (max((m[0] for m in g), default=0),
+             max((m[1] for m in g), default=0))
     check_window_budget(ring, w, ycap, xcap, pairs, reach)
     domain = window_basis(ring, w, field, ctx)
-    images = map_images(ring, domain.monos, gvec, ycap, xcap, pairs, field,
-                        ctx)
-    return LinMap(ring, w, domain, images, field)
+    return map_images(ring, domain, g, ycap, xcap, pairs, field, ctx)
 
 
 def map_images(ring, monos, gvec, ycap, xcap, pairs=False, field=QQ,
@@ -478,73 +446,30 @@ def map_images(ring, monos, gvec, ycap, xcap, pairs=False, field=QQ,
     return images
 
 
-class WindowSubspace:
-    """A subspace of a window's reduced coefficient space.
+def kernel_of(ring, gs, w, field=QQ, ctx=None):
+    """The window vectors that multiplication by every raw vector of gs
+    kills, as an Echelon over the window's basis.
 
-    Vectors are dicts over reduced monomials; the basis is kept in reduced
-    echelon form, so equal subspaces render identical bases.
+    One map's images go to `kernel_basis` as they are; with several, each
+    image column is tagged by its map's position, so the elimination sees
+    the maps side by side.
     """
-
-    def __init__(self, ring, window, vectors, field=QQ):
-        self.ring = ring
-        self.window = window
-        self.field = field
-        self.space = Echelon.spanned_by(vectors, field)
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def contains(self, vec):
-        return self.space.contains(vec)
-
-    def contains_poly(self, p):
-        return self.contains(vectorize(p))
-
-    def basis(self):
-        return self.space.basis()
-
-    def __eq__(self, other):
-        if not isinstance(other, WindowSubspace):
-            return NotImplemented
-        return self.space == other.space
-
-
-def map_kernel(lm):
-    """Exact null space of a LinMap, echelonized over the domain order."""
-    vecs = kernel_basis(list(lm.domain.monos), lambda m: lm.images[m], lm.field)
-    return WindowSubspace(lm.ring, lm.window, vecs, lm.field)
-
-
-def kernel_of(ring, g, w, field=None, ctx=None):
-    return map_kernel(mul_map(ring, g, w, field, ctx))
-
-
-def joint_kernel(ring, maps):
-    """Common null space of several LinMaps over one domain."""
-    first = maps[0]
-    dom = list(first.domain.monos)
-    for lm in maps[1:]:
-        if lm.domain.monos != first.domain.monos:
-            raise OracleError("joint kernel needs a shared domain")
-
-    def image(m):
-        out = {}
-        for k, lm in enumerate(maps):
-            for mono, c in lm.images[m].items():
-                out[(k, mono)] = c
-        return out
-
-    vecs = kernel_basis(dom, image, first.field)
-    return WindowSubspace(first.ring, first.window, vecs, first.field)
+    ctx = Context.of(ctx)
+    maps = [mul_map(ring, g, w, field, ctx) for g in gs]
+    if len(maps) == 1:
+        image = maps[0].__getitem__
+    else:
+        def image(m):
+            return {(k, mono): c for k, images in enumerate(maps)
+                    for mono, c in images[m].items()}
+    return Echelon.spanned_by(kernel_basis(list(maps[0]), image, field),
+                              field)
 
 
 def system_kernel(ring, system, w, field=QQ, ctx=None):
     """Windowed solutions of the named operator system."""
-    ctx = Context.of(ctx)
     ops = system_operators(system, ring, field)
-    maps = [mul_map(ring, op, w, ctx=ctx) for _, op in ops]
-    return joint_kernel(ring, maps)
+    return kernel_of(ring, [vectorize(op) for _, op in ops], w, field, ctx)
 
 
 # -- annihilators and torsion -------------------------------------------------
@@ -553,10 +478,11 @@ def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
     """Windowed annihilator of t^dt u^du inside the coefficient slice.
 
     Domain: the (t, u)-degree-zero part of the window basis. A vector is
-    kept iff its product with the monomial reduces to zero. Only that
-    slice is mapped, at the caps of a whole-window `mul_map`, and the
+    kept iff its product with the monomial reduces to zero. It is the
+    kernel on the window (0, 0, Mx), whose one slice is mapped at the
+    caps of a whole-window `mul_map` (an x-free multiplier), and the
     window is refused exactly where that map would refuse it. Computed
-    once per context; the subspace is shared, so callers must not mutate
+    once per context; the Echelon is shared, so callers must not mutate
     it.
     """
     if dt < 0 or du < 0:
@@ -570,11 +496,9 @@ def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
     key = (ring, dt, du, w, field.name)
     ann = ctx.annihilators.get(key)
     if ann is None:
-        slice0 = window_basis(ring, Window(0, 0, w.Mx), field, ctx).monos
-        images = map_images(ring, slice0, {(dt, du, 0, 0, ()): field.one()},
-                            w.Mx + 2, w.Mx, False, field, ctx)
-        vecs = kernel_basis(list(slice0), images.__getitem__, field)
-        ann = ctx.annihilators[key] = WindowSubspace(ring, w, vecs, field)
+        ann = ctx.annihilators[key] = kernel_of(
+            ring, [{(dt, du, 0, 0, ()): field.one()}], Window(0, 0, w.Mx),
+            field, ctx)
     return ann
 
 
@@ -587,9 +511,7 @@ def torsion_subspace(ring, w, K=None, field=QQ, ctx=None):
     shifts = [{(K, 0, 0, 0, ()): field.one()}]
     if ring.has_u:
         shifts.append({(0, K, 0, 0, ()): field.one()})
-    ctx = Context.of(ctx)
-    maps = [mul_map(ring, s, w, field, ctx) for s in shifts]
-    return joint_kernel(ring, maps)
+    return kernel_of(ring, shifts, w, field, ctx)
 
 
 # -- window hygiene -----------------------------------------------------------
@@ -605,5 +527,6 @@ def boundary_touch(vec, w):
     return any(m[3] >= w.Mx or (m[4] and m[4][-1] >= w.Mx) for m in vec)
 
 
-def subspace_boundary_touch(sub):
-    return any(boundary_touch(v, sub.window) for v in sub.basis())
+def subspace_boundary_touch(sub, w):
+    """True if a basis vector of the Echelon sub leans on w's edge."""
+    return any(boundary_touch(v, w) for v in sub.basis())

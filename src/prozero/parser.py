@@ -235,12 +235,17 @@ def _mono_text(idx, dt, du):
 
 def print_element(p):
     """Canonical rendering; parse_element(print_element(p)) == p."""
-    field = p.field
     items = []
     for (dt, du) in sorted(p.terms):
         slice_ = p.terms[(dt, du)]
         for idx in sorted(slice_, key=_idx_sort_key):
             items.append((dt, du, idx, slice_[idx]))
+    return print_terms(items, p.field)
+
+
+def print_terms(items, field):
+    """Render (dt, du, basis index, coefficient) terms, given in print
+    order, as `print_element` renders an element with those terms."""
     if not items:
         return "0"
     out = []

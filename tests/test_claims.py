@@ -3,16 +3,20 @@
 import ast
 import json
 import pathlib
+import random
 import re
 import sys
 
 import pytest
 
 from prozero import claims, oracle
-from prozero.claims import CLAIM_IDS, SCOPE_NOTE, run_all, run_claim, suite_doc
-from prozero.oracle import Context, WindowError
-from prozero.parser import ParseError
-from prozero.rings import E1, GS, RingError, RingId
+from prozero.claims import (CLAIM_IDS, SCOPE_NOTE, render_vec, run_all,
+                            run_claim, suite_doc)
+from prozero.cli import _random_poly
+from prozero.fields import QQ, field_from_spec
+from prozero.oracle import Context, WindowError, vectorize
+from prozero.parser import ParseError, print_element
+from prozero.rings import CTRL, E1, E2, GS, R_ONLY, RingError, RingId
 
 MUTATED = RingId("E1", 2, frozenset({"n0"}))
 
@@ -66,9 +70,9 @@ def test_cli_prints_the_suite_doc(suite, capsys):
 
 def _count_annihilator_work(monkeypatch):
     """Record each annihilator_oracle call the claims make, and each
-    annihilator the oracle computes (a kernel_basis call made from it)."""
+    annihilator the oracle computes (a kernel_of call made from it)."""
     calls, computed = [], []
-    real_ann, real_kernel = claims.annihilator_oracle, oracle.kernel_basis
+    real_ann, real_kernel = claims.annihilator_oracle, oracle.kernel_of
 
     def ann_spy(ring, dt, du, w, field, ctx):
         calls.append((ring, dt, du, w, field.name))
@@ -80,7 +84,7 @@ def _count_annihilator_work(monkeypatch):
         return real_kernel(*args)
 
     monkeypatch.setattr(claims, "annihilator_oracle", ann_spy)
-    monkeypatch.setattr(oracle, "kernel_basis", kernel_spy)
+    monkeypatch.setattr(oracle, "kernel_of", kernel_spy)
     return calls, computed
 
 
@@ -133,6 +137,27 @@ def test_mutation_flips_annihilator_claim():
     assert rep.status == "FALSIFIED"
     assert any(w.startswith("COUNTER:") for w in rep.witnesses)
     assert any("dt=2" in w for w in rep.witnesses)
+
+
+def test_render_vec_keeps_the_terms_the_oracle_found():
+    # omitting n0 revives x0*t^2 in the oracle while the closed-form rule
+    # still kills it: a counter-witness prints every term the oracle kept
+    x0t, x0t2 = (1, 0, 1, 0, (0,)), (2, 0, 1, 0, (0,))
+    assert render_vec(MUTATED, {x0t: 1, x0t2: 1}, QQ) == "x0*t + x0*t^2"
+    assert render_vec(MUTATED, {x0t2: 1}, QQ) == "x0*t^2"
+    assert render_vec(MUTATED, {}, QQ) == "0"
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7"])
+def test_render_vec_prints_as_print_element(spec):
+    # on the unmutated rings a vector prints as the element it comes from,
+    # for the polynomials selftest draws
+    field = field_from_spec(spec)
+    rng = random.Random(61)
+    for ring in (R_ONLY, GS, E1(2), E1(3), E2, CTRL):
+        for _ in range(200):
+            p = _random_poly(rng, ring, field)
+            assert render_vec(ring, vectorize(p), field) == print_element(p)
 
 
 def test_mutation_flips_essential_claim():
