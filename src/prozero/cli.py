@@ -206,7 +206,7 @@ def cmd_eval(args):
 def cmd_annihilator(args):
     field = field_from_spec(args.field)
     ring = _ring_of(args, E1(2))
-    tdt = args.dt if args.dt is not None else 2
+    tdt = args.dt if args.dt is not None else (2 if ring.has_t else 0)
     tdu = args.du if args.du is not None else 0
     wdt = max(tdt, 8 if ring.has_t else 0)
     wdu = max(tdu, 3 if ring.has_u else 0)

@@ -6,9 +6,13 @@ The echelon keeps its rows fully reduced (a layer, its own rows; see
 `Echelon`), so pivot rows double as a canonical rewriting system:
 reducing any vector yields its unique normal form modulo the row space.
 Pivots are chosen as the maximal column of a row, which makes rewriting
-strictly order-decreasing and hence finite. Besides its rows, an
-echelon keeps only the inverse index of their non-pivot columns, which
-back-substitution reads when a new pivot must be cleared from older rows.
+strictly order-decreasing and hence finite. A row that is its pivot
+alone, most rows of the paper's spans, is stored as one shared read-only
+empty mapping, not as a dict of its own. Besides its rows, an echelon
+keeps only the inverse index of their non-pivot columns, which
+back-substitution reads when a new pivot must be cleared from older rows;
+`kernel_basis`'s elimination leaves its marker block out of that index,
+since no insert reads it.
 
 `kernel_basis` eliminates only maps with a multi-term image. When every
 image is one monomial or zero (the Koszul d1 and the t^dt maps), rows
@@ -18,7 +22,13 @@ off by grouping the domain by target, with no Echelon.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .fields import QQ
+
+# the stored row of a pivot whose row is e_p alone: clearing such a pivot
+# only drops its column, so `_clear` reads it as it reads any row
+_PIVOT_ONLY = MappingProxyType({})
 
 
 class Echelon:
@@ -31,10 +41,15 @@ class Echelon:
     clears the base's pivot columns first.
     """
 
+    # columns below this one are left out of `_uses`; only `kernel_basis`
+    # sets it, to its marker block, which no back-substitution reads
+    _index_floor = None
+
     def __init__(self, field=QQ, base=None):
         self.field = field
         self.base = base
-        self.rows = {}        # own pivot column -> row dict, leading coeff 1
+        # own pivot column -> row dict, leading coeff 1, or _PIVOT_ONLY
+        self.rows = {}
         # non-pivot column -> set of own pivots of the rows holding it
         self._uses = {}
         # the row dicts of every layer, the bottom base first
@@ -109,11 +124,14 @@ class Echelon:
         if not row:
             return None
         piv = max(row)
-        if row[piv] != f.one():
+        if len(row) == 1:
+            row = _PIVOT_ONLY
+        elif row[piv] != f.one():
             inv = f.inv(row[piv])
             row = {c: f.mul(inv, v) for c, v in row.items()}
-        rows, uses = self.rows, self._uses
+        rows, uses, floor = self.rows, self._uses, self._index_floor
         # keep the own rows fully reduced: clear piv from every older one
+        # (each holds piv besides its pivot, so none is _PIVOT_ONLY)
         for other_piv in uses.pop(piv, ()):
             other = rows[other_piv]
             c = other.pop(piv)
@@ -125,18 +143,21 @@ class Echelon:
                 if f.is_zero(v):
                     if acc is not None:
                         del other[col]
-                        uses[col].discard(other_piv)
+                        if floor is None or not col < floor:
+                            uses[col].discard(other_piv)
                 else:
-                    if acc is None:
+                    if acc is None and (floor is None or not col < floor):
                         s = uses.get(col)
                         if s is None:
                             uses[col] = {other_piv}
                         else:
                             s.add(other_piv)
                     other[col] = v
+            if len(other) == 1:
+                rows[other_piv] = _PIVOT_ONLY
         rows[piv] = row
         for col in row:
-            if col == piv:
+            if col == piv or (floor is not None and col < floor):
                 continue
             s = uses.get(col)
             if s is None:
@@ -145,17 +166,22 @@ class Echelon:
                 s.add(piv)
         return piv
 
+    def row(self, piv):
+        """The own row at pivot piv as a dict; do not mutate it."""
+        return self.rows[piv] or {piv: self.field.one()}
+
     def basis(self):
         """Canonical basis: fully reduced rows in descending pivot order.
 
         A layer's row is fully reduced once the pivots of the layers above
         it are cleared from it, which gives e_p - reduce(e_p) at pivot p.
         """
+        one = self.field.one()
         out = {}
         for k, rows in enumerate(self._layers):
             above = self._layers[k + 1:]
             for p, row in rows.items():
-                out[p] = row = dict(row)
+                out[p] = row = dict(row) if row else {p: one}
                 if above:
                     self._clear(row, above)
         return [out[p] for p in sorted(out, reverse=True)]
@@ -193,6 +219,9 @@ def kernel_basis(domain, image_fn, field=QQ):
     if all(len(img) <= 1 for img in images):
         return _monomial_kernel(domain, images, field)
     ech = Echelon(field)
+    # a marker pivot is the newest marker, which no older row holds, so
+    # back-substitution never reads the index of a marker column
+    ech._index_floor = (1,)
     for pos, img in enumerate(images):
         row = {(1, col): c for col, c in img.items()}
         row[(0, pos)] = field.one()
@@ -200,7 +229,7 @@ def kernel_basis(domain, image_fn, field=QQ):
     out = []
     for piv in sorted(ech.rows, reverse=True):
         if piv[0] == 0:
-            out.append({domain[p]: c for (_, p), c in ech.rows[piv].items()})
+            out.append({domain[p]: c for (_, p), c in ech.row(piv).items()})
     return out
 
 

@@ -339,19 +339,30 @@ def test_ring_outside_claim_scope_is_usage_error(claim, ring, capsys):
 @pytest.mark.parametrize("argv, code, out", [
     (["kernel", "--ring", "R", "y"], 0, "x0\n"),
     (["annihilator", "--ring", "R", "--dt", "0"], 0, "(trivial)\n"),
-    (["annihilator", "--ring", "R"], 64, ""),
+    (["annihilator", "--ring", "R"], 0, "(trivial)\n"),
     (["prozero", "--ring", "R", "--system", "H1(t)"], 64, ""),
     (["verify", "C-ann-t", "--du", "2"], 64, ""),
 ])
 def test_ring_errors_are_not_window_errors(argv, code, out, capsys):
     # each exited 65 (window-too-small): the fault is a window reaching
-    # into a variable the ring does not have
+    # into a variable the ring does not have; `annihilator --ring R` then
+    # exited 64 naming Dt, which its default no longer reaches
     assert run_cli(argv) == code
     captured = capsys.readouterr()
     assert captured.out == out
     if code:
         assert captured.err.startswith("prozero: invalid parameter: ring ")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ring, dt", [
+    ("R", 0), ("E1", 2), ("E2", 2), ("CTRL", 2),
+])
+def test_annihilator_default_degree_is_t2_on_a_ring_with_t(ring, dt, capsys):
+    # like the window default, the target t^dt defaults to t^0 on a ring
+    # without t, so no flag the user did not set is refused
+    assert run_cli(["annihilator", "--ring", ring, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dt"] == dt
 
 
 @pytest.mark.parametrize("argv, flag", [

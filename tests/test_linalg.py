@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from prozero.fields import QQ, PrimeField, field_from_spec
-from prozero.linalg import Echelon, kernel_basis
+from prozero.linalg import _PIVOT_ONLY, Echelon, kernel_basis
 
 
 def _rand_vec(rng, keys, field, density=0.6):
@@ -239,14 +239,14 @@ def test_layered_echelon_matches_a_flat_build(spec):
         assert _deep(base) == snapshot
 
 
-def _eliminated_kernel(domain, image_fn, field):
+def _eliminated_kernel(domain, image_fn, field, cls=Echelon):
     """kernel_basis's augmented elimination, applied to every map."""
-    ech = Echelon(field)
+    ech = cls(field)
     for pos, lab in enumerate(domain):
         row = {(1, col): c for col, c in image_fn(lab).items()}
         row[(0, pos)] = field.one()
         ech.insert(row)
-    return [{domain[p]: c for (_, p), c in ech.rows[piv].items()}
+    return [{domain[p]: c for (_, p), c in ech.row(piv).items()}
             for piv in sorted(ech.rows, reverse=True) if piv[0] == 0]
 
 
@@ -355,15 +355,18 @@ def test_koszul_cycle_kernel_builds_no_echelon(monkeypatch):
 # -- the inverse index back-substitution reads ------------------------------
 
 def _assert_uses_is_the_inverse_index(ech):
-    """`_uses` files each own row under its non-pivot columns only: no key
-    is an own pivot, and each set is exactly the rows holding its column
-    (none is left empty: a column cancelled from an older row is held by
-    the new row)."""
+    """`_uses` files each own row under its non-pivot columns at or above
+    the index floor only (every column, but in `kernel_basis`'s
+    elimination, whose floor leaves out the marker block): no key is an
+    own pivot or below the floor, and each set is exactly the rows holding
+    its column (none is left empty: a column cancelled from an older row
+    is held by the new row)."""
+    floor = ech._index_floor
     assert not set(ech._uses) & set(ech.rows)
     want = {}
     for p, row in ech.rows.items():
         for c in row:
-            if c != p:
+            if c != p and (floor is None or not c < floor):
                 want.setdefault(c, set()).add(p)
     assert ech._uses == want
 
@@ -376,12 +379,12 @@ def _check_every_insert(monkeypatch):
     insert = Echelon.insert
 
     def checked(self, vec):
-        before = {p: set(row) for p, row in self.rows.items()}
+        before = {p: set(self.row(p)) for p in self.rows}
         piv = insert(self, vec)
         _assert_uses_is_the_inverse_index(self)
         if piv is not None:
             seen["pivots"] += 1
-            seen["cancelled"] += any(cols - {piv} - set(self.rows[p])
+            seen["cancelled"] += any(cols - {piv} - set(self.row(p))
                                      for p, cols in before.items())
         return piv
 
@@ -434,18 +437,27 @@ def test_uses_is_the_inverse_index_of_each_layer(spec, monkeypatch):
 @pytest.mark.parametrize("spec", ["q", "fp:32003"])
 def test_uses_is_the_inverse_index_of_a_kernel_elimination(spec,
                                                            monkeypatch):
+    # the index covers the non-pivot image columns and holds no marker
+    # column, though the rows hold many
     field = field_from_spec(spec)
     rng = random.Random(37)
     targets = [(a, b) for a in range(2) for b in range(4)]
     seen = _check_every_insert(monkeypatch)
     built = _count_echelons(monkeypatch)
+    markers_held = 0
     for trial in range(30):
         domain = [("lab", k) for k in range(rng.randint(2, 16))]
         images = {lab: _unit_vec(rng, targets, field) for lab in domain}
         images[domain[0]] = {targets[0]: field.one(),
                              targets[1]: field.one()}
         kernel_basis(domain, images.__getitem__, field)
+        ech = built[-1]
+        assert ech._index_floor == (1,)
+        assert all(col[0] == 1 for col in ech._uses)
+        markers_held += sum(col[0] == 0 and col != p
+                            for p in ech.rows for col in ech.row(p))
     assert len(built) == 30
+    assert markers_held > 100
     assert seen["pivots"] > 100 and seen["cancelled"] > 10, seen
 
 
@@ -462,3 +474,170 @@ def test_uses_is_the_inverse_index_in_every_span_of_verify_all(monkeypatch):
     assert any(ech.base is not None for ech in ctx.shapes.values())
     for ech in built:
         _assert_uses_is_the_inverse_index(ech)
+
+
+# -- rows that are their pivot alone share one read-only row -----------------
+
+class _UnsharedEchelon(Echelon):
+    """Echelon with insert as it was before pivot-only rows were shared:
+    every row is a dict of its own, one-term rows too, normalised like
+    any other, and every non-pivot column is indexed."""
+
+    def insert(self, vec):
+        f = self.field
+        row = self.reduce(vec)
+        if not row:
+            return None
+        piv = max(row)
+        if row[piv] != f.one():
+            inv = f.inv(row[piv])
+            row = {c: f.mul(inv, v) for c, v in row.items()}
+        rows, uses = self.rows, self._uses
+        for other_piv in uses.pop(piv, ()):
+            other = rows[other_piv]
+            c = other.pop(piv)
+            for col, rc in row.items():
+                if col == piv:
+                    continue
+                acc = other.get(col)
+                v = f.sub(acc if acc is not None else f.zero(), f.mul(c, rc))
+                if f.is_zero(v):
+                    if acc is not None:
+                        del other[col]
+                        uses[col].discard(other_piv)
+                else:
+                    if acc is None:
+                        uses.setdefault(col, set()).add(other_piv)
+                    other[col] = v
+        rows[piv] = row
+        for col in row:
+            if col != piv:
+                uses.setdefault(col, set()).add(piv)
+        return piv
+
+
+def _mixed_vec(rng, keys, field):
+    """One term half the time, else two to five. Scalars are +-1, 2, 3,
+    -4 or 7, or from_fraction(2, 3) or (5, 1): over q a Fraction, the
+    latter with denominator 1 as parsed ones are."""
+    n = 1 if rng.random() < 0.5 else rng.randint(2, min(5, len(keys)))
+    out = {}
+    for k in rng.sample(keys, n):
+        r = rng.random()
+        if r < 0.15:
+            c = field.from_fraction(2, 3)
+        elif r < 0.3:
+            c = field.from_fraction(5, 1)
+        else:
+            c = field.from_int(rng.choice((1, -1, 2, 3, -4, 7)))
+        if not field.is_zero(c):
+            out[k] = c
+    return out
+
+
+def _assert_same_rows(new, old, seen):
+    """new stores each of old's one-term rows as the shared row and every
+    other row as the same dict: keys in order, scalars and their types."""
+    assert list(new.rows) == list(old.rows)
+    for p, row in new.rows.items():
+        if len(old.rows[p]) == 1:
+            assert row is _PIVOT_ONLY and old.rows[p] == {p: 1}
+            seen["fraction_one"] |= type(old.rows[p][p]) is Fraction
+        else:
+            assert type(row) is dict and _exact([row]) == _exact([old.rows[p]])
+    assert new._uses == old._uses
+
+
+def _assert_same_basis(new, old, field):
+    """The same canonical basis, but a shared row reads {p: field.one()}
+    where the old one may hold Fraction(1, 1)."""
+    got, want = new.basis(), old.basis()
+    assert len(got) == len(want)
+    stored = {p: row for rows in new._layers for p, row in rows.items()}
+    for g, w in zip(got, want):
+        p = max(w)
+        if stored[p] is _PIVOT_ONLY:
+            assert w == {p: 1} and _exact([g]) == _exact([{p: field.one()}])
+        else:
+            assert _exact([g]) == _exact([w])
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003", "fp:2"])
+def test_shared_pivot_rows_match_an_unshared_insert(spec):
+    # random inserts of one-term and multi-term vectors into a base, two
+    # layers on it and a layer on the first, against the same stack of
+    # Echelons whose insert stores every row as its own dict: the same
+    # pivots, rows, index, basis, dim, non-pivots and reduce
+    field = field_from_spec(spec)
+    rng = random.Random(101)
+    seen = {"shared_insert": False, "shared_by_back_sub": False,
+            "fraction_one": spec != "q", "non_unit_one_term": spec == "fp:2"}
+    for trial in range(40):
+        keys = [(rng.randint(0, 3), rng.randint(0, 5)) for _ in range(16)]
+        stacks = [(None, None)]
+        for parent in (0, 1, 1, 2):
+            new_base, old_base = stacks[parent]
+            new, old = Echelon(field, new_base), _UnsharedEchelon(field,
+                                                                old_base)
+            for _ in range(rng.randint(1, 9)):
+                vec = _mixed_vec(rng, keys, field)
+                red = old.reduce(vec)
+                multi_before = {p for p, row in new.rows.items() if row}
+                piv = new.insert(vec)
+                assert piv == old.insert(vec)
+                if piv is not None and len(red) == 1:
+                    seen["shared_insert"] = True
+                    seen["non_unit_one_term"] |= red[piv] != field.one()
+                seen["shared_by_back_sub"] |= any(
+                    new.rows[p] is _PIVOT_ONLY for p in multi_before)
+                _assert_same_rows(new, old, seen)
+            stacks.append((new, old))
+            assert new.dim == old.dim
+            assert new.non_pivots(keys) == old.non_pivots(keys)
+            _assert_same_basis(new, old, field)
+            for _ in range(8):
+                vec = _rand_vec(rng, keys, field, density=rng.random())
+                assert _exact([new.reduce(vec)]) == _exact([old.reduce(vec)])
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:32003", "fp:2"])
+def test_kernel_basis_matches_an_unshared_elimination(spec):
+    # maps with multi-term images, so kernel_basis eliminates; zero images
+    # give marker rows that are their pivot alone
+    field = field_from_spec(spec)
+    rng = random.Random(103)
+    targets = [(a, b) for a in range(2) for b in range(4)]
+    zero_images = 0
+    for trial in range(40):
+        domain = [("lab", k) for k in range(rng.randint(2, 14))]
+        images = {lab: ({} if rng.random() < 0.15
+                        else _mixed_vec(rng, targets, field))
+                  for lab in domain}
+        images[domain[0]] = {targets[0]: field.from_int(2),
+                             targets[1]: field.one()}
+        zero_images += sum(not images[lab] for lab in domain)
+        got = kernel_basis(domain, images.__getitem__, field)
+        want = _eliminated_kernel(domain, images.__getitem__, field,
+                                  _UnsharedEchelon)
+        assert _exact(got) == _exact(want)
+    assert zero_images > 10
+
+
+def test_every_row_of_verify_all_is_shared_or_has_two_terms(monkeypatch):
+    # a row that is its pivot alone is never a dict of its own: in every
+    # Echelon one `verify all` builds, each row is the shared row or a
+    # dict with at least two entries
+    from prozero.claims import run_all
+    from prozero.oracle import Context
+
+    built = _count_echelons(monkeypatch)
+    run_all(ctx=Context())
+    shared = 0
+    for ech in built:
+        for row in ech.rows.values():
+            if row is _PIVOT_ONLY:
+                shared += 1
+            else:
+                assert type(row) is dict and len(row) >= 2
+    assert shared > 10000
