@@ -28,7 +28,7 @@ import sys
 from .claims import (CLAIM_IDS, SCHEMA_VERSION, render_basis, render_vec,
                      run_all, suite_doc)
 from .fields import FieldError, field_from_spec
-from .koszul import pro_zero_test
+from .koszul import check_stage_count, pro_zero_test
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
                      kernel_of, OracleError, raw_mul, reduce_raw, vectorize)
 from .parser import ParseError, parse_element, parse_ring, parse_system, print_element
@@ -250,6 +250,7 @@ def cmd_prozero(args):
     ring = _ring_of(args, E2)
     system = parse_system(args.system,
                           ring.m if ring.variant == "E1" else 2)
+    check_stage_count(args.max_stage)       # before a window is built
     need = args.max_stage + 2
     dt = args.dt if args.dt is not None else need
     du = args.du if args.du is not None else (need if ring.has_u else 0)

@@ -9,16 +9,18 @@ window and "nonzero" verdicts are certified, not truncation artifacts.
 
 Transitions from stage j to stage i < j are multiplication by t^(j-i)
 (identity on the degree-0 part, extended to the quotient modules in the
-two-variable case). A reported witness is always replayable: its
-membership in the source module, its image, and the nonzero-ness of that
-image in the target are all recomputed from the relation span.
+two-variable case), written once (`_image`) and searched once
+(`_transition`) for every system. A reported witness is always
+replayable: its membership in the source module, its image, and the
+nonzero-ness of that image in the target are all recomputed from the
+relation span.
 
 A stage that does not fit inside the window is a WindowError naming it.
 
 A two-variable stage (`KoszulStage`) keeps its d1 table, the reduced
-image of every k1 generator; its d2 images, H0, H2 and the right module
-H1(u^i; H0(t^i)) of the short exact row (`h1_of_h0`) are read off it, so
-each Koszul image is reduced once per stage.
+image of every k1 generator, and the span of its d2 images; H0, H2 and
+the right module H1(u^i; H0(t^i)) of the short exact row (`h1_of_h0`)
+are read off them, so a stage reduces each image once.
 
 Stage modules come from the run's Context (`oracle.Context`): each
 distinct (ring, system kind, stage, window, field) is built once per
@@ -59,42 +61,15 @@ def koszul_h1_single(ring, a, i, w, field=QQ, ctx=None):
     return kernel_of(ring, [shift], w, field, ctx)
 
 
-def _transition(ring, src, dt, du, w, field, ctx, tgt=None):
-    """One witness search: is multiplication by t^dt u^du zero on src?
+def transition_zero(ring, j, i, w, field=QQ, ctx=None):
+    """Is the stage-j to stage-i transition of H1(t) the zero map?
 
-    Images are taken modulo tgt's denominator when a target module is
-    given. Returns (True, None), or (False, v) with v the highest
-    constant-slice basis vector of src with nonzero image (any basis
-    vector when no constant-slice one qualifies).
-    """
-    def image_of(v):
-        img = shift_reduce(ring, v, dt, du, w, field, ctx=ctx)
-        return tgt.rep(img) if tgt is not None else img
-
-    const, rest = [], []
-    for v in src.basis():
-        (const if all(m[0] == 0 and m[1] == 0 for m in v) else rest).append(v)
-    const.sort(key=max, reverse=True)
-    for v in const + rest:
-        if image_of(v):
-            return False, v
-    return True, None
-
-
-def transition_zero(ring, a, j, i, w, field=QQ, ctx=None):
-    """Is the stage-j to stage-i transition the zero map?
-
-    Returns (True, None) or (False, witness_vector). The stage-j module
-    is computed in the window shrunk by j so that multiplication by
-    a^(j-i) lands inside the window shrunk by i.
+    Returns (True, None) or (False, witness_vector), from the same search
+    and the same context stage modules as `pro_zero_test`.
     """
     if not 0 < i < j:
         raise OracleError("transition needs stage indices 0 < i < j")
-    ctx = Context.of(ctx)
-    dom_w = _sub_window(w, j if a == "t" else 0, j if a == "u" else 0)
-    ann_j = koszul_h1_single(ring, a, j, dom_w, field, ctx)
-    return _transition(ring, ann_j, j - i if a == "t" else 0,
-                       j - i if a == "u" else 0, w, field, ctx)
+    return _transition(ring, "H1(t)", j, i, w, field, Context.of(ctx))
 
 
 @dataclass(eq=False)
@@ -113,8 +88,7 @@ class KoszulStage:
     h2_dim: int
     d1: dict              # ("et"|"eu", mono) -> reduced image, over all of k1
     cycles: list          # basis of ker d1, tagged ("et"|"eu", mono) -> c
-    boundaries: list      # d2 images of the k2 basis, in basis order
-    boundaries_rank: int
+    boundaries: Echelon   # the span of the d2 images of the k2 basis
     d_squared_zero: bool
 
 
@@ -139,16 +113,11 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
     domain = list(d1)
     cycles = kernel_basis(domain, d1.__getitem__, field)
 
-    def d2_image(m):
+    boundaries, d_sq_zero = Echelon(field), True
+    for m in k2:
         # k2's window lies inside both k1 windows: d2 reads d1's images
-        out = {("et", mono): field.neg(c) for mono, c in d1[("eu", m)].items()}
-        for mono, c in d1[("et", m)].items():
-            out[("eu", mono)] = c
-        return out
-
-    boundaries = [d2_image(m) for m in k2]
-    d_sq_zero = True
-    for b in boundaries:
+        b = {("et", mono): field.neg(c) for mono, c in d1[("eu", m)].items()}
+        b.update((("eu", mono), c) for mono, c in d1[("et", m)].items())
         total = {}
         for lab, c in b.items():
             for mono, cc in d1[lab].items():
@@ -160,14 +129,12 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
                     total[mono] = acc
         if total:
             d_sq_zero = False
+        boundaries.insert(b)
     # ranks by rank-nullity: rank d1 = |k1| - |ker d1|, rank d2 = |k2| - |H2|
     h0_dim = len(k0) - (len(domain) - len(cycles))
-    d2 = dict(zip(k2, boundaries))
-    h2 = kernel_basis(list(k2), d2.__getitem__, field)
-    b_rank = len(k2) - len(h2)
-    h1_dim = len(cycles) - b_rank
-    return KoszulStage(ring, i, w, h0_dim, h1_dim, len(h2), d1, cycles,
-                       boundaries, b_rank, d_sq_zero)
+    h1_dim = len(cycles) - boundaries.dim
+    return KoszulStage(ring, i, w, h0_dim, h1_dim, len(k2) - boundaries.dim,
+                       d1, cycles, boundaries, d_sq_zero)
 
 
 class QuotientSpace:
@@ -212,7 +179,8 @@ def h1_of_h0(stage, field):
 
     Numerator: eu-slot monomials whose d1 image falls inside the image of
     t^i (the et-slot d1 images). Denominator: the eu-slot part of the
-    stage's boundaries, the image of t^i one u^i-step down.
+    stage's boundaries, the image of t^i one u^i-step down; any spanning
+    set of the boundaries gives the same canonical rows.
     """
     t_image = Echelon.spanned_by(
         (img for (slot, _), img in stage.d1.items() if slot == "et"), field)
@@ -220,14 +188,14 @@ def h1_of_h0(stage, field):
     num_vecs = kernel_basis(
         dom, lambda m: t_image.reduce(stage.d1[("eu", m)]), field)
     num = Echelon.spanned_by(num_vecs, field)
-    den = [{m: c for (slot, m), c in b.items() if slot == "eu"}
-           for b in stage.boundaries]
+    den = ({m: c for (slot, m), c in b.items() if slot == "eu"}
+           for b in stage.boundaries.basis())
     return QuotientSpace(num, den, field)
 
 
 def _rank_gain(base, extra, field):
-    """How far the span of the vectors base grows when extra is added."""
-    span = Echelon.spanned_by(base, field)
+    """How far the Echelon base grows when extra goes into a layer on it."""
+    span = Echelon(field, base)
     return sum(span.insert(v) is not None for v in extra)
 
 
@@ -241,7 +209,11 @@ def ses_row_check(ring, i, w, field=QQ, ctx=None):
     (the composite vanishes, the left map's kernel is the denominator).
     The left module is the context's stage module, shared with the
     pro-zero search of the same run; the right module is read off the
-    stage's d1 table and boundaries, so no Koszul image is reduced twice.
+    stage's d1 table and boundaries, and both ranks extend a span already
+    eliminated. The t^i images of k1t are reduced twice in a run, for
+    the left numerator and for d1: sharing one stage between the search
+    and the row would keep every stage's d1 table alive for the run, and
+    peak memory rose by about 40% when that was tried.
     """
     ctx = Context.of(ctx)
     left = _stage_module(ring, "H0(u;H1(t))", i, w, field, ctx)
@@ -255,7 +227,7 @@ def ses_row_check(ring, i, w, field=QQ, ctx=None):
                       for v in left.num.basis()), field) == left.dim
     # right map: rank of projected cycle classes must equal dim(right),
     # and the composite (numerator basis -> second slot) must die
-    surj = _rank_gain(right.den.basis(),
+    surj = _rank_gain(right.den,
                       ({m: c for (slot, m), c in cyc.items() if slot == "eu"}
                        for cyc in stage.cycles), field) == right.dim
     # the left map lands in cycles (so the composite with the right map
@@ -300,21 +272,51 @@ def _system_kind(system):
     return system.kind
 
 
-def _h_module(ring, kind, i, w, field, ctx):
-    """Build the stage-i module of an inverse system, with its denominator."""
-    if kind == "H1(t)":
-        sub = koszul_h1_single(ring, "t", i, _sub_window(w, i, 0), field, ctx)
-        return QuotientSpace(sub, [], field)
-    return h0_of_h1(ring, i, w, field, ctx)
-
-
 def _stage_module(ring, kind, i, w, field, ctx):
-    """The context's stage-i module, built on first use."""
+    """The context's stage-i module of an inverse system, built on first
+    use: Ann(t^i) with no denominator, or H0(u^i; H1(t^i))."""
     key = (ring, kind, i, w, field.name)
     mod = ctx.stages.get(key)
     if mod is None:
-        mod = ctx.stages[key] = _h_module(ring, kind, i, w, field, ctx)
+        if kind == "H1(t)":
+            mod = QuotientSpace(koszul_h1_single(
+                ring, "t", i, _sub_window(w, i, 0), field, ctx), [], field)
+        else:
+            mod = h0_of_h1(ring, i, w, field, ctx)
+        ctx.stages[key] = mod
     return mod
+
+
+def _image(ring, v, m, n, w, field, ctx):
+    """The transition image of a stage-m vector in stage n: t^(m-n) v."""
+    return shift_reduce(ring, v, m - n, 0, w, field, ctx=ctx)
+
+
+def _transition(ring, kind, m, n, w, field, ctx):
+    """One witness search: is the stage-m to stage-n transition zero?
+
+    Every stage-m representative is mapped by t^(m-n) and reduced modulo
+    the stage-n denominator. Returns (True, None), or (False, v) with v
+    the highest constant-slice basis vector of the stage-m numerator with
+    nonzero image (any basis vector when no constant-slice one qualifies).
+    """
+    tgt = _stage_module(ring, kind, n, w, field, ctx)
+    src = _stage_module(ring, kind, m, w, field, ctx)
+    const, rest = [], []
+    for v in src.num.basis():
+        (const if all(mono[0] == 0 and mono[1] == 0 for mono in v)
+         else rest).append(v)
+    const.sort(key=max, reverse=True)
+    for v in const + rest:
+        if tgt.rep(_image(ring, v, m, n, w, field, ctx)):
+            return False, v
+    return True, None
+
+
+def check_stage_count(max_stage):
+    """A pro-zero search needs a target stage n >= 2 and a stage m > n."""
+    if max_stage < 3:
+        raise OracleError("pro-zero search needs max_stage >= 3")
 
 
 def pro_zero_test(ring, system, max_stage, w, field=QQ, ctx=None):
@@ -327,22 +329,15 @@ def pro_zero_test(ring, system, max_stage, w, field=QQ, ctx=None):
     decisive row, one with a zero transition or not window-limited;
     without one the search is a WindowError.
     """
-    if max_stage < 3:
-        raise OracleError("pro-zero search needs max_stage >= 3")
+    check_stage_count(max_stage)
     check_window_ring(ring, w)
     kind = _system_kind(system)
     ctx = Context.of(ctx)
-
-    def module(i):
-        return _stage_module(ring, kind, i, w, field, ctx)
-
     rows = []
     for n in range(2, max_stage):
-        tgt = module(n)
         row = ProZeroRow(n=n)
         for m in range(n + 1, max_stage + 1):
-            zero, wit = _transition(ring, module(m).num, m - n, 0, w, field,
-                                    ctx, tgt)
+            zero, wit = _transition(ring, kind, m, n, w, field, ctx)
             if zero:
                 row.least_zero_m = m
                 break
@@ -374,5 +369,4 @@ def transition_witness_replay(ring, system, m, n, w, witness, field=QQ,
     tgt = _stage_module(ring, kind, n, w, field, ctx)
     if not src.num.contains(witness):
         return False
-    img = shift_reduce(ring, witness, m - n, 0, w, field, ctx=ctx)
-    return tgt.class_nonzero(img)
+    return tgt.class_nonzero(_image(ring, witness, m, n, w, field, ctx))

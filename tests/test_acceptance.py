@@ -165,7 +165,7 @@ def test_criterion_08_control_rings_behave(golden_suite):
     assert ctrl.verdict == "pro-zero-up-to-window"
     gaps = [r.least_zero_m - r.n for r in ctrl.rows if r.least_zero_m]
     assert gaps and all(g == 2 for g in gaps)
-    assert not transition_zero(CTRL, "t", 3, 2, Window(9, 0, 12))[0]
+    assert not transition_zero(CTRL, 3, 2, Window(9, 0, 12))[0]
     _ok(8, "GS admits only the zero windowed solution and CTRL is "
            "pro-zero with gap exactly 2")
 

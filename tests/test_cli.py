@@ -405,6 +405,17 @@ def test_stage_outside_window_is_window_error(argv, says, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("stages", ["-5", "0", "2"])
+def test_prozero_stage_count_below_three_is_usage_error(stages, capsys):
+    # -5 was refused as a window with a negative bound (exit 65), a bound
+    # the user never set: the stage count is checked before the window
+    assert run_cli(["prozero", "--system", "H0(u;H1(t))",
+                    "--max-stage", stages]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "prozero: pro-zero search needs max_stage >= 3\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["selftest", "--format", "json"],
     ["selftest", "--out", "report.txt"],

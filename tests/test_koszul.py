@@ -24,24 +24,39 @@ def _gen(ring, name):
     return GradedPoly.gen(ring, name)
 
 
+def _d2_images(st):
+    # d2 of each k2 generator, rebuilt here from the stage's d1 table
+    k2 = window_basis(E2, Window(W_PAIR.Dt - st.i, W_PAIR.Du - st.i,
+                                 W_PAIR.Mx))
+    images = {}
+    for m in k2:
+        img = {("et", mono): QQ.neg(c) for mono, c in st.d1[("eu", m)].items()}
+        img.update((("eu", mono), c) for mono, c in st.d1[("et", m)].items())
+        images[m] = img
+    return images
+
+
 def test_stage_dims_frozen():
     st2 = koszul_pair(E2, 2, W_PAIR)
     assert (st2.h0_dim, st2.h1_dim, st2.h2_dim) == (85, 32, 9)
-    assert st2.boundaries_rank == 475
-    assert Echelon.spanned_by(st2.boundaries).dim == 475
+    assert st2.boundaries.dim == 475
     assert len(st2.cycles) == 507
     assert st2.d_squared_zero
     st3 = koszul_pair(E2, 3, W_PAIR)
     assert (st3.h0_dim, st3.h1_dim, st3.h2_dim) == (185, 48, 7)
-    assert st3.boundaries_rank == 312
+    assert st3.boundaries.dim == 312
     assert len(st3.cycles) == 360
     assert st3.d_squared_zero
-    # the ranks come from rank-nullity; eliminating the images agrees
+    # the ranks come from rank-nullity; a kernel of d2 and an elimination
+    # of the d1 images, both made here, agree
     k0 = len(window_basis(E2, W_PAIR))
     for st in (st2, st3):
         assert st.h0_dim == k0 - Echelon.spanned_by(st.d1.values()).dim
-        assert st.boundaries_rank == \
-            Echelon.spanned_by(st.boundaries).dim
+        d2 = _d2_images(st)
+        h2 = kernel_basis(list(d2), d2.__getitem__, QQ)
+        assert st.h2_dim == len(h2)
+        assert st.boundaries.dim == len(d2) - len(h2)
+        assert st.boundaries == Echelon.spanned_by(d2.values())
 
 
 def _count_images(monkeypatch):
@@ -150,6 +165,39 @@ def test_ses_row_reduces_only_d1_and_the_landing_check(monkeypatch):
     assert len(reduced) == k1 + left.num.dim
 
 
+def _slots(vec):
+    # the Koszul slots a vector's labels name, read through the (1, label)
+    # tag kernel_basis puts on image columns
+    slots = set()
+    for key in vec:
+        if key[0] == 1 and isinstance(key[1], tuple):
+            key = key[1]
+        if key[0] in ("et", "eu"):
+            slots.add(key[0])
+    return slots
+
+
+def test_ses_row_eliminates_the_d2_images_once(monkeypatch):
+    # the stage's boundary span is the row's one elimination of its d2
+    # images: the rank counts extend it and the right module reads it
+    ctx = Context()
+    i = 3
+    koszul._stage_module(E2, "H0(u;H1(t))", i, W_PAIR, QQ, ctx)
+    d2 = _d2_images(koszul_pair(E2, i, W_PAIR, ctx=ctx))
+    want = sum(len(_slots(img)) == 2 for img in d2.values())
+    two_slot = []
+    real = Echelon.insert
+
+    def spy(self, vec):
+        if len(_slots(vec)) == 2:
+            two_slot.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", spy)
+    assert ses_row_check(E2, i, W_PAIR, ctx=ctx)
+    assert len(two_slot) == want > 0
+
+
 def test_ses_rows_exact():
     for i in (2, 3, 4):
         assert ses_row_check(E2, i, W_PAIR)
@@ -183,7 +231,7 @@ def test_transition_witnesses_frozen():
     cases = [((5, 2), ("x", 3)), ((3, 1), ("x", 1)),
              ((8, 2), ("x", 6)), ((4, 3), ("x", 2))]
     for (j, i), idx in cases:
-        zero, wit = transition_zero(E1(2), "t", j, i, W_LINE)
+        zero, wit = transition_zero(E1(2), j, i, W_LINE)
         assert not zero
         assert poly_of_vec(E1(2), wit) == _gen(E1(2), idx)
         # replay: the witness is nonzero at stage j and survives to stage i
@@ -193,10 +241,29 @@ def test_transition_witnesses_frozen():
 
 def test_ctrl_transitions_gap_two():
     w = Window(9, 0, 12)
-    assert transition_zero(CTRL, "t", 4, 2, w)[0]
-    assert transition_zero(CTRL, "t", 5, 3, w)[0]
-    zero, wit = transition_zero(CTRL, "t", 3, 2, w)
+    assert transition_zero(CTRL, 4, 2, w)[0]
+    assert transition_zero(CTRL, 5, 3, w)[0]
+    zero, wit = transition_zero(CTRL, 3, 2, w)
     assert not zero and wit
+
+
+@pytest.mark.parametrize("ring", [E1(2), CTRL], ids=["E1", "CTRL"])
+def test_transition_zero_is_the_search_transition(ring):
+    # transition_zero runs the pro-zero search's transition on H1(t), on
+    # the stage modules the search left in the context
+    ctx = Context()
+    rep = pro_zero_test(ring, SystemSpec("H1(t)"), 8, W_LINE, ctx=ctx)
+    before = list(ctx.stages.items())
+    checked = 0
+    for row in rep.rows:
+        found = dict(row.witnesses)
+        for m in range(row.n + 1, (row.least_zero_m or 8) + 1):
+            got = transition_zero(ring, m, row.n, W_LINE, ctx=ctx)
+            assert got == ((True, None) if m == row.least_zero_m
+                           else (False, found[m]))
+            checked += 1
+    assert checked > len(rep.rows)
+    assert list(ctx.stages.items()) == before      # no stage module built
 
 
 def test_transition_functoriality():
@@ -233,18 +300,31 @@ def test_pro_zero_e2_frozen():
     assert rows[7].window_limited
 
 
+def _spy_stage_builders(monkeypatch):
+    # the builders `_stage_module` calls, logged as (ring, stage): h0_of_h1
+    # for H0(u;H1(t)); koszul_h1_single for H1(t) and h0_of_h1's numerator
+    quotients, annihilators = [], []
+    real_h0, real_h1 = koszul.h0_of_h1, koszul.koszul_h1_single
+
+    def spy_h0(ring, i, *args, **kwargs):
+        quotients.append((ring.describe(), i))
+        return real_h0(ring, i, *args, **kwargs)
+
+    def spy_h1(ring, a, i, *args, **kwargs):
+        annihilators.append((ring.describe(), i))
+        return real_h1(ring, a, i, *args, **kwargs)
+
+    monkeypatch.setattr(koszul, "h0_of_h1", spy_h0)
+    monkeypatch.setattr(koszul, "koszul_h1_single", spy_h1)
+    return quotients, annihilators
+
+
 def test_pro_zero_builds_each_stage_once(monkeypatch):
-    built = []
-    real = koszul._h_module
-
-    def spy(ring, kind, i, w, field, ctx):
-        built.append(i)
-        return real(ring, kind, i, w, field, ctx)
-
-    monkeypatch.setattr(koszul, "_h_module", spy)
+    quotients, annihilators = _spy_stage_builders(monkeypatch)
     rep = pro_zero_test(E2, SystemSpec(kind="H0(u;H1(t))"), 8,
                         Window(10, 10, 12))
-    assert sorted(built) == [2, 3, 4, 5, 6, 7, 8]
+    stages = [(E2.describe(), i) for i in range(2, 9)]
+    assert sorted(quotients) == sorted(annihilators) == stages
     assert rep.verdict == "NOT-pro-zero-witnessed"
     got = [(r.n, r.least_zero_m, r.window_limited,
             [(m, poly_of_vec(E2, v)) for m, v in r.witnesses])
@@ -288,25 +368,13 @@ def test_pro_zero_needs_a_decisive_row():
 def test_nwkpr_builds_each_stage_once_per_context(monkeypatch):
     # the pro-zero searches build every stage; the witness replay and the
     # three-term rows of the same run reuse them and build none
-    built, quotients = [], []
-    real, real_h0 = koszul._h_module, koszul.h0_of_h1
-
-    def spy(ring, kind, i, w, field, ctx):
-        built.append((ring.describe(), i))
-        return real(ring, kind, i, w, field, ctx)
-
-    def spy_h0(ring, i, w, field=QQ, ctx=None):
-        quotients.append(i)
-        return real_h0(ring, i, w, field, ctx)
-
-    monkeypatch.setattr(koszul, "_h_module", spy)
-    monkeypatch.setattr(koszul, "h0_of_h1", spy_h0)
+    quotients, annihilators = _spy_stage_builders(monkeypatch)
     rep = run_claim("C-nwkpr", ctx=Context())
     assert rep.status == "verified"
-    assert sorted(built) == sorted([(E2.describe(), i) for i in range(2, 9)]
-                                   + [(CTRL.describe(), i)
-                                      for i in range(2, 9)])
-    assert sorted(quotients) == list(range(2, 9))
+    e2 = [(E2.describe(), i) for i in range(2, 9)]
+    ctrl = [(CTRL.describe(), i) for i in range(2, 9)]
+    assert sorted(quotients) == e2
+    assert sorted(annihilators) == sorted(e2 + ctrl)
 
 
 def test_replay_rejects_bad_witnesses():
@@ -324,7 +392,7 @@ def test_replay_rejects_bad_witnesses():
     for v in src.basis():
         assert not transition_witness_replay(CTRL, sysT, 4, 2, W_LINE, v,
                                              ctx=ctx)
-    zero, wit = transition_zero(CTRL, "t", 3, 2, W_LINE)
+    zero, wit = transition_zero(CTRL, 3, 2, W_LINE)
     assert not zero
     assert transition_witness_replay(CTRL, sysT, 3, 2, W_LINE, wit, ctx=ctx)
 
