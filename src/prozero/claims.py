@@ -37,7 +37,7 @@ from .fields import QQ
 from .koszul import pro_zero_test, ses_row_check, transition_witness_replay
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
                      check_window_budget, index_of_mono, kernel_of,
-                     mono_of_index, reduce_raw, shift_reduce,
+                     mono_of_index, product_caps, reduce_raw, shift_reduce,
                      subspace_boundary_touch, system_kernel, torsion_subspace,
                      vectorize, window_basis)
 from .parser import ParseError, print_element, print_terms
@@ -169,46 +169,35 @@ def verify_basis(w, field, ctx):
               "complement has %d monomials, expected %d" %
               (len(mb), len(want)))
 
-    cap2 = 2 * mxv + 2
-    check_window_budget(R_ONLY, w0, cap2, cap2, True)
-    ok_pairs = True
-    bad = None
-    for i in range(mxv + 1):
-        for j in range(i, mxv + 1):
-            v = reduce_raw(R_ONLY, {(0, 0, 2, 0, (i, j)): field.one()},
-                           cap2, cap2, True, field, ctx)
-            if v:
-                ok_pairs = False
-                bad = (i, j)
-                break
-        if not ok_pairs:
-            break
-    ck.expect(ok_pairs, "every product x_i*x_j dies in the certified region",
-              "x%s*x%s has nonzero normal form" % bad if bad else "")
+    x0 = {(0, 0, 1, 0, (0,)): field.one()}
+    pair_caps = product_caps(w0, x0)     # two-x products: the pair spans
+    check_window_budget(R_ONLY, w0, x0)
 
-    ok_mixed = True
-    for i in range(1, mxv + 1):
-        got = reduce_raw(R_ONLY, {(0, 0, 1, 1, (i,)): field.one()},
-                         cap2, cap2, True, field, ctx)
-        if got != {(0, 0, 1, 0, (i - 1,)): field.one()}:
-            ok_mixed = False
-    got0 = reduce_raw(R_ONLY, {(0, 0, 1, 1, (0,)): field.one()},
-                      cap2, cap2, True, field, ctx)
-    ck.expect(ok_mixed and not got0,
+    def pair_nf(mono):
+        return reduce_raw(R_ONLY, {mono: field.one()}, *pair_caps, field, ctx)
+
+    bad = next(((i, j) for i in range(mxv + 1) for j in range(i, mxv + 1)
+                if pair_nf((0, 0, 2, 0, (i, j)))), None)
+    ck.expect(bad is None,
+              "every product x_i*x_j dies in the certified region",
+              "x%s*x%s has nonzero normal form" % bad if bad else "")
+    ok_mixed = all(pair_nf((0, 0, 1, 1, (i,)))
+                   == {(0, 0, 1, 0, (i - 1,)): field.one()}
+                   for i in range(1, mxv + 1))
+    ck.expect(ok_mixed and not pair_nf((0, 0, 1, 1, (0,))),
               "y*x_i normalizes to x_(i-1), y*x_0 to 0", "")
 
     # independence: a fixed combination of low x-generators is its own
     # normal form, so no relation touches the complement
     comb = {(0, 0, 1, 0, (i,)): field.from_int(i + 1) for i in range(5)}
-    got = reduce_raw(R_ONLY, dict(comb), w.Mx + 2, w.Mx, False, field, ctx)
+    got = reduce_raw(R_ONLY, dict(comb), *product_caps(w), field, ctx)
     ck.expect(got == comb, "1*x0 + ... + 5*x4 is linearly independent",
               "combination reduced to %r" % (got,))
-    x0 = {(0, 0, 1, 0, (0,)): field.one()}
-    ck.expect(reduce_raw(R_ONLY, dict(x0), w.Mx + 2, w.Mx, False, field,
+    ck.expect(reduce_raw(R_ONLY, dict(x0), *product_caps(w), field,
                          ctx) == x0,
               "x0 is not in the relation span", "x0 reduced to zero")
 
-    params = {"mx": mxv, "pair_cap": cap2}
+    params = {"mx": mxv, "pair_cap": pair_caps[1]}
     return ck.report(R_ONLY.describe(), params, ["x0"])
 
 
@@ -515,6 +504,9 @@ def demo_approx_failure(w, field, ctx, ring, n, prec):
 def verify_xi_witnesses(w, field, ctx):
     n_max = 6
     ring = E1(2)
+    # the reductions below reach t^(n_max + 1) before any annihilator
+    # checks the window: refuse an oversized one before a span is built
+    check_window_budget(ring, w, {(n_max + 1, 0, 0, 0, ()): field.one()})
     ck = _Checks()
     wit = []
     dims = []
@@ -606,7 +598,8 @@ class ClaimSpec:
     the claim parameters it accepts, with their defaults.
 
     `window(params)` gives (Dt, Du, Mx) for the effective parameters:
-    Dt and Du are both the default and the minimum, Mx the default.
+    Dt and Du are both the default and the minimum, Mx the default, which
+    `Window.of` raises to the margin of the effective Dt and Du.
     The verifier is called as verifier(w, field, ctx, **params).
     """
 
@@ -623,7 +616,7 @@ def _stage_window(p, du):
         raise WindowError("window-too-small: claim needs --max-stage >= 4, "
                           "got %d" % p["max_stage"])
     need = p["max_stage"] + 2
-    return need, need if du else 0, max(12, need + 2)
+    return need, need if du else 0, 12
 
 
 CLAIMS = {spec.id: spec for spec in (
@@ -651,17 +644,6 @@ CLAIMS = {spec.id: spec for spec in (
 CLAIM_IDS = tuple(CLAIMS)
 
 
-def _win(dt, du, mx, o_dt=None, o_du=None, o_mx=None):
-    """Effective window: explicit overrides are binding, else defaults."""
-    eff = Window(dt if o_dt is None else o_dt,
-                 du if o_du is None else o_du,
-                 mx if o_mx is None else o_mx)
-    if eff.Dt < dt or eff.Du < du:
-        raise WindowError(
-            "window-too-small: claim needs Dt >= %d, Du >= %d" % (dt, du))
-    return eff
-
-
 def claim_params(claim_id, **params):
     """The parameters a claim runs with: its defaults, overridden by params.
 
@@ -686,12 +668,18 @@ def run_claim(claim_id, ctx=None, dt=None, du=None, mx=None, field=QQ,
               **params):
     """Run one claim: check its parameters, bind its window, verify.
 
-    dt/du/mx override the claim's window (None keeps its default); an
-    override below what the claim needs is a WindowError.
+    dt/du/mx override the claim's window. None keeps its default, and an
+    unset mx is the claim's raised to the margin (`Window.of`); a dt or du
+    below what the claim needs is a WindowError.
     """
     params = claim_params(claim_id, **params)
     spec = CLAIMS[claim_id]
-    w = _win(*spec.window(params), dt, du, mx)
+    need_dt, need_du, mx_default = spec.window(params)
+    w = Window.of(need_dt if dt is None else dt,
+                  need_du if du is None else du, mx, mx_default)
+    if w.Dt < need_dt or w.Du < need_du:
+        raise WindowError("window-too-small: claim needs Dt >= %d, Du >= %d"
+                          % (need_dt, need_du))
     report = spec.verifier(w, field, Context.of(ctx), **params)
     report.claim_id = claim_id
     return report

@@ -63,7 +63,8 @@ def _build_parser():
         if window:
             p.add_argument("--dt", type=int, default=None)
             p.add_argument("--du", type=int, default=None)
-            p.add_argument("--mx", type=int, default=None)
+            p.add_argument("--mx", type=int, default=None,
+                           help="unset: the default, raised to fit Dt and Du")
         add_field(p)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None)
@@ -132,11 +133,11 @@ def _ring_of(args, default):
 
 
 def _window_of(args, ring):
-    """Default window (8, 8, 12), with Dt or Du 0 on a ring without t or u."""
+    """Default window (8, 8, 12), with Dt or Du 0 on a ring without t or u;
+    an unset --mx is raised to the margin (`Window.of`)."""
     dt = args.dt if args.dt is not None else (8 if ring.has_t else 0)
     du = args.du if args.du is not None else (8 if ring.has_u else 0)
-    mx = args.mx if args.mx is not None else 12
-    return Window(dt, du, mx)
+    return Window.of(dt, du, args.mx)
 
 
 # -- verify
@@ -210,8 +211,7 @@ def cmd_annihilator(args):
     tdu = args.du if args.du is not None else 0
     wdt = max(tdt, 8 if ring.has_t else 0)
     wdu = max(tdu, 3 if ring.has_u else 0)
-    mx = args.mx if args.mx is not None else max(12, max(wdt, wdu) + 2)
-    w = Window(wdt, wdu, mx)
+    w = Window.of(wdt, wdu, args.mx)
     sub = annihilator_oracle(ring, tdt, tdu, w, field)
     basis = render_basis(ring, sub, field)
     doc = {"schema_version": SCHEMA_VERSION, "ring": ring.describe(),
@@ -254,8 +254,7 @@ def cmd_prozero(args):
     need = args.max_stage + 2
     dt = args.dt if args.dt is not None else need
     du = args.du if args.du is not None else (need if ring.has_u else 0)
-    mx = args.mx if args.mx is not None else max(12, max(dt, du) + 2)
-    w = Window(dt, du, mx)
+    w = Window.of(dt, du, args.mx)
     rep = pro_zero_test(ring, system, args.max_stage, w, field)
     rows = []
     for row in rep.rows:

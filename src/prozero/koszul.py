@@ -35,8 +35,8 @@ from dataclasses import dataclass, field as dc_field
 from .fields import QQ
 from .linalg import Echelon, kernel_basis
 from .oracle import (Context, OracleError, Window, WindowError,
-                     check_window_ring, kernel_of, map_images, shift_reduce,
-                     window_basis)
+                     check_window_ring, kernel_of, map_images, product_caps,
+                     shift_reduce, window_basis)
 
 
 def _sub_window(w, ddt, ddu=0):
@@ -48,17 +48,11 @@ def _sub_window(w, ddt, ddu=0):
     return Window(w.Dt - ddt, w.Du - ddu, w.Mx)
 
 
-def koszul_h1_single(ring, a, i, w, field=QQ, ctx=None):
-    """Windowed annihilator of a^i over the full window, a in {t, u}."""
-    if a not in ("t", "u"):
-        raise OracleError("sequence element must be t or u")
-    if a == "u" and not ring.has_u:
-        raise OracleError("u does not exist in ring %s" % ring.describe())
+def koszul_h1_single(ring, i, w, field=QQ, ctx=None):
+    """Windowed annihilator of t^i over the full window."""
     if i < 1:
         raise OracleError("stage must be >= 1")
-    shift = {(i if a == "t" else 0, i if a == "u" else 0, 0, 0, ()):
-             field.one()}
-    return kernel_of(ring, [shift], w, field, ctx)
+    return kernel_of(ring, [{(i, 0, 0, 0, ()): field.one()}], w, field, ctx)
 
 
 def transition_zero(ring, j, i, w, field=QQ, ctx=None):
@@ -98,7 +92,6 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
         raise OracleError("pair complex needs a two-variable ring")
     if i < 1:
         raise OracleError("stage must be >= 1")
-    check_window_ring(ring, w)
     ctx = Context.of(ctx)
     k2 = window_basis(ring, _sub_window(w, i, i), field, ctx)
     k1t = window_basis(ring, _sub_window(w, i, 0), field, ctx)
@@ -106,9 +99,9 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
     k0 = window_basis(ring, w, field, ctx)
 
     d1 = {}                            # each d1 image is reduced once
-    for slot, k1, g in (("et", k1t, (i, 0)), ("eu", k1u, (0, i))):
-        images = map_images(ring, k1, {g + (0, 0, ()): field.one()},
-                            w.Mx + 2, w.Mx, False, field, ctx)
+    for slot, k1, deg in (("et", k1t, (i, 0)), ("eu", k1u, (0, i))):
+        g = {deg + (0, 0, ()): field.one()}
+        images = map_images(ring, k1, g, *product_caps(w, g), field, ctx)
         d1.update(((slot, m), img) for m, img in images.items())
     domain = list(d1)
     cycles = kernel_basis(domain, d1.__getitem__, field)
@@ -165,7 +158,7 @@ def h0_of_h1(ring, i, w, field=QQ, ctx=None):
     if not ring.has_u:
         raise OracleError("quotient homology needs a two-variable ring")
     ctx = Context.of(ctx)
-    num = koszul_h1_single(ring, "t", i, _sub_window(w, i, 0), field, ctx)
+    num = koszul_h1_single(ring, i, _sub_window(w, i, 0), field, ctx)
     # Ann(t^i) is (t, u)-graded, so its echelon basis over the window one
     # u^i-step down is the part of num's basis that fits there
     du = _sub_window(w, i, i).Du
@@ -280,7 +273,7 @@ def _stage_module(ring, kind, i, w, field, ctx):
     if mod is None:
         if kind == "H1(t)":
             mod = QuotientSpace(koszul_h1_single(
-                ring, "t", i, _sub_window(w, i, 0), field, ctx), [], field)
+                ring, i, _sub_window(w, i, 0), field, ctx), [], field)
         else:
             mod = h0_of_h1(ring, i, w, field, ctx)
         ctx.stages[key] = mod

@@ -76,7 +76,8 @@ class Window:
 
     The margin Mx >= max(Dt, Du) + 2 guarantees that the enlarged-codomain
     reductions used by every kernel computation cannot silently truncate a
-    nonzero image in the coefficient direction.
+    nonzero image in the coefficient direction; `product_caps` gives those
+    reductions' caps. `Window.of` is the one place a default Mx is decided.
     """
 
     Dt: int
@@ -86,10 +87,23 @@ class Window:
     def __post_init__(self):
         if self.Dt < 0 or self.Du < 0 or self.Mx < 0:
             raise WindowError("window-too-small: negative bound")
-        if self.Mx < max(self.Dt, self.Du) + 2:
+        if self.Mx < self.least_mx(self.Dt, self.Du):
             raise WindowError(
                 "window-too-small: need Mx >= max(Dt, Du) + 2, got "
                 "Dt=%d Du=%d Mx=%d" % (self.Dt, self.Du, self.Mx))
+
+    @staticmethod
+    def least_mx(dt, du):
+        """The smallest Mx the margin allows at (dt, du)."""
+        return max(dt, du) + 2
+
+    @classmethod
+    def of(cls, dt, du, mx=None, mx_default=12):
+        """The window at (dt, du): a given mx is binding, an unset one is
+        mx_default raised to the margin."""
+        if mx is None:
+            mx = max(mx_default, cls.least_mx(dt, du))
+        return cls(dt, du, mx)
 
 
 class Context:
@@ -293,19 +307,33 @@ def _shape_span(rows, xs, ycap, xcap, pairs, field, base=None):
     return ech
 
 
-def check_window_budget(ring, w, ycap, xcap, pairs=False, reach=(0, 0)):
+def product_caps(w, g=()):
+    """The caps (ycap, xcap, pairs) at which products of the window's
+    basis by the raw vector g are reduced, so that no nonzero image is
+    truncated: caps grow by g's y-degree, and an x-factor in g makes
+    two-x products, reduced in the two-x (pairs) spans at x-cap 2*Mx + 2.
+    With g = () they are the window basis caps."""
+    ymax = max((m[3] for m in g), default=0)
+    if any(m[2] for m in g):
+        return 2 * w.Mx + 2 + ymax, 2 * w.Mx + 2, True
+    return w.Mx + 2 + ymax, w.Mx, False
+
+
+def check_window_budget(ring, w, g=()):
     """Refuse, before building anything, a window too large to compute.
 
     The estimate is the window's ambient basis plus the rows of the shape
     spans its caller builds: those of the window's own slices at the
-    basis caps (`window_basis`), and those at these caps of every slice
-    up to (Dt, Du) + reach, where a map's images land (`mul_map`, whose
-    images reach past the window by g's degrees). A shape span holds at
-    most its relators times the multipliers: the bidegree-zero relators it
-    shares with the (0, 0) span plus its own t/u relators. No relator has
-    u-degree above 1, so the slices with du <= 1 show every shape.
-    Returns the estimate.
+    basis caps (`window_basis`), and those at the caps of products by the
+    raw vector g (`product_caps`) of every slice up to (Dt, Du) plus g's
+    degrees, where the images of a map by g land (`mul_map`). A shape span
+    holds at most its relators times the multipliers: the bidegree-zero
+    relators it shares with the (0, 0) span plus its own t/u relators. No
+    relator has u-degree above 1, so the slices with du <= 1 show every
+    shape. Returns the estimate.
     """
+    reach = (max((m[0] for m in g), default=0),
+             max((m[1] for m in g), default=0))
     # per slice y^0..y^Mx and x_0..x_Mx (CTRL: its powers only), counted
     # without len(range(...)), which overflows on a huge Mx
     basis = ((w.Dt + 1) * (w.Du + 1) * (w.Mx + 1)
@@ -315,9 +343,9 @@ def check_window_budget(ring, w, ycap, xcap, pairs=False, reach=(0, 0)):
     if basis <= WINDOW_BUDGET:
         spans = {(yc, xc, pr, tuple(len(ls) for _, ls, _ in
                                     _relator_families(ring, dt, du, xc)))
-                 for yc, xc, pr, dtop, dutop in (
-                     (w.Mx + 2, w.Mx, False, w.Dt, w.Du),
-                     (ycap, xcap, pairs, w.Dt + reach[0], w.Du + reach[1]))
+                 for (yc, xc, pr), dtop, dutop in (
+                     (product_caps(w), w.Dt, w.Du),
+                     (product_caps(w, g), w.Dt + reach[0], w.Du + reach[1]))
                  for dt in range(dtop + 1) for du in range(min(dutop, 1) + 1)}
         rows = sum(sum(sizes) * (yc + 1)
                    * (1 + len(_x_indices(ring, xc)) if pr else 1)
@@ -349,8 +377,9 @@ def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ, ctx=None):
 
 def shift_reduce(ring, vec, dt, du, w, field=QQ, ypow=0, ctx=None):
     """vec * t^dt u^du y^ypow, reduced with the window's one-x caps."""
-    raw = raw_mul(vec, {(dt, du, 0, ypow, ()): field.one()}, field)
-    return reduce_raw(ring, raw, w.Mx + 2 + ypow, w.Mx, False, field, ctx)
+    g = {(dt, du, 0, ypow, ()): field.one()}
+    return reduce_raw(ring, raw_mul(vec, g, field), *product_caps(w, g),
+                      field, ctx)
 
 
 # -- windowed monomial bases ------------------------------------------------
@@ -363,13 +392,14 @@ def window_basis(ring, w, field=QQ, ctx=None):
     the slice's shape span.
     """
     check_window_ring(ring, w)
-    check_window_budget(ring, w, w.Mx + 2, w.Mx)
+    check_window_budget(ring, w)
+    caps = product_caps(w)
     ambient = [(0, 0, 0, a, ()) for a in range(w.Mx + 1)]
     ambient += [(0, 0, 1, 0, (i,)) for i in _x_indices(ring, w.Mx)]
     monos = []
     for dt in range(w.Dt + 1):
         for du in range(w.Du + 1):
-            ech = slice_span(ring, dt, du, w.Mx + 2, w.Mx, False, field, ctx)
+            ech = slice_span(ring, dt, du, *caps, field, ctx)
             monos += [(dt, du) + m[2:] for m in ech.non_pivots(ambient)]
     return tuple(sorted(monos))
 
@@ -391,24 +421,13 @@ def mul_map(ring, g, w, field=QQ, ctx=None):
     """Exact multiplication by the raw vector g on the window's reduced
     basis: a dict domain monomial -> reduced image, in basis order.
 
-    Images are computed in the enlarged codomain (degree and coefficient
+    Images are computed in the enlarged codomain (`product_caps`: the
     caps grow by g's degrees), then reduced against the relation span, so
     a kernel vector here really multiplies to zero.
     """
-    g_ymax = max((m[3] for m in g), default=0)
-    if any(m[2] for m in g):
-        xcap = 2 * w.Mx + 2
-        ycap = xcap + g_ymax
-        pairs = True
-    else:
-        xcap = w.Mx
-        ycap = w.Mx + 2 + g_ymax
-        pairs = False
-    reach = (max((m[0] for m in g), default=0),
-             max((m[1] for m in g), default=0))
-    check_window_budget(ring, w, ycap, xcap, pairs, reach)
+    check_window_budget(ring, w, g)
     domain = window_basis(ring, w, field, ctx)
-    return map_images(ring, domain, g, ycap, xcap, pairs, field, ctx)
+    return map_images(ring, domain, g, *product_caps(w, g), field, ctx)
 
 
 def map_images(ring, monos, gvec, ycap, xcap, pairs=False, field=QQ,
@@ -490,15 +509,15 @@ def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
                           % (dt, du))
     if dt > w.Dt or du > w.Du:
         raise WindowError("window-too-small: shift degree exceeds window")
-    check_window_budget(ring, w, w.Mx + 2, w.Mx, False, (dt, du))
+    shift = {(dt, du, 0, 0, ()): field.one()}
+    check_window_budget(ring, w, shift)
     check_window_ring(ring, w)
     ctx = Context.of(ctx)
     key = (ring, dt, du, w, field.name)
     ann = ctx.annihilators.get(key)
     if ann is None:
         ann = ctx.annihilators[key] = kernel_of(
-            ring, [{(dt, du, 0, 0, ()): field.one()}], Window(0, 0, w.Mx),
-            field, ctx)
+            ring, [shift], Window(0, 0, w.Mx), field, ctx)
     return ann
 
 

@@ -293,6 +293,27 @@ def test_remark_wpr_window_grows_with_max_stage(capsys):
     assert (doc["params"]["dt"], doc["params"]["mx"]) == (12, 14)
 
 
+@pytest.mark.parametrize("argv, key, window", [
+    # an unset --mx is raised to max(Dt, Du) + 2: each exited 65 blaming
+    # an Mx the user never set
+    (["kernel", "--ring", "E1", "--dt", "12", "t"], "window", (12, 0, 14)),
+    (["kernel", "--ring", "E2", "--du", "11", "u"], "window", (8, 11, 13)),
+    (["verify", "C-ann-t", "--dt", "12"], "params", (12, 0, 14)),
+    (["verify", "C-kernel-I0", "--du", "9"], "params", (6, 9, 11)),
+    (["verify", "C-nwkpr", "--dt", "11"], "params", (11, 10, 13)),
+    # default windows
+    (["kernel", "--ring", "E2", "t"], "window", (8, 8, 12)),
+    (["annihilator", "--ring", "E2"], "window", (8, 3, 12)),
+    (["prozero", "--ring", "E2", "--system", "H0(u;H1(t))"], "window",
+     (10, 10, 12)),
+])
+def test_unset_mx_is_the_default_raised_to_the_margin(argv, key, window,
+                                                      capsys):
+    assert run_cli(argv + ["--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)[key]
+    assert (got["dt"], got["du"], got["mx"]) == window
+
+
 def _one_line_usage_error(argv, capsys, kind):
     t0 = time.perf_counter()
     assert run_cli(argv) == 64
@@ -474,6 +495,14 @@ def test_precision_over_the_cap_is_usage_error(prec, capsys):
     (["annihilator", "--ring", "E2", "--dt", "1", "--mx", "3000"],
      "Dt=8 Du=3 Mx=3000 needs ~216072 basis monomials and ~171609438 "
      "span rows"),
+    # an unset --mx grows with --dt, and the budget still refuses it
+    (["kernel", "--ring", "E1", "--dt", "100000", "t"],
+     "Dt=100000 Du=0 Mx=100002 needs ~20000800006 basis monomials,"),
+    # C-xi-witness reduced before any annihilator checked the window:
+    # still running when killed at 10 s
+    (["verify", "C-xi-witness", "--mx", "3000"],
+     "Dt=8 Du=0 Mx=3000 needs ~54018 basis monomials and ~135495360 span "
+     "rows"),
 ])
 def test_window_over_budget_is_window_error(argv, says, capsys):
     t0 = time.perf_counter()

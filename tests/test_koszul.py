@@ -130,8 +130,7 @@ def _scratch_h1_of_h0(ring, i, w, field):
 
 def _scratch_h0_of_h1_den(ring, i, w, field):
     # u^i * Ann(t^i), with Ann(t^i) computed over the window one u^i-step down
-    inner = koszul_h1_single(ring, "t", i, Window(w.Dt - i, w.Du - i, w.Mx),
-                             field)
+    inner = koszul_h1_single(ring, i, Window(w.Dt - i, w.Du - i, w.Mx), field)
     den = [shift_reduce(ring, v, 0, i, w, field) for v in inner.basis()]
     return Echelon.spanned_by(den, field).basis()
 
@@ -208,7 +207,7 @@ def test_h1_single_matches_annihilator_oracle():
     for ring in (E1(2), E2):
         w = Window(6, 2 if ring.has_u else 0, 8)
         for i in (1, 2, 3):
-            a = koszul_h1_single(ring, "t", i, w)
+            a = koszul_h1_single(ring, i, w)
             b = annihilator_oracle(ring, i, 0, w)
             # annihilator_oracle fixes one slice; sum it over the window
             assert a.dim >= b.dim
@@ -218,11 +217,7 @@ def test_h1_single_matches_annihilator_oracle():
 
 def test_h1_single_validates_input():
     with pytest.raises(OracleError):
-        koszul_h1_single(E2, "y", 2, W_PAIR)
-    with pytest.raises(OracleError):
-        koszul_h1_single(E1(2), "u", 2, Window(6, 0, 8))
-    with pytest.raises(OracleError):
-        koszul_h1_single(E2, "t", 0, W_PAIR)
+        koszul_h1_single(E2, 0, W_PAIR)
     with pytest.raises(OracleError):
         koszul_pair(E1(2), 2, Window(6, 0, 8))
 
@@ -268,8 +263,8 @@ def test_transition_zero_is_the_search_transition(ring):
 
 def test_transition_functoriality():
     # going 8 -> 5 -> 2 kills anything 8 -> 2 kills, on every representative
-    dom = koszul_h1_single(E1(2), "t", 8, Window(2, 0, 12))
-    mid = koszul_h1_single(E1(2), "t", 5, Window(5, 0, 12))
+    dom = koszul_h1_single(E1(2), 8, Window(2, 0, 12))
+    mid = koszul_h1_single(E1(2), 5, Window(5, 0, 12))
     t3 = _gen(E1(2), "t") ** 3
     t6 = _gen(E1(2), "t") ** 6
     for v in dom.basis():
@@ -310,9 +305,9 @@ def _spy_stage_builders(monkeypatch):
         quotients.append((ring.describe(), i))
         return real_h0(ring, i, *args, **kwargs)
 
-    def spy_h1(ring, a, i, *args, **kwargs):
+    def spy_h1(ring, i, *args, **kwargs):
         annihilators.append((ring.describe(), i))
-        return real_h1(ring, a, i, *args, **kwargs)
+        return real_h1(ring, i, *args, **kwargs)
 
     monkeypatch.setattr(koszul, "h0_of_h1", spy_h0)
     monkeypatch.setattr(koszul, "koszul_h1_single", spy_h1)
@@ -387,7 +382,7 @@ def test_replay_rejects_bad_witnesses():
     assert transition_witness_replay(E2, sysH, 3, 2, w, x1, ctx=ctx)
     # CTRL is pro-zero with gap 2: a stage-4 class dies at stage 2
     sysT = SystemSpec("H1(t)")
-    src = koszul_h1_single(CTRL, "t", 4, Window(6, 0, 12))
+    src = koszul_h1_single(CTRL, 4, Window(6, 0, 12))
     assert src.dim > 0
     for v in src.basis():
         assert not transition_witness_replay(CTRL, sysT, 4, 2, W_LINE, v,

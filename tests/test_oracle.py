@@ -9,8 +9,9 @@ from prozero.fields import QQ, PrimeField, field_from_spec
 from prozero.linalg import Echelon, kernel_basis
 from prozero.oracle import (Context, Window, WindowError, _shape_span,
                             _slice_generators, annihilator_oracle,
-                            boundary_touch, kernel_of, map_images, mul_map,
-                            raw_mul, reduce_raw, slice_span, system_kernel,
+                            boundary_touch, check_window_budget, kernel_of,
+                            map_images, mul_map, product_caps, raw_mul,
+                            reduce_raw, slice_span, system_kernel,
                             torsion_subspace, vectorize, window_basis)
 from prozero.rings import (CTRL, E1, E2, GS, R_ONLY, GradedPoly, RingId,
                            SystemSpec, ann_formula)
@@ -31,6 +32,47 @@ def test_window_margin_enforced():
         Window(-1, 0, 5)
     w = Window(8, 0, 10)
     assert (w.Dt, w.Du, w.Mx) == (8, 0, 10)
+
+
+def test_window_of_raises_only_an_unset_mx():
+    assert Window.of(8, 8) == Window(8, 8, 12)
+    assert Window.of(12, 0) == Window(12, 0, 14)
+    assert Window.of(6, 9, mx_default=10) == Window(6, 9, 11)
+    assert Window.of(6, 6, mx_default=10) == Window(6, 6, 10)
+    assert Window.of(8, 0, 30) == Window(8, 0, 30)
+    with pytest.raises(WindowError):
+        Window.of(20, 0, 12)        # a given mx binds
+    with pytest.raises(WindowError):
+        Window.of(-1, 0)
+
+
+ONE_T = {(1, 0, 0, 0, ()): 1}
+X0 = {(0, 0, 1, 0, (0,)): 1}
+
+
+def test_product_caps_pinned():
+    # the caps each call site wrote out before there was one rule
+    w = Window(8, 8, 12)
+    assert product_caps(w) == (14, 12, False)                 # window basis
+    assert product_caps(w, ONE_T) == (14, 12, False)          # shift by t
+    assert product_caps(w, {(0, 0, 0, 3, ()): 1}) == (17, 12, False)  # y^3
+    assert product_caps(w, X0) == (26, 26, True)              # two-x products
+    assert product_caps(w, {(1, 0, 1, 2, (0,)): 1,
+                            (0, 0, 0, 1, ()): 1}) == (28, 26, True)
+
+
+def test_window_budget_estimates_pinned():
+    # estimates with the caps and the reach worked out from g
+    w = Window(8, 8, 12)
+    assert check_window_budget(E2, w) == 6936
+    assert check_window_budget(E2, w, X0) == 430296
+    assert check_window_budget(E2, w, ONE_T) == 7716
+    # C-ann-t's Ann(t^3), C-basis's pair spans, C-kernel-I0 at Mx = 50
+    assert check_window_budget(E1(2), Window(10, 0, 12),
+                               {(3, 0, 0, 0, ()): 1}) == 3991
+    assert check_window_budget(R_ONLY, Window(0, 0, 12), X0) == 20633
+    t_minus_y = {(1, 0, 0, 0, ()): 1, (0, 0, 0, 1, ()): -1}
+    assert check_window_budget(E2, Window(6, 6, 50), t_minus_y) == 88733
 
 
 def test_window_basis_counts():
