@@ -21,9 +21,11 @@ comparable body.
 
 Every verifier computes in the run's `oracle.Context`; `run_all`, which
 the `verify` command and the tests both use, passes one context to the
-claims it runs, so slice spans and Koszul stage modules are built once
-per run. `run_claim` without a context makes a fresh one. `suite_doc`
-builds the document of a whole-suite run.
+claims it runs, so annihilators and Koszul stage modules are built once
+per run, and drops the context's slice spans before each claim, so a
+span lives only as long as the claim that built it. `run_claim` without
+a context makes a fresh one. `suite_doc` builds the document of a
+whole-suite run.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 
 from .fields import QQ
-from .koszul import pro_zero_test, ses_row_check, transition_witness_replay
+from .koszul import (pro_zero_test, ses_row_check, stage_degree,
+                     transition_witness_replay)
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
                      check_window_budget, index_of_mono, kernel_of,
                      mono_of_index, product_caps, reduce_raw, shift_reduce,
@@ -615,7 +618,7 @@ def _stage_window(p, du):
     if p["max_stage"] < 4:
         raise WindowError("window-too-small: claim needs --max-stage >= 4, "
                           "got %d" % p["max_stage"])
-    need = p["max_stage"] + 2
+    need = stage_degree(p["max_stage"])
     return need, need if du else 0, 12
 
 
@@ -689,6 +692,9 @@ def run_all(ids=CLAIM_IDS, ctx=None, dt=None, du=None, mx=None, field=QQ,
             timing=False, **params):
     """Run claims in one context, reports in the order of ids.
 
+    The claims share the context's annihilators and stage modules; its
+    slice spans are dropped before each claim (`Context.drop_spans`), so
+    no claim's spans stay live through a later claim.
     Every claim's parameters are checked before any claim runs. With
     timing, each report gets its wall time in timing_ms.
     """
@@ -697,6 +703,7 @@ def run_all(ids=CLAIM_IDS, ctx=None, dt=None, du=None, mx=None, field=QQ,
     ctx = Context.of(ctx)
     reports = []
     for cid in ids:
+        ctx.drop_spans()
         t0 = time.perf_counter()
         rep = run_claim(cid, ctx=ctx, dt=dt, du=du, mx=mx, field=field,
                         **params)

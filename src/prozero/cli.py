@@ -28,7 +28,7 @@ import sys
 from .claims import (CLAIM_IDS, SCHEMA_VERSION, render_basis, render_vec,
                      run_all, suite_doc)
 from .fields import FieldError, field_from_spec
-from .koszul import check_stage_count, pro_zero_test
+from .koszul import check_stage_count, pro_zero_test, stage_degree
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
                      kernel_of, OracleError, raw_mul, reduce_raw, vectorize)
 from .parser import ParseError, parse_element, parse_ring, parse_system, print_element
@@ -209,8 +209,11 @@ def cmd_annihilator(args):
     ring = _ring_of(args, E1(2))
     tdt = args.dt if args.dt is not None else (2 if ring.has_t else 0)
     tdu = args.du if args.du is not None else 0
-    wdt = max(tdt, 8 if ring.has_t else 0)
-    wdu = max(tdu, 3 if ring.has_u else 0)
+    # the window floors Dt at 8 and Du at 3; a given --mx caps the floors
+    # at the largest degree its margin allows, never below the target
+    cap = 8 if args.mx is None else args.mx - Window.least_mx(0, 0)
+    wdt = max(tdt, min(8, cap) if ring.has_t else 0)
+    wdu = max(tdu, min(3, cap) if ring.has_u else 0)
     w = Window.of(wdt, wdu, args.mx)
     sub = annihilator_oracle(ring, tdt, tdu, w, field)
     basis = render_basis(ring, sub, field)
@@ -251,7 +254,7 @@ def cmd_prozero(args):
     system = parse_system(args.system,
                           ring.m if ring.variant == "E1" else 2)
     check_stage_count(args.max_stage)       # before a window is built
-    need = args.max_stage + 2
+    need = stage_degree(args.max_stage)
     dt = args.dt if args.dt is not None else need
     du = args.du if args.du is not None else (need if ring.has_u else 0)
     w = Window.of(dt, du, args.mx)

@@ -312,6 +312,13 @@ def check_stage_count(max_stage):
         raise OracleError("pro-zero search needs max_stage >= 3")
 
 
+def stage_degree(max_stage):
+    """The default Dt (and Du, on a ring with u) of a pro-zero search up
+    to max_stage: the top stage's window, shrunk by max_stage, keeps
+    degree 2."""
+    return max_stage + 2
+
+
 def pro_zero_test(ring, system, max_stage, w, field=QQ, ctx=None):
     """Search each target stage for a later stage with zero transition.
 

@@ -226,6 +226,7 @@ def kernel_basis(domain, image_fn, field=QQ):
         row = {(1, col): c for col, c in img.items()}
         row[(0, pos)] = field.one()
         ech.insert(row)
+        images[pos] = None      # the row is in: free the image
     out = []
     for piv in sorted(ech.rows, reverse=True):
         if piv[0] == 0:

@@ -44,7 +44,10 @@ Every function that reaches `slice_span` takes a trailing `ctx`, the
 Context of the run. Leaving it out (ctx=None) gives the call a fresh
 context of its own; passing one context to many calls lets them share
 slice spans and annihilators (and, in `koszul`, stage modules). Nothing
-is cached at module level.
+is cached at module level. The caches have two lifetimes: slice spans,
+large and cheap to rebuild, live until `Context.drop_spans`, which
+`claims.run_all` calls before each claim; annihilators and stage
+modules, small and costly, live as long as the context.
 """
 
 from __future__ import annotations
@@ -124,6 +127,9 @@ class Context:
     Cached objects are shared, so no consumer may mutate them; a shape
     span is a layer on the (0, 0) span, which it reads and never writes.
     Hashes by identity.
+
+    `shapes` and `spans` live until `drop_spans`; `annihilators` and
+    `stages` hold no span and live as long as the context.
     """
 
     def __init__(self):
@@ -131,6 +137,14 @@ class Context:
         self.spans = {}
         self.annihilators = {}
         self.stages = {}
+
+    def drop_spans(self):
+        """Forget every slice span; later calls rebuild the spans they
+        read. Shapes and spans go together: a layer's shape key names its
+        base by id(), which a base dropped alone could hand to a new
+        object."""
+        self.shapes.clear()
+        self.spans.clear()
 
     @staticmethod
     def of(ctx):
@@ -471,18 +485,19 @@ def kernel_of(ring, gs, w, field=QQ, ctx=None):
 
     One map's images go to `kernel_basis` as they are; with several, each
     image column is tagged by its map's position, so the elimination sees
-    the maps side by side.
+    the maps side by side. Each image is popped from its map as it is
+    read, so the elimination can free it once its row is in.
     """
     ctx = Context.of(ctx)
     maps = [mul_map(ring, g, w, field, ctx) for g in gs]
+    domain = list(maps[0])
     if len(maps) == 1:
-        image = maps[0].__getitem__
+        image = maps[0].pop
     else:
         def image(m):
             return {(k, mono): c for k, images in enumerate(maps)
-                    for mono, c in images[m].items()}
-    return Echelon.spanned_by(kernel_basis(list(maps[0]), image, field),
-                              field)
+                    for mono, c in images.pop(m).items()}
+    return Echelon.spanned_by(kernel_basis(domain, image, field), field)
 
 
 def system_kernel(ring, system, w, field=QQ, ctx=None):

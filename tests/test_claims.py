@@ -1,15 +1,17 @@
 """Claim verifiers: default verdicts, mutation flips, report discipline."""
 
 import ast
+import gc
 import json
 import pathlib
 import random
 import re
 import sys
+import weakref
 
 import pytest
 
-from prozero import claims, oracle
+from prozero import claims, koszul, oracle
 from prozero.claims import (CLAIM_IDS, SCOPE_NOTE, render_vec, run_all,
                             run_claim, suite_doc)
 from prozero.cli import _random_poly
@@ -105,6 +107,54 @@ def test_verify_all_computes_each_annihilator_once(suite, monkeypatch):
     assert len(computed) == len(set(calls)) == len(ctx.annihilators) == 57
     assert len(calls) > len(computed)
     assert sorted(map(repr, computed)) == sorted(map(repr, set(calls)))
+
+
+def test_run_all_scopes_spans_to_the_claim_that_builds_them(suite,
+                                                             monkeypatch):
+    # C-basis's two-x span of R's (0, 0) slice is gone once the run moves
+    # on, while C-remark-wpr still reads C-nwkpr's CTRL stage modules from
+    # the run's context
+    real_span, real_claim = oracle.slice_span, claims.run_claim
+    real_stage = koszul._stage_module
+    pair_spans, alive_at, ctrl_reads, running, from_nwkpr = [], {}, [], [], {}
+
+    def span_spy(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
+        ech = real_span(ring, dt, du, ycap, xcap, pairs, field, ctx)
+        if (ring, dt, du, ycap, xcap, pairs) == (R_ONLY, 0, 0, 26, 26, True):
+            pair_spans.append(weakref.ref(ech))
+        return ech
+
+    def stage_spy(ring, kind, i, w, field, ctx):
+        mod = real_stage(ring, kind, i, w, field, ctx)
+        key = (ring, kind, i, w, field.name)
+        if running[-1] == "C-remark-wpr" and key in from_nwkpr:
+            ctrl_reads.append(mod is from_nwkpr[key])
+        return mod
+
+    def live():
+        gc.collect()
+        return len({id(ref) for ref in pair_spans if ref() is not None})
+
+    def claim_spy(cid, ctx=None, **kwargs):
+        alive_at[cid] = live()
+        running.append(cid)
+        rep = real_claim(cid, ctx=ctx, **kwargs)
+        if cid == "C-basis":
+            alive_at["C-basis end"] = live()
+        if cid == "C-nwkpr":
+            from_nwkpr.update((key, mod) for key, mod in ctx.stages.items()
+                              if key[0] == CTRL)
+        return rep
+
+    monkeypatch.setattr(oracle, "slice_span", span_spy)
+    monkeypatch.setattr(koszul, "_stage_module", stage_spy)
+    monkeypatch.setattr(claims, "run_claim", claim_spy)
+    assert _suite_json(run_all(ctx=Context())) == _suite_json(suite)
+    # one span, read by every C-basis reduction, and dropped before the
+    # next claim starts
+    assert len(pair_spans) == 104 and len(set(map(id, pair_spans))) == 1
+    assert alive_at["C-basis end"] == 1 and alive_at[CLAIM_IDS[1]] == 0
+    assert from_nwkpr and len(ctrl_reads) == 22 and all(ctrl_reads)
 
 
 def test_mutation_does_not_leak_through_a_shared_context():

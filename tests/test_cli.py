@@ -314,6 +314,38 @@ def test_unset_mx_is_the_default_raised_to_the_margin(argv, key, window,
     assert (got["dt"], got["du"], got["mx"]) == window
 
 
+@pytest.mark.parametrize("argv, code, window, out", [
+    # a given --mx caps annihilator's window floors (Dt 8, Du 3) at Mx - 2:
+    # each exited 65 naming Dt=8, a value never set
+    (["--ring", "E1", "--dt", "2", "--mx", "4"], 0, (2, 0, 4), "x0"),
+    (["--ring", "E2", "--dt", "3", "--du", "1", "--mx", "5"], 0, (3, 3, 5),
+     "x0, x1, x2, x3"),
+    # the floor never goes below the target degree, so a given Mx too
+    # small for the target is still refused, naming the target's Dt
+    (["--ring", "E1", "--dt", "2", "--mx", "3"], 65, None, "Dt=2 Du=0 Mx=3"),
+    # the same answers at the default window, which a given --mx at the
+    # default does not change
+    (["--ring", "E1", "--dt", "2"], 0, (8, 0, 12), "x0"),
+    (["--ring", "E2", "--dt", "3", "--du", "1"], 0, (8, 3, 12),
+     "x0, x1, x2, x3"),
+    (["--ring", "E2", "--dt", "3", "--du", "1", "--mx", "12"], 0, (8, 3, 12),
+     "x0, x1, x2, x3"),
+])
+def test_given_mx_caps_the_annihilator_window_floor(argv, code, window, out,
+                                                    capsys):
+    assert run_cli(["annihilator"] + argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("prozero: window-too-small:")
+        assert captured.err.rstrip().endswith(out)
+        return
+    assert captured.out.strip() == out
+    assert run_cli(["annihilator"] + argv + ["--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["window"]
+    assert (got["dt"], got["du"], got["mx"]) == window
+
+
 def _one_line_usage_error(argv, capsys, kind):
     t0 = time.perf_counter()
     assert run_cli(argv) == 64
