@@ -13,29 +13,28 @@ in. It refuses a parameter the claim does not take and binds the
 window: explicit overrides are binding, and an override below the
 claim's requirement raises the window-too-small error instead of
 silently shrinking the claim. Verifiers are called as
-verifier(w, field, ctx, **params) and never see a default window.
+verifier(w, ctx, **params) and never see a default window; the field
+is the context's (`ctx.field`), one per run.
 
 Reports are deterministic: fixed ordering everywhere, no timestamps, no
 randomness. Timing is attached only on request and lives outside the
 comparable body.
 
-Every verifier computes in the run's `oracle.Context`; `run_all`, which
-the `verify` command and the tests both use, passes one context to the
-claims it runs, so annihilators and Koszul stage modules are built once
-per run, and drops the context's slice spans before each claim, so a
-span lives only as long as the claim that built it. `run_claim` without
-a context makes a fresh one. `suite_doc` builds the document of a
-whole-suite run.
+Every verifier computes in the run's `oracle.Context`, over its field;
+`run_all`, which the `verify` command and the tests both use, passes
+one context to the claims it runs, so annihilators and Koszul stage
+modules are built once per run, and drops the context's slice spans
+before each claim, so a span lives only as long as the claim that built
+it. `run_claim` without a context makes a fresh one, over q.
+`suite_doc` builds the document of a whole-suite run.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
-from .fields import QQ
 from .koszul import (pro_zero_test, ses_row_check, stage_degree,
                      transition_witness_replay)
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
@@ -81,9 +80,6 @@ class ClaimReport:
             d["timing_ms"] = self.timing_ms
         return d
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def render_vec(ring, vec, field):
     """An oracle vector printed from its raw monomials, as `print_element`
@@ -93,11 +89,17 @@ def render_vec(ring, vec, field):
                         for m, c in sorted(vec.items())], field)
 
 
-def render_basis(ring, sub, field):
-    """The basis of the Echelon sub, rendered in ascending pivot order."""
-    rows = [render_vec(ring, v, field) for v in sub.basis()]
+def render_basis(ring, sub):
+    """The basis of the Echelon sub, over its field, rendered in
+    ascending pivot order."""
+    rows = [render_vec(ring, v, sub.field) for v in sub.basis()]
     rows.reverse()  # basis() is descending-pivot; render ascending
     return rows
+
+
+def _params(w, **more):
+    """A report's params: the window's bounds and the claim's own."""
+    return {"dt": w.Dt, "du": w.Du, "mx": w.Mx, **more}
 
 
 def _no_constant(vec):
@@ -159,11 +161,11 @@ class _Checks:
 
 # -- C-basis
 
-def verify_basis(w, field, ctx):
-    mxv = w.Mx
+def verify_basis(w, ctx):
+    mxv, field = w.Mx, ctx.field
     ck = _Checks()
     w0 = Window(0, 0, mxv)
-    mb = window_basis(R_ONLY, w0, field, ctx)
+    mb = window_basis(R_ONLY, w0, ctx)
     pure_y = tuple(mono_of_index(("y", a)) for a in range(mxv + 1))
     pure_x = tuple(mono_of_index(("x", i)) for i in range(mxv + 1))
     want = tuple(sorted(pure_y + pure_x))
@@ -177,7 +179,7 @@ def verify_basis(w, field, ctx):
     check_window_budget(R_ONLY, w0, x0)
 
     def pair_nf(mono):
-        return reduce_raw(R_ONLY, {mono: field.one()}, *pair_caps, field, ctx)
+        return reduce_raw(R_ONLY, {mono: field.one()}, *pair_caps, ctx=ctx)
 
     bad = next(((i, j) for i in range(mxv + 1) for j in range(i, mxv + 1)
                 if pair_nf((0, 0, 2, 0, (i, j)))), None)
@@ -193,11 +195,10 @@ def verify_basis(w, field, ctx):
     # independence: a fixed combination of low x-generators is its own
     # normal form, so no relation touches the complement
     comb = {(0, 0, 1, 0, (i,)): field.from_int(i + 1) for i in range(5)}
-    got = reduce_raw(R_ONLY, dict(comb), *product_caps(w), field, ctx)
+    got = reduce_raw(R_ONLY, dict(comb), *product_caps(w), ctx=ctx)
     ck.expect(got == comb, "1*x0 + ... + 5*x4 is linearly independent",
               "combination reduced to %r" % (got,))
-    ck.expect(reduce_raw(R_ONLY, dict(x0), *product_caps(w), field,
-                         ctx) == x0,
+    ck.expect(reduce_raw(R_ONLY, dict(x0), *product_caps(w), ctx=ctx) == x0,
               "x0 is not in the relation span", "x0 reduced to zero")
 
     params = {"mx": mxv, "pair_cap": pair_caps[1]}
@@ -206,12 +207,11 @@ def verify_basis(w, field, ctx):
 
 # -- C-ann-t / C-ann-tu
 
-def _ann_rows(ring, max_dt, max_du, w, ck, field, ctx):
-    rows = []
+def _ann_rows(ring, max_dt, max_du, w, ck, ctx):
     for dt in range(max_dt + 1):
         for du in range(max_du + 1):
-            got = annihilator_oracle(ring, dt, du, w, field, ctx)
-            want = [{mono_of_index(idx, ring=ring): field.one()}
+            got = annihilator_oracle(ring, dt, du, w, ctx)
+            want = [{mono_of_index(idx, ring=ring): ctx.field.one()}
                     for idx in ann_formula(ring, dt, du, w.Mx)]
             dim_ok = got.dim == len(want)
             member_ok = all(got.contains(v) for v in want)
@@ -220,37 +220,33 @@ def _ann_rows(ring, max_dt, max_du, w, ck, field, ctx):
             if not ck.expect(dim_ok and member_ok, label,
                              "at dt=%d du=%d oracle dim %d vs formula dim %d"
                              % (dt, du, got.dim, len(want))):
-                return rows
-            rows.append((dt, du, got.dim))
-    return rows
+                return
 
 
-def verify_ann(w, field, ctx, ring, table):
+def verify_ann(w, ctx, ring, table):
     """The annihilator table up to t^table[0] u^table[1]; on E1[m] also
     the GS control and the Ann(t^3) witness."""
     max_dt, max_du = table
     ck = _Checks()
-    _ann_rows(ring, max_dt, max_du, w, ck, field, ctx)
-    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx,
-              "table_dt": max_dt, "table_du": max_du}
+    _ann_rows(ring, max_dt, max_du, w, ck, ctx)
+    params = _params(w, table_dt=max_dt, table_du=max_du)
     wit = []
     if ring.variant == "E1":
         controls = (1, 3, 7) if not ring.omit else ()
         for dtv in (d for d in controls if d <= w.Dt):
-            g = annihilator_oracle(GS, dtv, 0, Window(w.Dt, 0, w.Mx),
-                                   field, ctx)
+            g = annihilator_oracle(GS, dtv, 0, Window(w.Dt, 0, w.Mx), ctx)
             ck.expect(g.dim == 0, "control: GS ann(t^%d) is zero" % dtv,
                       "GS ann(t^%d) has dim %d" % (dtv, g.dim))
         if ck.failure is None and w.Dt >= 3:
-            a3 = annihilator_oracle(ring, 3, 0, w, field, ctx)
-            wit = [", ".join(render_basis(ring, a3, field)) or "(trivial)"]
+            a3 = annihilator_oracle(ring, 3, 0, w, ctx)
+            wit = [", ".join(render_basis(ring, a3)) or "(trivial)"]
         params["m"] = ring.m
     return ck.report(ring.describe(), params, wit)
 
 
 # -- C-essential
 
-def _induction_replay(ring, vec, w, ck, field, tag, ctx):
+def _induction_replay(ring, vec, w, ck, tag, ctx):
     """Replay the downward-induction equations on one kernel vector.
 
     Returns True when every equation holds; a failing equation is
@@ -259,19 +255,19 @@ def _induction_replay(ring, vec, w, ck, field, tag, ctx):
     cs = _t_slices(vec)
     n_top = w.Dt
     c = {i: cs.get(i, {}) for i in range(n_top + 1)}
-    rendered = render_vec(ring, vec, field)
-    if shift_reduce(ring, c[0], 0, 0, w, field, 1, ctx):
+    rendered = render_vec(ring, vec, ctx.field)
+    if shift_reduce(ring, c[0], 0, 0, w, 1, ctx):
         ck.expect(False, "%s: c0*y = 0" % tag, "c0*y != 0 for %s" % rendered)
         return False
     for i in range(n_top):
-        diff = _vsub(field, c[i],
-                     shift_reduce(ring, c[i + 1], 0, 0, w, field, 1, ctx))
-        if shift_reduce(ring, diff, i + 1, 0, w, field, ctx=ctx):
+        diff = _vsub(ctx.field, c[i],
+                     shift_reduce(ring, c[i + 1], 0, 0, w, 1, ctx))
+        if shift_reduce(ring, diff, i + 1, 0, w, ctx=ctx):
             ck.expect(False,
                       "%s: (c%d - c%d*y)*t^%d = 0" % (tag, i, i + 1, i + 1),
                       "induction step %d fails for %s" % (i, rendered))
             return False
-    if shift_reduce(ring, c[n_top], n_top + 1, 0, w, field, ctx=ctx):
+    if shift_reduce(ring, c[n_top], n_top + 1, 0, w, ctx=ctx):
         ck.expect(False, "%s: c%d*t^%d = 0" % (tag, n_top, n_top + 1),
                   "top coefficient of %s survives t^%d"
                   % (rendered, n_top + 1))
@@ -288,11 +284,11 @@ def _induction_replay(ring, vec, w, ck, field, tag, ctx):
     return True
 
 
-def verify_essential(w, field, ctx, ring):
-    ck = _Checks()
+def verify_essential(w, ctx, ring):
+    ck, field = _Checks(), ctx.field
     tmy = (GradedPoly.gen(ring, "t", field)
            - GradedPoly.gen(ring, "y", field))
-    ker = kernel_of(ring, [vectorize(tmy)], w, field, ctx)
+    ker = kernel_of(ring, [vectorize(tmy)], w, ctx)
     ck.expect(ker.dim > 0, "kernel of (t - y) is nonzero (dim %d)" % ker.dim,
               "kernel is trivial at Dt=%d Mx=%d" % (w.Dt, w.Mx))
     x0t = (GradedPoly.gen(ring, ("x", 0), field)
@@ -307,8 +303,7 @@ def verify_essential(w, field, ctx, ring):
                     if not _no_constant(v)), ""))
     replayed = 0
     for k, v in enumerate(ker.basis()):
-        if not _induction_replay(ring, v, w, ck, field, "vector %d" % k,
-                                 ctx):
+        if not _induction_replay(ring, v, w, ck, "vector %d" % k, ctx):
             break
         replayed += 1
     if replayed == ker.dim:
@@ -318,8 +313,7 @@ def verify_essential(w, field, ctx, ring):
     touched = subspace_boundary_touch(ker, w)
     if not touched:
         ck.note("no kernel vector touches the window boundary")
-    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "m": ring.m,
-              "kernel_dim": ker.dim}
+    params = _params(w, m=ring.m, kernel_dim=ker.dim)
     return ck.report(ring.describe(), params,
                      [print_element(x0t)], inconclusive=touched,
                      inconclusive_why="kernel touches window boundary")
@@ -327,10 +321,10 @@ def verify_essential(w, field, ctx, ring):
 
 # -- C-kernel-I0
 
-def verify_kernel_I0(w, field, ctx):
-    ck = _Checks()
+def verify_kernel_I0(w, ctx):
+    ck, field = _Checks(), ctx.field
     tmy = GradedPoly.gen(E2, "t", field) - GradedPoly.gen(E2, "y", field)
-    ker = kernel_of(E2, [vectorize(tmy)], w, field, ctx)
+    ker = kernel_of(E2, [vectorize(tmy)], w, ctx)
     ck.expect(ker.dim > 0, "kernel of (t - y) on E2 is nonzero (dim %d)"
               % ker.dim, "kernel is trivial")
     x0t = GradedPoly.gen(E2, ("x", 0), field) * GradedPoly.gen(E2, "t", field)
@@ -345,8 +339,7 @@ def verify_kernel_I0(w, field, ctx):
     ck.expect(in_ideal, "every kernel basis vector lies in the x-generator "
               "ideal", "a kernel vector has an x-free monomial")
     touched = subspace_boundary_touch(ker, w)
-    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx,
-              "kernel_dim": ker.dim}
+    params = _params(w, kernel_dim=ker.dim)
     return ck.report(E2.describe(), params,
                      [print_element(x0t)], inconclusive=touched,
                      inconclusive_why="kernel touches window boundary")
@@ -354,36 +347,34 @@ def verify_kernel_I0(w, field, ctx):
 
 # -- C-bounded-E2
 
-def verify_bounded_E2(w, field, ctx):
-    ck = _Checks()
+def verify_bounded_E2(w, ctx):
+    ck, field = _Checks(), ctx.field
     k = w.Dt + w.Du + 2
-    T = torsion_subspace(E2, w, k, field, ctx)
+    T = torsion_subspace(E2, w, k, ctx)
     ck.expect(T.dim > 0, "torsion subspace is nonzero (dim %d)" % T.dim,
               "torsion subspace is trivial")
     for (sdt, sdu, name) in ((2, 0, "t^2"), (1, 1, "t*u"), (0, 2, "u^2")):
         bad = next((v for v in T.basis()
-                    if shift_reduce(E2, v, sdt, sdu, w, field, ctx=ctx)),
-                   None)
+                    if shift_reduce(E2, v, sdt, sdu, w, ctx=ctx)), None)
         ck.expect(bad is None, "%s * T = 0 exactly" % name,
                   "" if bad is None else
                   "%s survives %s" % (render_vec(E2, bad, field), name))
     x0 = {mono_of_index(("x", 0)): field.one()}
     ck.expect(T.contains(x0)
-              and not shift_reduce(E2, x0, 0, 1, w, field, ctx=ctx),
+              and not shift_reduce(E2, x0, 0, 1, w, ctx=ctx),
               "x0 is torsion and u*x0 = 0", "x0 fails the torsion witness")
     one = {mono_of_index(("y", 0)): field.one()}
     ck.expect(not T.contains(one), "1 is not torsion", "1 reported torsion")
-    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "k": k,
-              "torsion_dim": T.dim}
+    params = _params(w, k=k, torsion_dim=T.dim)
     return ck.report(E2.describe(), params, ["x0"])
 
 
 # -- C-nwkpr
 
-def verify_nwkpr(w, field, ctx, max_stage):
-    ck = _Checks()
+def verify_nwkpr(w, ctx, max_stage):
+    ck, field = _Checks(), ctx.field
     sysH = SystemSpec(kind="H0(u;H1(t))")
-    rep = pro_zero_test(E2, sysH, max_stage, w, field, ctx)
+    rep = pro_zero_test(E2, sysH, max_stage, w, ctx)
     ck.expect(rep.verdict == "NOT-pro-zero-witnessed",
               "inverse system verdict: NOT-pro-zero-witnessed",
               "verdict was %s" % rep.verdict)
@@ -396,8 +387,7 @@ def verify_nwkpr(w, field, ctx, max_stage):
             if witv != expect:
                 chain_ok = False
                 break
-            if not transition_witness_replay(E2, sysH, m, 2, w, witv, field,
-                                             ctx):
+            if not transition_witness_replay(E2, sysH, m, 2, w, witv, ctx):
                 chain_ok = False
                 break
             wit_strs.append(render_vec(E2, witv, field))
@@ -405,37 +395,35 @@ def verify_nwkpr(w, field, ctx, max_stage):
               "witness chain x_(v-2) for v=3..%d, each image replayed nonzero"
               % max_stage, "witness chain broken")
     for i in range(2, max_stage - 1):
-        ck.expect(ses_row_check(E2, i, w, field, ctx),
+        ck.expect(ses_row_check(E2, i, w, ctx),
                   "three-term row exact at stage %d" % i,
                   "row fails exactness at stage %d" % i)
     ctrl = pro_zero_test(CTRL, SystemSpec(kind="H1(t)"), max_stage,
-                         Window(w.Dt, 0, w.Mx), field, ctx)
+                         Window(w.Dt, 0, w.Mx), ctx)
     ck.expect(ctrl.verdict == "pro-zero-up-to-window",
               "control: CTRL verdict pro-zero-up-to-window",
               "CTRL verdict was %s" % ctrl.verdict)
-    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx,
-              "max_stage": max_stage}
+    params = _params(w, max_stage=max_stage)
     return ck.report(E2.describe(), params, wit_strs)
 
 
 # -- C-gs-demo
 
-def demo_gs(w, field, ctx, prec):
-    n_ap = prec
+def demo_gs(w, ctx, prec):
+    n_ap, field = prec, ctx.field
     ck = _Checks()
     tmy = GradedPoly.gen(GS, "t", field) - GradedPoly.gen(GS, "y", field)
-    ker = kernel_of(GS, [vectorize(tmy)], w, field, ctx)
+    ker = kernel_of(GS, [vectorize(tmy)], w, ctx)
     ck.expect(ker.dim == 0, "kernel of (t - y) on the window is trivial",
               "kernel dim %d" % ker.dim)
     # backward-substitution ingredients, each recomputed
     anny = kernel_of(R_ONLY, [vectorize(GradedPoly.gen(R_ONLY, "y", field))],
-                     Window(0, 0, w.Mx), field, ctx)
+                     Window(0, 0, w.Mx), ctx)
     x0 = {mono_of_index(("x", 0)): field.one()}
     ck.expect(anny.dim == 1 and anny.contains(x0),
               "Ann(y) in the coefficient ring is exactly k*x0",
               "Ann(y) has dim %d" % anny.dim)
-    tinj = kernel_of(GS, [vectorize(GradedPoly.gen(GS, "t", field))], w,
-                     field, ctx)
+    tinj = kernel_of(GS, [vectorize(GradedPoly.gen(GS, "t", field))], w, ctx)
     ck.expect(tinj.dim == 0, "t acts injectively on the window",
               "t has a windowed kernel of dim %d" % tinj.dim)
     ck.note("backward substitution: top coefficient dies, each lower "
@@ -453,14 +441,14 @@ def demo_gs(w, field, ctx, prec):
               "formal solution lost its constant term")
     ck.note("no windowed solution matches the formal one in degree 0: "
             "the only windowed solution is 0")
-    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "n_approx": n_ap}
+    params = _params(w, n_approx=n_ap)
     return ck.report(GS.describe(), params, ["(trivial)"])
 
 
 # -- C-approx-fail-E1 / C-approx-fail-E2
 
-def demo_approx_failure(w, field, ctx, ring, n, prec):
-    n_ap = prec
+def demo_approx_failure(w, ctx, ring, n, prec):
+    n_ap, field = prec, ctx.field
     ck = _Checks()
     system = SystemSpec(kind="f", n=n)
     ah = alpha_hat(ring, n_ap, field)
@@ -478,7 +466,7 @@ def demo_approx_failure(w, field, ctx, ring, n, prec):
         ck.expect(f3res.is_zero(), "f3 = u * X vanishes exactly",
                   "f3 residue %s" % print_element(f3res))
     ck.note("exact f1 residue: %s" % print_element(exact["f1"]))
-    ker = system_kernel(ring, system, w, field, ctx)
+    ker = system_kernel(ring, system, w, ctx)
     ck.expect(ker.dim > 0,
               "windowed solution space is nonzero (dim %d)" % ker.dim,
               "system has no windowed solutions at all")
@@ -493,8 +481,7 @@ def demo_approx_failure(w, field, ctx, ring, n, prec):
     ck.note("approximation fails: no windowed solution is congruent to the "
             "formal solution in degree (0,0)")
     touched = subspace_boundary_touch(ker, w)
-    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "n": n,
-              "n_approx": n_ap, "solution_dim": ker.dim}
+    params = _params(w, n=n, n_approx=n_ap, solution_dim=ker.dim)
     if ring.variant == "E1":
         params["m"] = ring.m
     return ck.report(ring.describe(), params,
@@ -504,8 +491,8 @@ def demo_approx_failure(w, field, ctx, ring, n, prec):
 
 # -- C-xi-witness
 
-def verify_xi_witnesses(w, field, ctx):
-    n_max = 6
+def verify_xi_witnesses(w, ctx):
+    n_max, field = 6, ctx.field
     ring = E1(2)
     # the reductions below reach t^(n_max + 1) before any annihilator
     # checks the window: refuse an oversized one before a span is built
@@ -515,11 +502,11 @@ def verify_xi_witnesses(w, field, ctx):
     dims = []
     for n in range(1, n_max + 1):
         xi = {mono_of_index(("x", n - 1)): field.one()}
-        alive = shift_reduce(ring, xi, n, 0, w, field, ctx=ctx)
-        dead = shift_reduce(ring, xi, n + 1, 0, w, field, ctx=ctx)
+        alive = shift_reduce(ring, xi, n, 0, w, ctx=ctx)
+        dead = shift_reduce(ring, xi, n + 1, 0, w, ctx=ctx)
         red_ok = bool(alive) and not dead
-        ann_n = annihilator_oracle(ring, n, 0, w, field, ctx)
-        ann_n1 = annihilator_oracle(ring, n + 1, 0, w, field, ctx)
+        ann_n = annihilator_oracle(ring, n, 0, w, ctx)
+        ann_n1 = annihilator_oracle(ring, n + 1, 0, w, ctx)
         orc_ok = (not ann_n.contains(xi)) and ann_n1.contains(xi)
         ck.expect(red_ok and orc_ok,
                   "xi_%d = x%d: t^%d*xi != 0, t^%d*xi = 0 "
@@ -535,35 +522,35 @@ def verify_xi_witnesses(w, field, ctx):
               "chain not strictly increasing: %s" % (dims,))
     ck.note("window torsion of E1[m=2] is unbounded as far as the window "
             "can see")
-    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx, "n_max": n_max}
+    params = _params(w, n_max=n_max)
     return ck.report(ring.describe(), params, wit)
 
 
 # -- C-remark-wpr
 
-def verify_remark_wpr(w, field, ctx, max_stage):
+def verify_remark_wpr(w, ctx, max_stage):
     ck = _Checks()
     sysT = SystemSpec(kind="H1(t)")
     rows = []
 
     def torsion_bounded(ring, power):
-        T = torsion_subspace(ring, w, w.Mx + 2, field, ctx)
+        T = torsion_subspace(ring, w, w.Mx + 2, ctx)
         if T.dim == 0:
             return "torsion-free"
         for v in T.basis():
-            if shift_reduce(ring, v, power, 0, w, field, ctx=ctx):
+            if shift_reduce(ring, v, power, 0, w, ctx=ctx):
                 return "unbounded-or-deeper"
         return "bounded(t^%d)" % power
 
     def chain_strict(ring):
-        dims = [annihilator_oracle(ring, n, 0, w, field, ctx).dim
+        dims = [annihilator_oracle(ring, n, 0, w, ctx).dim
                 for n in range(1, w.Dt + 1)]
         return all(b > a for a, b in zip(dims, dims[1:]))
 
     # E1(2): unbounded torsion AND not pro-zero
     ring = E1(2)
     unbounded = chain_strict(ring)
-    verdict = pro_zero_test(ring, sysT, max_stage, w, field, ctx).verdict
+    verdict = pro_zero_test(ring, sysT, max_stage, w, ctx).verdict
     rows.append((ring.describe(), "unbounded-torsion", verdict))
     ck.expect(unbounded and verdict == "NOT-pro-zero-witnessed",
               "%s: unbounded torsion and NOT-pro-zero (consistent)"
@@ -571,15 +558,15 @@ def verify_remark_wpr(w, field, ctx, max_stage):
               "%s row violates the correspondence" % ring.describe())
 
     bounded = torsion_bounded(CTRL, 2)
-    verdict = pro_zero_test(CTRL, sysT, max_stage, w, field, ctx).verdict
+    verdict = pro_zero_test(CTRL, sysT, max_stage, w, ctx).verdict
     rows.append((CTRL.describe(), bounded, verdict))
     ck.expect(bounded.startswith("bounded") and
               verdict == "pro-zero-up-to-window",
               "CTRL: bounded torsion (t^2) and pro-zero (consistent)",
               "CTRL row violates the correspondence")
 
-    gs_t = torsion_subspace(GS, w, w.Mx + 2, field, ctx)
-    verdict = pro_zero_test(GS, sysT, max_stage, w, field, ctx).verdict
+    gs_t = torsion_subspace(GS, w, w.Mx + 2, ctx)
+    verdict = pro_zero_test(GS, sysT, max_stage, w, ctx).verdict
     rows.append((GS.describe(), "torsion-free", verdict))
     ck.expect(gs_t.dim == 0 and verdict == "pro-zero-up-to-window",
               "GS: torsion-free and pro-zero (consistent)",
@@ -587,9 +574,7 @@ def verify_remark_wpr(w, field, ctx, max_stage):
 
     ck.note("instance table: " + "; ".join(
         "%s [%s, %s]" % r for r in rows))
-    params = {"dt": w.Dt, "du": w.Du, "mx": w.Mx,
-              "max_stage": max_stage,
-              "rows": len(rows)}
+    params = _params(w, max_stage=max_stage, rows=len(rows))
     return ck.report("R-family", params, [])
 
 
@@ -603,7 +588,8 @@ class ClaimSpec:
     `window(params)` gives (Dt, Du, Mx) for the effective parameters:
     Dt and Du are both the default and the minimum, Mx the default, which
     `Window.of` raises to the margin of the effective Dt and Du.
-    The verifier is called as verifier(w, field, ctx, **params).
+    The verifier is called as verifier(w, ctx, **params) and reads the
+    run's field off ctx.
     """
 
     id: str
@@ -667,9 +653,9 @@ def claim_params(claim_id, **params):
     return {**CLAIMS[claim_id].params, **given}
 
 
-def run_claim(claim_id, ctx=None, dt=None, du=None, mx=None, field=QQ,
-              **params):
-    """Run one claim: check its parameters, bind its window, verify.
+def run_claim(claim_id, ctx=None, dt=None, du=None, mx=None, **params):
+    """Run one claim: check its parameters, bind its window, verify over
+    the context's field (a fresh context is over q).
 
     dt/du/mx override the claim's window. None keeps its default, and an
     unset mx is the claim's raised to the margin (`Window.of`); a dt or du
@@ -683,12 +669,12 @@ def run_claim(claim_id, ctx=None, dt=None, du=None, mx=None, field=QQ,
     if w.Dt < need_dt or w.Du < need_du:
         raise WindowError("window-too-small: claim needs Dt >= %d, Du >= %d"
                           % (need_dt, need_du))
-    report = spec.verifier(w, field, Context.of(ctx), **params)
+    report = spec.verifier(w, Context.of(ctx), **params)
     report.claim_id = claim_id
     return report
 
 
-def run_all(ids=CLAIM_IDS, ctx=None, dt=None, du=None, mx=None, field=QQ,
+def run_all(ids=CLAIM_IDS, ctx=None, dt=None, du=None, mx=None,
             timing=False, **params):
     """Run claims in one context, reports in the order of ids.
 
@@ -705,8 +691,7 @@ def run_all(ids=CLAIM_IDS, ctx=None, dt=None, du=None, mx=None, field=QQ,
     for cid in ids:
         ctx.drop_spans()
         t0 = time.perf_counter()
-        rep = run_claim(cid, ctx=ctx, dt=dt, du=du, mx=mx, field=field,
-                        **params)
+        rep = run_claim(cid, ctx=ctx, dt=dt, du=du, mx=mx, **params)
         if timing:
             rep.timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
         reports.append(rep)

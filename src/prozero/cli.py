@@ -14,8 +14,9 @@ Exit codes: 0 success/verified, 2 FALSIFIED (a counter-witness exists),
 Text output is rendered from the same JSON document that --format json
 prints, never computed separately, so the two formats cannot drift.
 
-Each command computes in one `oracle.Context`, so its slice spans and
-Koszul stage modules are built once per command.
+Each command computes in one `oracle.Context` over the field its
+--field names, so its slice spans and Koszul stage modules are built
+once per command.
 """
 
 from __future__ import annotations
@@ -168,13 +169,13 @@ def _report_text(doc):
 
 
 def cmd_verify(args):
-    field = field_from_spec(args.field)
+    ctx = Context(field_from_spec(args.field))
     if args.claim != "all" and args.claim not in CLAIM_IDS:
         raise ParseError("unknown claim id %r (try one of: %s)"
                          % (args.claim, ", ".join(CLAIM_IDS)))
     ids = CLAIM_IDS if args.claim == "all" else (args.claim,)
     ring = None if args.ring is None else parse_ring(args.ring)
-    reports = run_all(ids, dt=args.dt, du=args.du, mx=args.mx, field=field,
+    reports = run_all(ids, ctx, dt=args.dt, du=args.du, mx=args.mx,
                       timing=args.timing, prec=args.prec,
                       max_stage=args.max_stage, ring=ring)
     doc = suite_doc(reports) if args.claim == "all" else reports[0].to_dict()
@@ -205,7 +206,7 @@ def cmd_eval(args):
 # -- annihilator
 
 def cmd_annihilator(args):
-    field = field_from_spec(args.field)
+    ctx = Context(field_from_spec(args.field))
     ring = _ring_of(args, E1(2))
     tdt = args.dt if args.dt is not None else (2 if ring.has_t else 0)
     tdu = args.du if args.du is not None else 0
@@ -215,8 +216,8 @@ def cmd_annihilator(args):
     wdt = max(tdt, min(8, cap) if ring.has_t else 0)
     wdu = max(tdu, min(3, cap) if ring.has_u else 0)
     w = Window.of(wdt, wdu, args.mx)
-    sub = annihilator_oracle(ring, tdt, tdu, w, field)
-    basis = render_basis(ring, sub, field)
+    sub = annihilator_oracle(ring, tdt, tdu, w, ctx)
+    basis = render_basis(ring, sub)
     doc = {"schema_version": SCHEMA_VERSION, "ring": ring.describe(),
            "dt": tdt, "du": tdu,
            "window": {"dt": w.Dt, "du": w.Du, "mx": w.Mx},
@@ -229,14 +230,14 @@ def cmd_annihilator(args):
 # -- kernel
 
 def cmd_kernel(args):
-    field = field_from_spec(args.field)
+    ctx = Context(field_from_spec(args.field))
     ring = _ring_of(args, E1(2))
     w = _window_of(args, ring)
-    polys = [parse_element(text, ring, field) for text in args.exprs]
+    polys = [parse_element(text, ring, ctx.field) for text in args.exprs]
     if any(p.is_zero() for p in polys):
         raise ParseError("kernel of the zero map is the whole window")
-    sub = kernel_of(ring, [vectorize(p) for p in polys], w, field)
-    basis = render_basis(ring, sub, field)
+    sub = kernel_of(ring, [vectorize(p) for p in polys], w, ctx)
+    basis = render_basis(ring, sub)
     doc = {"schema_version": SCHEMA_VERSION, "ring": ring.describe(),
            "maps": [print_element(p) for p in polys],
            "window": {"dt": w.Dt, "du": w.Du, "mx": w.Mx},
@@ -249,7 +250,7 @@ def cmd_kernel(args):
 # -- prozero
 
 def cmd_prozero(args):
-    field = field_from_spec(args.field)
+    ctx = Context(field_from_spec(args.field))
     ring = _ring_of(args, E2)
     system = parse_system(args.system,
                           ring.m if ring.variant == "E1" else 2)
@@ -258,14 +259,14 @@ def cmd_prozero(args):
     dt = args.dt if args.dt is not None else need
     du = args.du if args.du is not None else (need if ring.has_u else 0)
     w = Window.of(dt, du, args.mx)
-    rep = pro_zero_test(ring, system, args.max_stage, w, field)
+    rep = pro_zero_test(ring, system, args.max_stage, w, ctx)
     rows = []
     for row in rep.rows:
         rows.append({
             "n": row.n,
             "least_zero_m": row.least_zero_m,
             "window_limited": row.window_limited,
-            "witnesses": [{"m": m, "witness": render_vec(ring, v, field)}
+            "witnesses": [{"m": m, "witness": render_vec(ring, v, ctx.field)}
                           for m, v in row.witnesses],
         })
     doc = {"schema_version": SCHEMA_VERSION, "ring": ring.describe(),
@@ -313,13 +314,13 @@ def _random_poly(rng, ring, field):
     return GradedPoly(ring, terms, field)
 
 
-def _raw_product(ring, p, q, field, ctx=None):
+def _raw_product(ring, p, q, ctx):
     """Multiply without the closed form: raw monomial products reduced
-    against the relation span only."""
+    against the relation span only, over the context's field."""
     # generator indices <= 6 and y-powers <= 3 in _random_poly, so pair
     # kill chains climb to at most 6+6+1 and caps of 16 cover everything
-    return reduce_raw(ring, raw_mul(vectorize(p), vectorize(q), field),
-                      16, 16, True, field, ctx)
+    return reduce_raw(ring, raw_mul(vectorize(p), vectorize(q), ctx.field),
+                      16, 16, True, ctx)
 
 
 def cmd_selftest(args):
@@ -330,14 +331,14 @@ def cmd_selftest(args):
                          % MAX_SELFTEST)
     rng = random.Random(args.seed)
     rings = [R_ONLY, GS, E1(2), E1(3), E2, CTRL]
-    ctx = Context()
+    ctx = Context(field)
     checked = 0
     for ring in rings:
         for _ in range(args.count):
             p = _random_poly(rng, ring, field)
             q = _random_poly(rng, ring, field)
             fast = vectorize(p * q)
-            slow = _raw_product(ring, p, q, field, ctx)
+            slow = _raw_product(ring, p, q, ctx)
             if fast != slow:
                 print("MISMATCH in %s: (%s) * (%s): closed form %s, "
                       "span reduction %s"
@@ -362,20 +363,11 @@ def cmd_selftest(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "annihilator":
-            return cmd_annihilator(args)
-        if args.command == "kernel":
-            return cmd_kernel(args)
-        if args.command == "prozero":
-            return cmd_prozero(args)
-        if args.command == "selftest":
-            return cmd_selftest(args)
-        parser.error("unknown command %r" % args.command)
+    try:        # argparse admits only the six commands
+        return {"verify": cmd_verify, "eval": cmd_eval,
+                "annihilator": cmd_annihilator, "kernel": cmd_kernel,
+                "prozero": cmd_prozero,
+                "selftest": cmd_selftest}[args.command](args)
     except ParseError as e:
         print("prozero: parse error: %s" % e, file=sys.stderr)
         return USAGE_EXIT

@@ -22,17 +22,18 @@ image of every k1 generator, and the span of its d2 images; H0, H2 and
 the right module H1(u^i; H0(t^i)) of the short exact row (`h1_of_h0`)
 are read off them, so a stage reduces each image once.
 
-Stage modules come from the run's Context (`oracle.Context`): each
-distinct (ring, system kind, stage, window, field) is built once per
-context and then shared by the pro-zero search, the witness replay and
-the short-exact-row check, so none of them may mutate a module.
+Stage modules come from the run's Context (`oracle.Context`), over its
+field: each distinct (ring, system kind, stage, window) is built once
+per context and then shared by the pro-zero search, the witness replay
+and the short-exact-row check, so none of them may mutate a module.
+The functions that take no context (`QuotientSpace`, `h1_of_h0`) read
+the field off the Echelons they are given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import QQ
 from .linalg import Echelon, kernel_basis
 from .oracle import (Context, OracleError, Window, WindowError,
                      check_window_ring, kernel_of, map_images, product_caps,
@@ -48,14 +49,14 @@ def _sub_window(w, ddt, ddu=0):
     return Window(w.Dt - ddt, w.Du - ddu, w.Mx)
 
 
-def koszul_h1_single(ring, i, w, field=QQ, ctx=None):
+def koszul_h1_single(ring, i, w, ctx=None):
     """Windowed annihilator of t^i over the full window."""
     if i < 1:
         raise OracleError("stage must be >= 1")
-    return kernel_of(ring, [{(i, 0, 0, 0, ()): field.one()}], w, field, ctx)
+    return kernel_of(ring, [{(i, 0, 0, 0, ()): 1}], w, ctx)
 
 
-def transition_zero(ring, j, i, w, field=QQ, ctx=None):
+def transition_zero(ring, j, i, w, ctx=None):
     """Is the stage-j to stage-i transition of H1(t) the zero map?
 
     Returns (True, None) or (False, witness_vector), from the same search
@@ -63,7 +64,7 @@ def transition_zero(ring, j, i, w, field=QQ, ctx=None):
     """
     if not 0 < i < j:
         raise OracleError("transition needs stage indices 0 < i < j")
-    return _transition(ring, "H1(t)", j, i, w, field, Context.of(ctx))
+    return _transition(ring, "H1(t)", j, i, w, Context.of(ctx))
 
 
 @dataclass(eq=False)
@@ -86,22 +87,23 @@ class KoszulStage:
     d_squared_zero: bool
 
 
-def koszul_pair(ring, i, w, field=QQ, ctx=None):
+def koszul_pair(ring, i, w, ctx=None):
     """Build stage i of the two-variable windowed Koszul complex."""
     if not ring.has_u:
         raise OracleError("pair complex needs a two-variable ring")
     if i < 1:
         raise OracleError("stage must be >= 1")
     ctx = Context.of(ctx)
-    k2 = window_basis(ring, _sub_window(w, i, i), field, ctx)
-    k1t = window_basis(ring, _sub_window(w, i, 0), field, ctx)
-    k1u = window_basis(ring, _sub_window(w, 0, i), field, ctx)
-    k0 = window_basis(ring, w, field, ctx)
+    field = ctx.field
+    k2 = window_basis(ring, _sub_window(w, i, i), ctx)
+    k1t = window_basis(ring, _sub_window(w, i, 0), ctx)
+    k1u = window_basis(ring, _sub_window(w, 0, i), ctx)
+    k0 = window_basis(ring, w, ctx)
 
     d1 = {}                            # each d1 image is reduced once
     for slot, k1, deg in (("et", k1t, (i, 0)), ("eu", k1u, (0, i))):
         g = {deg + (0, 0, ()): field.one()}
-        images = map_images(ring, k1, g, *product_caps(w, g), field, ctx)
+        images = map_images(ring, k1, g, *product_caps(w, g), ctx)
         d1.update(((slot, m), img) for m, img in images.items())
     domain = list(d1)
     cycles = kernel_basis(domain, d1.__getitem__, field)
@@ -132,11 +134,12 @@ def koszul_pair(ring, i, w, field=QQ, ctx=None):
 
 class QuotientSpace:
     """num / den with a canonical complement: representatives are reduced
-    against the denominator's echelon, so equal classes render equally."""
+    against the denominator's echelon, so equal classes render equally.
+    The denominator is over the numerator Echelon's field."""
 
-    def __init__(self, num, den_vectors, field=QQ):
+    def __init__(self, num, den_vectors):
         self.num = num                      # an Echelon
-        self.den = Echelon.spanned_by(den_vectors, field)
+        self.den = Echelon.spanned_by(den_vectors, num.field)
         if not all(num.contains(v) for v in self.den.basis()):
             raise OracleError("denominator escapes numerator")
 
@@ -153,28 +156,30 @@ class QuotientSpace:
         return self.den.reduce(vec)
 
 
-def h0_of_h1(ring, i, w, field=QQ, ctx=None):
+def h0_of_h1(ring, i, w, ctx=None):
     """Windowed Ann(t^i) / u^i Ann(t^i), stage-i window discipline."""
     if not ring.has_u:
         raise OracleError("quotient homology needs a two-variable ring")
     ctx = Context.of(ctx)
-    num = koszul_h1_single(ring, i, _sub_window(w, i, 0), field, ctx)
+    num = koszul_h1_single(ring, i, _sub_window(w, i, 0), ctx)
     # Ann(t^i) is (t, u)-graded, so its echelon basis over the window one
     # u^i-step down is the part of num's basis that fits there
     du = _sub_window(w, i, i).Du
-    den = [shift_reduce(ring, v, 0, i, w, field, ctx=ctx)
+    den = [shift_reduce(ring, v, 0, i, w, ctx=ctx)
            for v in num.basis() if all(m[1] <= du for m in v)]
-    return QuotientSpace(num, den, field)
+    return QuotientSpace(num, den)
 
 
-def h1_of_h0(stage, field):
-    """Windowed H1 of u^i acting on the quotient by t^i, read off a stage.
+def h1_of_h0(stage):
+    """Windowed H1 of u^i acting on the quotient by t^i, read off a stage,
+    over the field of its boundaries.
 
     Numerator: eu-slot monomials whose d1 image falls inside the image of
     t^i (the et-slot d1 images). Denominator: the eu-slot part of the
     stage's boundaries, the image of t^i one u^i-step down; any spanning
     set of the boundaries gives the same canonical rows.
     """
+    field = stage.boundaries.field
     t_image = Echelon.spanned_by(
         (img for (slot, _), img in stage.d1.items() if slot == "et"), field)
     dom = [m for slot, m in stage.d1 if slot == "eu"]
@@ -183,16 +188,16 @@ def h1_of_h0(stage, field):
     num = Echelon.spanned_by(num_vecs, field)
     den = ({m: c for (slot, m), c in b.items() if slot == "eu"}
            for b in stage.boundaries.basis())
-    return QuotientSpace(num, den, field)
+    return QuotientSpace(num, den)
 
 
-def _rank_gain(base, extra, field):
+def _rank_gain(base, extra):
     """How far the Echelon base grows when extra goes into a layer on it."""
-    span = Echelon(field, base)
+    span = Echelon(base.field, base)
     return sum(span.insert(v) is not None for v in extra)
 
 
-def ses_row_check(ring, i, w, field=QQ, ctx=None):
+def ses_row_check(ring, i, w, ctx=None):
     """Exactness of the windowed row
 
         0 -> H0(u^i; H1(t^i)) -> H1(t^i, u^i) -> H1(u^i; H0(t^i)) -> 0
@@ -209,23 +214,23 @@ def ses_row_check(ring, i, w, field=QQ, ctx=None):
     peak memory rose by about 40% when that was tried.
     """
     ctx = Context.of(ctx)
-    left = _stage_module(ring, "H0(u;H1(t))", i, w, field, ctx)
-    stage = koszul_pair(ring, i, w, field, ctx)
-    right = h1_of_h0(stage, field)
+    left = _stage_module(ring, "H0(u;H1(t))", i, w, ctx)
+    stage = koszul_pair(ring, i, w, ctx)
+    right = h1_of_h0(stage)
 
     # left map injectivity: span(boundaries + embedded numerator basis)
     # must grow by exactly dim(left)
     inj = _rank_gain(stage.boundaries,
                      ({("et", m): c for m, c in v.items()}
-                      for v in left.num.basis()), field) == left.dim
+                      for v in left.num.basis())) == left.dim
     # right map: rank of projected cycle classes must equal dim(right),
     # and the composite (numerator basis -> second slot) must die
     surj = _rank_gain(right.den,
                       ({m: c for (slot, m), c in cyc.items() if slot == "eu"}
-                       for cyc in stage.cycles), field) == right.dim
+                       for cyc in stage.cycles)) == right.dim
     # the left map lands in cycles (so the composite with the right map
     # is zero on the nose: the second slot of (z, 0) is empty)
-    lands_in_cycles = all(not shift_reduce(ring, v, i, 0, w, field, ctx=ctx)
+    lands_in_cycles = all(not shift_reduce(ring, v, i, 0, w, ctx=ctx)
                           for v in left.num.basis())
 
     return (inj and surj and lands_in_cycles
@@ -265,27 +270,27 @@ def _system_kind(system):
     return system.kind
 
 
-def _stage_module(ring, kind, i, w, field, ctx):
+def _stage_module(ring, kind, i, w, ctx):
     """The context's stage-i module of an inverse system, built on first
     use: Ann(t^i) with no denominator, or H0(u^i; H1(t^i))."""
-    key = (ring, kind, i, w, field.name)
+    key = (ring, kind, i, w)
     mod = ctx.stages.get(key)
     if mod is None:
         if kind == "H1(t)":
             mod = QuotientSpace(koszul_h1_single(
-                ring, i, _sub_window(w, i, 0), field, ctx), [], field)
+                ring, i, _sub_window(w, i, 0), ctx), [])
         else:
-            mod = h0_of_h1(ring, i, w, field, ctx)
+            mod = h0_of_h1(ring, i, w, ctx)
         ctx.stages[key] = mod
     return mod
 
 
-def _image(ring, v, m, n, w, field, ctx):
+def _image(ring, v, m, n, w, ctx):
     """The transition image of a stage-m vector in stage n: t^(m-n) v."""
-    return shift_reduce(ring, v, m - n, 0, w, field, ctx=ctx)
+    return shift_reduce(ring, v, m - n, 0, w, ctx=ctx)
 
 
-def _transition(ring, kind, m, n, w, field, ctx):
+def _transition(ring, kind, m, n, w, ctx):
     """One witness search: is the stage-m to stage-n transition zero?
 
     Every stage-m representative is mapped by t^(m-n) and reduced modulo
@@ -293,15 +298,15 @@ def _transition(ring, kind, m, n, w, field, ctx):
     the highest constant-slice basis vector of the stage-m numerator with
     nonzero image (any basis vector when no constant-slice one qualifies).
     """
-    tgt = _stage_module(ring, kind, n, w, field, ctx)
-    src = _stage_module(ring, kind, m, w, field, ctx)
+    tgt = _stage_module(ring, kind, n, w, ctx)
+    src = _stage_module(ring, kind, m, w, ctx)
     const, rest = [], []
     for v in src.num.basis():
         (const if all(mono[0] == 0 and mono[1] == 0 for mono in v)
          else rest).append(v)
     const.sort(key=max, reverse=True)
     for v in const + rest:
-        if tgt.rep(_image(ring, v, m, n, w, field, ctx)):
+        if tgt.rep(_image(ring, v, m, n, w, ctx)):
             return False, v
     return True, None
 
@@ -319,7 +324,7 @@ def stage_degree(max_stage):
     return max_stage + 2
 
 
-def pro_zero_test(ring, system, max_stage, w, field=QQ, ctx=None):
+def pro_zero_test(ring, system, max_stage, w, ctx=None):
     """Search each target stage for a later stage with zero transition.
 
     For n in 2..max_stage-1, try m in n+1..max_stage: the transition
@@ -337,7 +342,7 @@ def pro_zero_test(ring, system, max_stage, w, field=QQ, ctx=None):
     for n in range(2, max_stage):
         row = ProZeroRow(n=n)
         for m in range(n + 1, max_stage + 1):
-            zero, wit = _transition(ring, kind, m, n, w, field, ctx)
+            zero, wit = _transition(ring, kind, m, n, w, ctx)
             if zero:
                 row.least_zero_m = m
                 break
@@ -354,8 +359,7 @@ def pro_zero_test(ring, system, max_stage, w, field=QQ, ctx=None):
     return ProZeroReport(ring, system, max_stage, w, rows, verdict)
 
 
-def transition_witness_replay(ring, system, m, n, w, witness, field=QQ,
-                              ctx=None):
+def transition_witness_replay(ring, system, m, n, w, witness, ctx=None):
     """Re-verify one reported witness against the context's stage modules.
 
     The modules are the ones the search used (built once per context);
@@ -365,8 +369,8 @@ def transition_witness_replay(ring, system, m, n, w, witness, field=QQ,
     """
     kind = _system_kind(system)
     ctx = Context.of(ctx)
-    src = _stage_module(ring, kind, m, w, field, ctx)
-    tgt = _stage_module(ring, kind, n, w, field, ctx)
+    src = _stage_module(ring, kind, m, w, ctx)
+    tgt = _stage_module(ring, kind, n, w, ctx)
     if not src.num.contains(witness):
         return False
-    return tgt.class_nonzero(_image(ring, witness, m, n, w, field, ctx))
+    return tgt.class_nonzero(_image(ring, witness, m, n, w, ctx))

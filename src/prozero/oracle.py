@@ -41,13 +41,15 @@ single variable x is a power, so x^a t^d sits in the power slot as
 products and reductions need no CTRL case.
 
 Every function that reaches `slice_span` takes a trailing `ctx`, the
-Context of the run. Leaving it out (ctx=None) gives the call a fresh
-context of its own; passing one context to many calls lets them share
-slice spans and annihilators (and, in `koszul`, stage modules). Nothing
-is cached at module level. The caches have two lifetimes: slice spans,
-large and cheap to rebuild, live until `Context.drop_spans`, which
-`claims.run_all` calls before each claim; annihilators and stage
-modules, small and costly, live as long as the context.
+Context of the run, and computes over its field: a run has one field,
+so no function takes a field beside its context. Leaving ctx out
+(ctx=None) gives the call a fresh context over q; passing one context
+to many calls lets them share slice spans and annihilators (and, in
+`koszul`, stage modules). Nothing is cached at module level. The caches
+have two lifetimes: slice spans, large and cheap to rebuild, live until
+`Context.drop_spans`, which `claims.run_all` calls before each claim;
+annihilators and stage modules, small and costly, live as long as the
+context.
 """
 
 from __future__ import annotations
@@ -110,20 +112,22 @@ class Window:
 
 
 class Context:
-    """The caches of one run: slice spans, annihilators and Koszul stage
-    modules.
+    """The field and the caches of one run: slice spans, annihilators and
+    Koszul stage modules.
 
+    `field` is the run's one field (q by default): everything computed
+    in the context is over it, so no cache key names a field.
     `shapes` maps a shape key (x-multiplier range, bidegree-zero rows or
-    the layer's base, t/u rows, ycap, xcap, pairs, field name) to the
-    Echelon of its span over stripped monomials: one span per distinct
-    set of stripped relator rows and caps, shared across the slices and
-    rings of one run. A key holds no ring, so rings whose slices strip to
-    the same rows share one Echelon. `spans` maps a slice key (ring, dt,
-    du, ycap, xcap, pairs, field name) to the Echelon of its shape, so a
-    repeated slice skips working out its rows. `annihilators` maps (ring,
-    dt, du, window, field name) to the kernel Echelon of
-    `annihilator_oracle`. `stages` maps (ring, system kind, stage, window,
-    field name) to a stage module.
+    the layer's base, t/u rows, ycap, xcap, pairs) to the Echelon of its
+    span over stripped monomials: one span per distinct set of stripped
+    relator rows and caps, shared across the slices and rings of one
+    run. A key holds no ring, so rings whose slices strip to the same
+    rows share one Echelon. `spans` maps a slice key (ring, dt, du, ycap,
+    xcap, pairs) to the Echelon of its shape, so a repeated slice skips
+    working out its rows. `annihilators` maps (ring, dt, du, Mx) to the
+    kernel Echelon of `annihilator_oracle`, which reads no more of the
+    window than Mx. `stages` maps (ring, system kind, stage, window) to a
+    stage module.
     Cached objects are shared, so no consumer may mutate them; a shape
     span is a layer on the (0, 0) span, which it reads and never writes.
     Hashes by identity.
@@ -132,7 +136,8 @@ class Context:
     `stages` hold no span and live as long as the context.
     """
 
-    def __init__(self):
+    def __init__(self, field=QQ):
+        self.field = field
         self.shapes = {}
         self.spans = {}
         self.annihilators = {}
@@ -148,7 +153,7 @@ class Context:
 
     @staticmethod
     def of(ctx):
-        """ctx itself, or a fresh Context when ctx is None."""
+        """ctx itself, or a fresh Context over q when ctx is None."""
         return Context() if ctx is None else ctx
 
 
@@ -264,7 +269,7 @@ def _stripped_rows(ring, dt, du, xcap):
             tuple(row for row, zero in rows.items() if not zero))
 
 
-def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
+def slice_span(ring, dt, du, ycap, xcap, pairs=False, ctx=None):
     """Echelon of the relation span of one (dt, du) bidegree slice, over
     stripped monomials: the slice's (dt, du) is zeroed in every row.
 
@@ -273,7 +278,7 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
     x-factor, so the span also proves where two-x monomials die.
     One span per distinct set of stripped relator rows and caps, shared
     across the slices and rings of one run: the shape key holds the rows,
-    the x-multiplier range, the caps, pairs and the field, and no ring, so
+    the x-multiplier range, the caps and pairs, and no ring, so
     the same rows are inserted in the same order whichever slice builds
     it. A slice with both bidegree-zero and t/u rows is a layer on the
     (0, 0) span of the same caps, the span of its bidegree-zero rows, and
@@ -281,21 +286,21 @@ def slice_span(ring, dt, du, ycap, xcap, pairs=False, field=QQ, ctx=None):
     of the base's rows (the base lives in the context as long as the key).
     """
     ctx = Context.of(ctx)
-    key = (ring, dt, du, ycap, xcap, pairs, field.name)
+    key = (ring, dt, du, ycap, xcap, pairs)
     ech = ctx.spans.get(key)
     if ech is None:
         xs = _x_indices(ring, xcap)
         zero, own = _stripped_rows(ring, dt, du, xcap)
         base = None
         if zero and own:
-            base = slice_span(ring, 0, 0, ycap, xcap, pairs, field, ctx)
+            base = slice_span(ring, 0, 0, ycap, xcap, pairs, ctx)
             zero = id(base)     # the base's rows, named by the base
-        shape = (xs, zero, own, ycap, xcap, pairs, field.name)
+        shape = (xs, zero, own, ycap, xcap, pairs)
         ech = ctx.shapes.get(shape)
         if ech is None:
             rows = own if base is not None else zero + own
             ech = ctx.shapes[shape] = _shape_span(rows, xs, ycap, xcap,
-                                                  pairs, field, base)
+                                                  pairs, ctx.field, base)
         ctx.spans[key] = ech
     return ech
 
@@ -372,7 +377,7 @@ def check_window_budget(ring, w, g=()):
     return basis + rows
 
 
-def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ, ctx=None):
+def reduce_raw(ring, vec, ycap, xcap, pairs=False, ctx=None):
     """Normal form of a raw vector modulo the relation span, slice by slice.
 
     Each slice is reduced stripped, against its shape's span, and its
@@ -383,22 +388,23 @@ def reduce_raw(ring, vec, ycap, xcap, pairs=False, field=QQ, ctx=None):
         by_slice.setdefault((dt, du), {})[(0, 0, nx, y, xs)] = c
     out = {}
     for (dt, du), sub in sorted(by_slice.items()):
-        ech = slice_span(ring, dt, du, ycap, xcap, pairs, field, ctx)
+        ech = slice_span(ring, dt, du, ycap, xcap, pairs, ctx)
         for (_, _, nx, y, xs), c in ech.reduce(sub).items():
             out[(dt, du, nx, y, xs)] = c
     return out
 
 
-def shift_reduce(ring, vec, dt, du, w, field=QQ, ypow=0, ctx=None):
+def shift_reduce(ring, vec, dt, du, w, ypow=0, ctx=None):
     """vec * t^dt u^du y^ypow, reduced with the window's one-x caps."""
-    g = {(dt, du, 0, ypow, ()): field.one()}
-    return reduce_raw(ring, raw_mul(vec, g, field), *product_caps(w, g),
-                      field, ctx)
+    ctx = Context.of(ctx)
+    g = {(dt, du, 0, ypow, ()): ctx.field.one()}
+    return reduce_raw(ring, raw_mul(vec, g, ctx.field), *product_caps(w, g),
+                      ctx=ctx)
 
 
 # -- windowed monomial bases ------------------------------------------------
 
-def window_basis(ring, w, field=QQ, ctx=None):
+def window_basis(ring, w, ctx=None):
     """The canonical reduced basis of the window, from the presentation,
     as a sorted tuple of raw monomials.
 
@@ -413,7 +419,7 @@ def window_basis(ring, w, field=QQ, ctx=None):
     monos = []
     for dt in range(w.Dt + 1):
         for du in range(w.Du + 1):
-            ech = slice_span(ring, dt, du, *caps, field, ctx)
+            ech = slice_span(ring, dt, du, *caps, ctx=ctx)
             monos += [(dt, du) + m[2:] for m in ech.non_pivots(ambient)]
     return tuple(sorted(monos))
 
@@ -431,7 +437,7 @@ def vectorize(p):
 
 # -- linear maps and kernels -------------------------------------------------
 
-def mul_map(ring, g, w, field=QQ, ctx=None):
+def mul_map(ring, g, w, ctx=None):
     """Exact multiplication by the raw vector g on the window's reduced
     basis: a dict domain monomial -> reduced image, in basis order.
 
@@ -439,14 +445,15 @@ def mul_map(ring, g, w, field=QQ, ctx=None):
     caps grow by g's degrees), then reduced against the relation span, so
     a kernel vector here really multiplies to zero.
     """
+    check_window_ring(ring, w)
     check_window_budget(ring, w, g)
-    domain = window_basis(ring, w, field, ctx)
-    return map_images(ring, domain, g, *product_caps(w, g), field, ctx)
+    domain = window_basis(ring, w, ctx)
+    return map_images(ring, domain, g, *product_caps(w, g), ctx)
 
 
-def map_images(ring, monos, gvec, ycap, xcap, pairs=False, field=QQ,
-               ctx=None):
-    """Reduced image of each domain monomial times the raw vector gvec.
+def map_images(ring, monos, gvec, ycap, xcap, pairs=False, ctx=None):
+    """Reduced image of each domain monomial times the raw vector gvec,
+    whose coefficients, ints like a relator's, are read into ctx's field.
 
     The domain is walked slice by slice, so each span a slice's images
     land in is looked up once for the slice, not once per monomial; sorted
@@ -455,6 +462,8 @@ def map_images(ring, monos, gvec, ycap, xcap, pairs=False, field=QQ,
     products are reduced against that slice's span. Returns a dict
     domain monomial -> reduced raw vector.
     """
+    ctx = Context.of(ctx)
+    field = ctx.field
     one = field.one()
     by_slice = {}
     for (dt, du, nx, y, xs), c in gvec.items():
@@ -466,7 +475,7 @@ def map_images(ring, monos, gvec, ycap, xcap, pairs=False, field=QQ,
     for (dt, du), run in groupby(monos, itemgetter(0, 1)):
         targets = [(dt + gdt, du + gdu, terms,
                     slice_span(ring, dt + gdt, du + gdu, ycap, xcap, pairs,
-                               field, ctx))
+                               ctx))
                    for (gdt, gdu), terms in gslices]
         for m in run:
             stripped = (0, 0) + m[2:]
@@ -479,7 +488,7 @@ def map_images(ring, monos, gvec, ycap, xcap, pairs=False, field=QQ,
     return images
 
 
-def kernel_of(ring, gs, w, field=QQ, ctx=None):
+def kernel_of(ring, gs, w, ctx=None):
     """The window vectors that multiplication by every raw vector of gs
     kills, as an Echelon over the window's basis.
 
@@ -489,7 +498,7 @@ def kernel_of(ring, gs, w, field=QQ, ctx=None):
     read, so the elimination can free it once its row is in.
     """
     ctx = Context.of(ctx)
-    maps = [mul_map(ring, g, w, field, ctx) for g in gs]
+    maps = [mul_map(ring, g, w, ctx) for g in gs]
     domain = list(maps[0])
     if len(maps) == 1:
         image = maps[0].pop
@@ -497,55 +506,58 @@ def kernel_of(ring, gs, w, field=QQ, ctx=None):
         def image(m):
             return {(k, mono): c for k, images in enumerate(maps)
                     for mono, c in images.pop(m).items()}
-    return Echelon.spanned_by(kernel_basis(domain, image, field), field)
+    return Echelon.spanned_by(kernel_basis(domain, image, ctx.field),
+                              ctx.field)
 
 
-def system_kernel(ring, system, w, field=QQ, ctx=None):
+def system_kernel(ring, system, w, ctx=None):
     """Windowed solutions of the named operator system."""
-    ops = system_operators(system, ring, field)
-    return kernel_of(ring, [vectorize(op) for _, op in ops], w, field, ctx)
+    ctx = Context.of(ctx)
+    ops = system_operators(system, ring, ctx.field)
+    return kernel_of(ring, [vectorize(op) for _, op in ops], w, ctx)
 
 
 # -- annihilators and torsion -------------------------------------------------
 
-def annihilator_oracle(ring, dt, du, w, field=QQ, ctx=None):
+def annihilator_oracle(ring, dt, du, w, ctx=None):
     """Windowed annihilator of t^dt u^du inside the coefficient slice.
 
     Domain: the (t, u)-degree-zero part of the window basis. A vector is
     kept iff its product with the monomial reduces to zero. It is the
     kernel on the window (0, 0, Mx), whose one slice is mapped at the
     caps of a whole-window `mul_map` (an x-free multiplier), and the
-    window is refused exactly where that map would refuse it. Computed
-    once per context; the Echelon is shared, so callers must not mutate
-    it.
+    window is refused exactly where that map would refuse it: a ring
+    error first, then the shift degree and the budget, which read all of
+    w. Computed once per context and Mx, the one bound the kernel reads;
+    the Echelon is shared, so callers must not mutate it.
     """
+    check_window_ring(ring, w)
     if dt < 0 or du < 0:
         raise OracleError("shift degree must be >= 0, got t^%d u^%d"
                           % (dt, du))
     if dt > w.Dt or du > w.Du:
         raise WindowError("window-too-small: shift degree exceeds window")
-    shift = {(dt, du, 0, 0, ()): field.one()}
+    shift = {(dt, du, 0, 0, ()): 1}
     check_window_budget(ring, w, shift)
-    check_window_ring(ring, w)
     ctx = Context.of(ctx)
-    key = (ring, dt, du, w, field.name)
+    key = (ring, dt, du, w.Mx)
     ann = ctx.annihilators.get(key)
     if ann is None:
         ann = ctx.annihilators[key] = kernel_of(
-            ring, [shift], Window(0, 0, w.Mx), field, ctx)
+            ring, [shift], Window(0, 0, w.Mx), ctx)
     return ann
 
 
-def torsion_subspace(ring, w, K=None, field=QQ, ctx=None):
+def torsion_subspace(ring, w, K=None, ctx=None):
     """Window vectors killed by t^K (and u^K in E2). Default K = Dt+Du+2."""
     if K is None:
         K = w.Dt + w.Du + 2
     if K < 1:
         raise OracleError("torsion exponent must be >= 1")
-    shifts = [{(K, 0, 0, 0, ()): field.one()}]
+    shifts = [{(K, 0, 0, 0, ()): 1}]
     if ring.has_u:
-        shifts.append({(0, K, 0, 0, ()): field.one()})
-    return kernel_of(ring, shifts, w, field, ctx)
+        shifts.append({(0, K, 0, 0, ()): 1})
+    return kernel_of(ring, shifts, w, ctx)
 
 
 # -- window hygiene -----------------------------------------------------------

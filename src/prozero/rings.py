@@ -170,6 +170,10 @@ def r_mul(a, b, field=QQ):
     """Product of two coefficient vectors in the base ring R.
 
     Inputs and output are maps basis-index -> scalar with no stored zeros.
+    No code path here calls it; it stays because tests check it and the
+    benchmark counts its calls by name (`bench/run.py`, rings.mul_calls),
+    where a missing function stops `bench/run.py --trace 1` with a
+    KeyError.
     """
     out = {}
     for i1, c1 in a.items():
@@ -265,9 +269,6 @@ class GradedPoly:
         """The coefficient vector at one bidegree (a copy)."""
         return dict(self.terms.get((dt, du), {}))
 
-    def max_t_degree(self):
-        return max((d[0] for d in self.terms), default=0)
-
     def _check_compatible(self, other):
         if self.ring != other.ring:
             raise RingError("ring mismatch: %s vs %s"
@@ -340,6 +341,10 @@ class GradedPoly:
         return out
 
     def scale(self, c):
+        """self times the scalar c. No code path here calls it; it stays
+        because tests use it and the benchmark tracer wraps it by name
+        (`bench/tracer.py` METHODS), where a missing method stops
+        `bench/run.py --trace 1` with a KeyError."""
         f = self.field
         if f.is_zero(c):
             return GradedPoly.zero(self.ring, f)

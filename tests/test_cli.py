@@ -11,6 +11,9 @@ import pytest
 import prozero.claims as claims
 import prozero.cli as cli
 from prozero.claims import ClaimReport
+from prozero.fields import QQ, PrimeField
+from prozero.linalg import Echelon
+from prozero.oracle import Context
 
 SCHEMA = json.loads(
     (pathlib.Path(cli.__file__).parent / "report_schema.json").read_text())
@@ -406,6 +409,44 @@ def test_ring_errors_are_not_window_errors(argv, code, out, capsys):
     if code:
         assert captured.err.startswith("prozero: invalid parameter: ring ")
         assert captured.err.count("\n") == 1
+
+
+def test_every_echelon_of_a_run_is_over_its_field(monkeypatch, capsys):
+    # one field per run: a call that dropped its context would compute in
+    # a fresh one over q, silently, so every Echelon built by a suite or
+    # a command run over fp:3 must be over fp:3
+    fields = []
+    real_init = Echelon.__init__
+
+    def spy(self, field=QQ, base=None):
+        fields.append(field.name)
+        real_init(self, field, base)
+
+    monkeypatch.setattr(Echelon, "__init__", spy)
+    reports = claims.run_all(ctx=Context(PrimeField(3)))
+    assert all(r.status == "verified" for r in reports)
+    for argv in (["kernel", "t - y"], ["annihilator"],
+                 ["prozero", "--system", "H0(u;H1(t))"],
+                 ["selftest", "--count", "40", "--round-trips", "0"]):
+        assert run_cli(argv + ["--field", "fp:3"]) == 0
+    capsys.readouterr()
+    assert len(fields) > 300 and set(fields) == {"fp:3"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--ring", "E1", "--du", "1", "--mx", "100000", "t"],
+    ["annihilator", "--ring", "E1", "--du", "1", "--mx", "100000"],
+    ["verify", "C-essential", "--du", "1", "--mx", "100000"],
+])
+def test_ring_error_comes_before_the_budget(argv, capsys):
+    # each exited 65 (window-too-large): the budget was estimated before
+    # the ring was checked, while the same command at the default --mx,
+    # and `prozero` at any --mx, exited 64 naming the ring
+    assert run_cli(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("prozero: invalid parameter: ring E1[m=2] has "
+                            "no u, so the window needs Du = 0\n")
 
 
 @pytest.mark.parametrize("ring, dt", [

@@ -97,26 +97,28 @@ def test_h1_splits_as_quotient_sum():
     for i in (2, 3):
         st = koszul_pair(E2, i, W_PAIR)
         left = h0_of_h1(E2, i, W_PAIR)
-        right = h1_of_h0(st, QQ)
+        right = h1_of_h0(st)
         assert st.h1_dim == left.dim + right.dim
 
 
 def test_quotient_dims_frozen():
     assert h0_of_h1(E2, 2, W_PAIR).dim == 29
-    assert h1_of_h0(koszul_pair(E2, 2, W_PAIR), QQ).dim == 3
+    assert h1_of_h0(koszul_pair(E2, 2, W_PAIR)).dim == 3
     assert h0_of_h1(E2, 3, W_PAIR).dim == 43
-    assert h1_of_h0(koszul_pair(E2, 3, W_PAIR), QQ).dim == 5
+    assert h1_of_h0(koszul_pair(E2, 3, W_PAIR)).dim == 5
 
 
 def _scratch_h1_of_h0(ring, i, w, field):
     # H1(u^i; H0(t^i)) built from nothing but the oracle: every image is
-    # reduced afresh over the stage's own sub-windows
+    # reduced afresh over the stage's own sub-windows, in a context of its
+    # own
+    ctx = Context(field)
+
     def sub(ddt, ddu):
-        return window_basis(ring, Window(w.Dt - ddt, w.Du - ddu, w.Mx),
-                            field)
+        return window_basis(ring, Window(w.Dt - ddt, w.Du - ddu, w.Mx), ctx)
 
     def times(m, dt, du):
-        return shift_reduce(ring, {m: field.one()}, dt, du, w, field)
+        return shift_reduce(ring, {m: field.one()}, dt, du, w, ctx=ctx)
 
     t_image = Echelon(field)
     for m in sub(i, 0):
@@ -130,8 +132,9 @@ def _scratch_h1_of_h0(ring, i, w, field):
 
 def _scratch_h0_of_h1_den(ring, i, w, field):
     # u^i * Ann(t^i), with Ann(t^i) computed over the window one u^i-step down
-    inner = koszul_h1_single(ring, i, Window(w.Dt - i, w.Du - i, w.Mx), field)
-    den = [shift_reduce(ring, v, 0, i, w, field) for v in inner.basis()]
+    ctx = Context(field)
+    inner = koszul_h1_single(ring, i, Window(w.Dt - i, w.Du - i, w.Mx), ctx)
+    den = [shift_reduce(ring, v, 0, i, w, ctx=ctx) for v in inner.basis()]
     return Echelon.spanned_by(den, field).basis()
 
 
@@ -142,11 +145,11 @@ def test_quotients_match_a_scratch_build(spec):
     # row
     field = field_from_spec(spec)
     for i in (2, 3, 4):
-        right = h1_of_h0(koszul_pair(E2, i, W_PAIR, field), field)
+        right = h1_of_h0(koszul_pair(E2, i, W_PAIR, Context(field)))
         num, den = _scratch_h1_of_h0(E2, i, W_PAIR, field)
         assert right.num.basis() == num
         assert right.den.basis() == den
-        left = h0_of_h1(E2, i, W_PAIR, field)
+        left = h0_of_h1(E2, i, W_PAIR, Context(field))
         assert left.den.basis() == _scratch_h0_of_h1_den(E2, i, W_PAIR, field)
 
 
@@ -156,7 +159,7 @@ def test_ses_row_reduces_only_d1_and_the_landing_check(monkeypatch):
     # vector once (lands_in_cycles); the right module reduces nothing
     ctx = Context()
     i = 3
-    left = koszul._stage_module(E2, "H0(u;H1(t))", i, W_PAIR, QQ, ctx)
+    left = koszul._stage_module(E2, "H0(u;H1(t))", i, W_PAIR, ctx)
     k1 = sum(len(window_basis(E2, Window(dt, du, W_PAIR.Mx), ctx=ctx))
              for dt, du in ((3, 6), (6, 3)))
     reduced = _count_images(monkeypatch)
@@ -181,7 +184,7 @@ def test_ses_row_eliminates_the_d2_images_once(monkeypatch):
     # images: the rank counts extend it and the right module reads it
     ctx = Context()
     i = 3
-    koszul._stage_module(E2, "H0(u;H1(t))", i, W_PAIR, QQ, ctx)
+    koszul._stage_module(E2, "H0(u;H1(t))", i, W_PAIR, ctx)
     d2 = _d2_images(koszul_pair(E2, i, W_PAIR, ctx=ctx))
     want = sum(len(_slots(img)) == 2 for img in d2.values())
     two_slot = []
@@ -408,5 +411,5 @@ def test_shared_stage_modules_are_not_mutated():
     second = run_claim("C-nwkpr", ctx=ctx)
     assert snapshot() == before
     assert first.status == "verified"
-    assert first.to_json() == second.to_json() == \
-        run_claim("C-nwkpr").to_json()
+    assert first.to_dict() == second.to_dict() == \
+        run_claim("C-nwkpr").to_dict()

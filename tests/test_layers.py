@@ -4,11 +4,15 @@ The elimination oracle must never call the closed-form arithmetic it is
 checked against: `oracle` may take from `rings` only its error and the
 operator system it is asked to solve, and `linalg`
 and `koszul` take nothing from `rings` at all. Neither `oracle` nor
-`koszul` keeps a cache at module level.
+`koszul` keeps a cache at module level. A run has one field, which its
+`Context` carries: no function of `oracle`, `koszul` or `claims` takes
+a field beside its context, and no cache key names a field.
 """
 
 import ast
 import pathlib
+
+import pytest
 
 import prozero
 
@@ -78,3 +82,35 @@ def test_oracle_and_koszul_keep_no_module_level_cache():
 def test_check_sees_a_module_level_cache():
     src = (SRC / "oracle.py").read_text() + "\n_span_cache = {}\n"
     assert module_level_containers("oracle", src) == ["_span_cache"]
+
+
+def field_beside_ctx(module, source=None):
+    """Functions of a module taking both a `field` and a `ctx` parameter,
+    and the lines that read a field's name (a cache key naming a field)."""
+    if source is None:
+        source = (SRC / ("%s.py" % module)).read_text()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            names = {a.arg for a in (args.posonlyargs + args.args
+                                     + args.kwonlyargs)}
+            if {"field", "ctx"} <= names:
+                found.append(node.name)
+        elif (isinstance(node, ast.Attribute) and node.attr == "name"
+              and ast.unparse(node.value).endswith("field")):
+            found.append("line %d" % node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("module", ["oracle", "koszul", "claims"])
+def test_the_context_carries_the_field(module):
+    assert field_beside_ctx(module) == []
+
+
+def test_check_sees_a_field_beside_ctx():
+    src = (SRC / "oracle.py").read_text()
+    src += "\ndef shim(ring, w, field=None, ctx=None):\n    pass\n"
+    src += "\ndef keyed(ctx, w):\n    return (w, ctx.field.name)\n"
+    key_line = src.splitlines().index("    return (w, ctx.field.name)") + 1
+    assert field_beside_ctx("oracle", src) == ["shim", "line %d" % key_line]

@@ -342,7 +342,7 @@ def test_koszul_cycle_kernel_builds_no_echelon(monkeypatch):
         return out
 
     monkeypatch.setattr(koszul, "kernel_basis", spy)
-    stage = koszul.koszul_pair(E2, 2, Window(6, 6, 10), QQ, Context())
+    stage = koszul.koszul_pair(E2, 2, Window(6, 6, 10), Context())
     (d1_domain, d1_built, cycles), = calls
     assert d1_domain == list(stage.d1)
     assert all(len(img) <= 1 for img in stage.d1.values())

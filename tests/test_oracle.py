@@ -172,7 +172,7 @@ def test_shared_span_restores_to_the_slice_span(ring, pairs, ycap, xcap):
     by_rows = {}
     for dt in range(7 if ring.has_t else 1):
         for du in range(3 if ring.has_u else 1):
-            ech = slice_span(ring, dt, du, ycap, xcap, pairs, QQ, ctx)
+            ech = slice_span(ring, dt, du, ycap, xcap, pairs, ctx)
             restored = [{(dt, du) + m[2:]: c for m, c in row.items()}
                         for row in ech.basis()]
             ref = _reference_span(ring, dt, du, ycap, xcap, pairs)
@@ -215,7 +215,7 @@ def test_any_build_order_gives_the_same_spans(ring, monkeypatch):
     monkeypatch.setattr(Echelon, "insert", spy)
     ctx = Context()
     spans = {(dt, du, pairs): slice_span(ring, dt, du, *caps[pairs], pairs,
-                                         QQ, ctx)
+                                         ctx)
              for dt, du, pairs in slices}
     by_echelon = {}
     for ech, vec in inserted:
@@ -249,7 +249,7 @@ def test_rings_share_spans_with_equal_stripped_rows(pairs, ycap, xcap):
     for ring in SPAN_RINGS:
         for dt in range(9 if ring.has_t else 1):
             for du in range(3 if ring.has_u else 1):
-                ech = slice_span(ring, dt, du, ycap, xcap, pairs, QQ, ctx)
+                ech = slice_span(ring, dt, du, ycap, xcap, pairs, ctx)
                 restored = [{(dt, du) + m[2:]: c for m, c in row.items()}
                             for row in ech.basis()]
                 ref = _reference_span(ring, dt, du, ycap, xcap, pairs)
@@ -296,12 +296,12 @@ def test_shapes_share_the_rows_they_leave_alone(ring, monkeypatch):
     monkeypatch.setattr(oracle, "_shape_span", recording)
     ctx = Context()
     for dt, du, pairs in slices:
-        slice_span(ring, dt, du, *caps[pairs], pairs, QQ, ctx)
+        slice_span(ring, dt, du, *caps[pairs], pairs, ctx)
     assert len(at_build) == len(ctx.shapes)
     assert all(_deep(ech) == at_build[id(ech)] for ech in ctx.shapes.values())
     layers = 0
     for pairs, (ycap, xcap) in caps.items():
-        zero = slice_span(ring, 0, 0, ycap, xcap, pairs, QQ, ctx)
+        zero = slice_span(ring, 0, 0, ycap, xcap, pairs, ctx)
         assert zero.base is None
         stacked = zero if _slice_generators(ring, 0, 0, xcap) else None
         for shape, ech in ctx.shapes.items():
@@ -385,14 +385,13 @@ def test_annihilator_is_the_slice0_kernel_of_a_window_map(ring, w, shifts,
     # mapping the (0, 0) slice alone gives the kernel of the (0, 0) part
     # of the whole-window map, basis for basis
     field = field_from_spec(spec)
-    ctx = Context()
+    ctx = Context(field)
     for dt, du in shifts:
-        images = mul_map(ring, {(dt, du, 0, 0, ()): field.one()}, w, field,
-                         ctx)
-        assert tuple(images) == window_basis(ring, w, field, ctx)
+        images = mul_map(ring, {(dt, du, 0, 0, ()): field.one()}, w, ctx)
+        assert tuple(images) == window_basis(ring, w, ctx)
         slice0 = [m for m in images if m[:2] == (0, 0)]
         want = kernel_basis(slice0, images.__getitem__, field)
-        got = annihilator_oracle(ring, dt, du, w, field, ctx)
+        got = annihilator_oracle(ring, dt, du, w, ctx)
         assert got.basis() == Echelon.spanned_by(want, field).basis()
 
 
@@ -435,11 +434,10 @@ def test_map_images_match_reduce_raw(ring, g):
                               (2 * w.Mx + 4, 2 * w.Mx + 2, True)):
         ctx = Context()
         want = {m: reduce_raw(ring, raw_mul({m: 1}, g), ycap, xcap, pairs,
-                              QQ, ctx)
+                              ctx)
                 for m in monos}
         for order in (monos, monos[::-1]):
-            assert map_images(ring, order, g, ycap, xcap, pairs, QQ,
-                              ctx) == want
+            assert map_images(ring, order, g, ycap, xcap, pairs, ctx) == want
 
 
 def test_kernel_dims_frozen():
@@ -551,5 +549,5 @@ def test_prime_field_oracle_agrees_on_dims():
     w = Window(6, 0, 8)
     for d in range(5):
         a = annihilator_oracle(E1(2), d, 0, w)
-        b = annihilator_oracle(E1(2), d, 0, w, field=fp)
+        b = annihilator_oracle(E1(2), d, 0, w, ctx=Context(fp))
         assert a.dim == b.dim

@@ -200,7 +200,7 @@ def test_pow_and_truncate():
     with pytest.raises(RingError):
         p ** -1
     q = (t + y) ** 4
-    assert q.truncate(3).max_t_degree() <= 2
+    assert max((dt for dt, _ in q.truncate(3).terms), default=0) <= 2
     # square-and-multiply agrees with repeated multiplication
     for ring in ALL_RINGS:
         g = GradedPoly.one(ring) + _gen(ring, ("x", 1))
