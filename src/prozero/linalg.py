@@ -186,14 +186,14 @@ class Echelon:
                     self._clear(row, above)
         return [out[p] for p in sorted(out, reverse=True)]
 
-    def contains_subspace(self, other):
-        return all(self.contains(row) for row in other.basis())
-
     def __eq__(self, other):
-        """Equal row spaces."""
+        """Equal row spaces. No program path compares two Echelons; it
+        stays because the tests compare spans with it (Koszul boundaries
+        against their d2 images in `tests/test_koszul.py`)."""
         if not isinstance(other, Echelon):
             return NotImplemented
-        return self.dim == other.dim and self.contains_subspace(other)
+        return (self.dim == other.dim
+                and all(self.contains(row) for row in other.basis()))
 
 
 def kernel_basis(domain, image_fn, field=QQ):

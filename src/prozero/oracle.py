@@ -20,9 +20,12 @@ the bidegree-zero span plus its own t/u rows: it is a layer
 (`Echelon(field, base)`) holding only those rows, on the (0, 0) span of
 the same caps, which is eliminated once per caps and never written to
 again.
-Second, rewriting only moves monomials downward in the canonical order
-(y-exponents and x-indices shrink), so a slice span whose caps cover the
-input also covers everything reduction can produce.
+Second, within one x-factor rewriting only moves monomials downward in
+the canonical order (y-exponents and x-indices shrink), so a slice span
+whose caps cover the input also covers everything reduction can produce.
+A product of two x-factors climbs in x-index before it dies; the caps
+that cover that climb, and the argument for each cap, are in
+`product_caps`.
 
 A linear map's images are reduced slice by slice (`map_images`): the
 domain is walked one (dt, du) slice at a time, and each span its images
@@ -79,10 +82,12 @@ class WindowError(OracleError):
 class Window:
     """Truncation bounds: max t-degree, max u-degree, max x-index/y-exponent.
 
-    The margin Mx >= max(Dt, Du) + 2 guarantees that the enlarged-codomain
-    reductions used by every kernel computation cannot silently truncate a
-    nonzero image in the coefficient direction; `product_caps` gives those
-    reductions' caps. `Window.of` is the one place a default Mx is decided.
+    Mx is the window's margin in the coefficient direction: Mx >=
+    max(Dt, Du) + 2 keeps the x-index of every t/u relator of the
+    window's slices (x_l*t^(l+m), x_l*t^l*u) inside the window. The caps
+    at which products are reduced are not Mx itself: `product_caps` works
+    them out from Mx and the multiplier. `Window.of` is the one place a
+    default Mx is decided.
     """
 
     Dt: int
@@ -328,14 +333,35 @@ def _shape_span(rows, xs, ycap, xcap, pairs, field, base=None):
 
 def product_caps(w, g=()):
     """The caps (ycap, xcap, pairs) at which products of the window's
-    basis by the raw vector g are reduced, so that no nonzero image is
-    truncated: caps grow by g's y-degree, and an x-factor in g makes
-    two-x products, reduced in the two-x (pairs) spans at x-cap 2*Mx + 2.
-    With g = () they are the window basis caps."""
+    basis by the raw vector g are reduced: the one caps rule, and the one
+    place its margin is decided. With g = () they are the window basis
+    caps. With ymax and xmax g's largest y-exponent and x-index:
+
+    - x-free g: (Mx + max(2, ymax), Mx, False), so a g of y-degree at
+      most 2 (t, t - y, y^2) shares the window basis caps and its spans;
+    - g with an x-factor: (Mx + 2 + ymax, Mx + 2 + max(Mx, xmax), True),
+      the two-x (pairs) spans, at x-cap 2*Mx + 2 while xmax <= Mx.
+
+    Why no nonzero image is truncated. A product of a basis monomial
+    (y^a or x_i, a, i <= Mx) by a term of g is a monomial whose reduction
+    the span must hold. Within one x-factor, rewriting only lowers the
+    y-exponent and the x-index (y*x_i -> x_(i-1), y*x_0 -> 0, and the
+    t/u rows are monomials), so a span whose y-cap covers the product's
+    y-degree, at most Mx + ymax, and whose x-cap covers its x-index holds
+    every step. A two-x monomial climbs instead: x_i*x_k = x_(i+1)*x_(k-1)
+    = ... = x_(i+k)*x_0 = x_(i+k+1)*(y*x_0), which is 0, so it needs
+    x-indices up to i + k + 1 <= Mx + xmax + 1 and one y above its own,
+    at most ymax + 1. A smaller cap only removes span rows and never adds
+    a relation, so a cap that is too small would show as a kernel too
+    small or a basis too large, never as a false zero;
+    `tests/test_oracle.py` checks these caps against the older, larger
+    ones on every ring.
+    """
     ymax = max((m[3] for m in g), default=0)
-    if any(m[2] for m in g):
-        return 2 * w.Mx + 2 + ymax, 2 * w.Mx + 2, True
-    return w.Mx + 2 + ymax, w.Mx, False
+    xmax = max((x for m in g for x in m[4]), default=None)
+    if xmax is not None:
+        return w.Mx + 2 + ymax, w.Mx + 2 + max(w.Mx, xmax), True
+    return w.Mx + max(2, ymax), w.Mx, False
 
 
 def check_window_budget(ring, w, g=()):

@@ -122,7 +122,7 @@ def test_run_all_scopes_spans_to_the_claim_that_builds_them(suite,
 
     def span_spy(ring, dt, du, ycap, xcap, pairs=False, ctx=None):
         ech = real_span(ring, dt, du, ycap, xcap, pairs, ctx)
-        if (ring, dt, du, ycap, xcap, pairs) == (R_ONLY, 0, 0, 26, 26, True):
+        if (ring, dt, du, ycap, xcap, pairs) == (R_ONLY, 0, 0, 14, 26, True):
             pair_spans.append(weakref.ref(ech))
         return ech
 

@@ -560,9 +560,10 @@ def test_precision_over_the_cap_is_usage_error(prec, capsys):
      "span rows"),
     (["kernel", "--ring", "E2", "--mx", "100000000", "t"],
      "Dt=8 Du=8 Mx=100000000 needs ~16200000162 basis monomials,"),
-    # two-x spans: multiplying by x0 needs caps 2*Mx + 2
-    (["kernel", "--ring", "E2", "--mx", "30", "x0"], "~4746228 span rows"),
-    (["verify", "C-basis", "--mx", "60"], "~1879839 span rows"),
+    # two-x spans: multiplying by x0 needs x-cap 2*Mx + 2; C-basis is
+    # accepted up to Mx = 60
+    (["kernel", "--ring", "E2", "--mx", "30", "x0"], "~2495988 span rows"),
+    (["verify", "C-basis", "--mx", "61"], "~1011968 span rows"),
     # annihilator maps only its (0, 0) slice but is refused as a map of
     # the whole window
     (["annihilator", "--ring", "E2", "--dt", "1", "--mx", "3000"],
@@ -575,6 +576,11 @@ def test_precision_over_the_cap_is_usage_error(prec, capsys):
     # still running when killed at 10 s
     (["verify", "C-xi-witness", "--mx", "3000"],
      "Dt=8 Du=0 Mx=3000 needs ~54018 basis monomials and ~135495360 span "
+     "rows"),
+    # an x-factor past the window widens the x-cap to Mx + 2 + 3000; with
+    # the x-cap at 2*Mx + 2 this printed a wrong "(trivial)"
+    (["kernel", "--ring", "E2", "--mx", "12", "x3000"],
+     "Dt=8 Du=8 Mx=12 needs ~2106 basis monomials and ~2323350270 span "
      "rows"),
 ])
 def test_window_over_budget_is_window_error(argv, says, capsys):

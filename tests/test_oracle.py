@@ -51,28 +51,32 @@ X0 = {(0, 0, 1, 0, (0,)): 1}
 
 
 def test_product_caps_pinned():
-    # the caps each call site wrote out before there was one rule
+    # one-x: (Mx + max(2, ymax), Mx); two-x: (Mx + 2 + ymax,
+    # Mx + 2 + max(Mx, xmax)), so an x past the window widens the x-cap
     w = Window(8, 8, 12)
     assert product_caps(w) == (14, 12, False)                 # window basis
     assert product_caps(w, ONE_T) == (14, 12, False)          # shift by t
-    assert product_caps(w, {(0, 0, 0, 3, ()): 1}) == (17, 12, False)  # y^3
-    assert product_caps(w, X0) == (26, 26, True)              # two-x products
+    assert product_caps(w, {(1, 0, 0, 0, ()): 1,
+                            (0, 0, 0, 1, ()): -1}) == (14, 12, False)  # t - y
+    assert product_caps(w, {(0, 0, 0, 3, ()): 1}) == (15, 12, False)  # y^3
+    assert product_caps(w, X0) == (14, 26, True)              # two-x products
     assert product_caps(w, {(1, 0, 1, 2, (0,)): 1,
-                            (0, 0, 0, 1, ()): 1}) == (28, 26, True)
+                            (0, 0, 0, 1, ()): 1}) == (16, 26, True)
+    assert product_caps(w, {(0, 0, 1, 0, (14,)): 1}) == (14, 28, True)
 
 
 def test_window_budget_estimates_pinned():
     # estimates with the caps and the reach worked out from g
     w = Window(8, 8, 12)
     assert check_window_budget(E2, w) == 6936
-    assert check_window_budget(E2, w, X0) == 430296
+    assert check_window_budget(E2, w, X0) == 242136
     assert check_window_budget(E2, w, ONE_T) == 7716
     # C-ann-t's Ann(t^3), C-basis's pair spans, C-kernel-I0 at Mx = 50
     assert check_window_budget(E1(2), Window(10, 0, 12),
                                {(3, 0, 0, 0, ()): 1}) == 3991
-    assert check_window_budget(R_ONLY, Window(0, 0, 12), X0) == 20633
+    assert check_window_budget(R_ONLY, Window(0, 0, 12), X0) == 11561
     t_minus_y = {(1, 0, 0, 0, ()): 1, (0, 0, 0, 1, ()): -1}
-    assert check_window_budget(E2, Window(6, 6, 50), t_minus_y) == 88733
+    assert check_window_budget(E2, Window(6, 6, 50), t_minus_y) == 49677
 
 
 def test_window_basis_counts():
@@ -160,6 +164,58 @@ SPAN_RINGS = [R_ONLY, GS, E1(2), E1(3), E2, CTRL,
 def _ring_id(ring):
     return ring.describe() + ("-omit-" + "-".join(sorted(ring.omit))
                               if ring.omit else "")
+
+
+@pytest.mark.parametrize("ring", [E1(2), E2], ids=_ring_id)
+@pytest.mark.parametrize("mx", [4, 12])
+def test_kernel_of_an_x_past_the_window(ring, mx):
+    # x_i*x_k = 0 climbs to x-index i + k + 1, past the old x-cap
+    # 2*Mx + 2 once k > Mx + 1, where x_Mx (then every x_i) dropped out
+    w = Window(0, 0, mx)
+    xs = Echelon.spanned_by([{(0, 0, 1, 0, (i,)): 1} for i in range(mx + 1)])
+    for k in (mx + 1, mx + 2, 2 * mx + 3):
+        assert kernel_of(ring, [{(0, 0, 1, 0, (k,)): 1}], w) == xs
+
+
+def _old_caps(w, g=()):
+    # the caps before they followed each product's reach
+    ymax = max((m[3] for m in g), default=0)
+    if any(m[2] for m in g):
+        return 2 * w.Mx + 2 + ymax, 2 * w.Mx + 2, True
+    return w.Mx + 2 + ymax, w.Mx, False
+
+
+CAPS_MULTIPLIERS = {
+    "t": {(1, 0, 0, 0, ()): 1},
+    "u": {(0, 1, 0, 0, ()): 1},
+    "t - y": {(1, 0, 0, 0, ()): 1, (0, 0, 0, 1, ()): -1},
+    "y^3": {(0, 0, 0, 3, ()): 1},
+    "t*y^3": {(1, 0, 0, 3, ()): 1},     # CTRL: x^Mx*t times x^3*t dies
+    "x0": X0,
+    "y*x2": {(0, 0, 1, 1, (2,)): 1},
+    "t*x1": {(1, 0, 1, 0, (1,)): 1},
+}
+
+
+@pytest.mark.parametrize("ring", [R_ONLY, E1(2), E1(3), E2, CTRL, GS],
+                         ids=_ring_id)
+@pytest.mark.parametrize("dt, du, mx", [(2, 2, 6), (3, 0, 8), (4, 4, 10)])
+def test_product_caps_give_the_answers_of_the_older_caps(ring, dt, du, mx,
+                                                        monkeypatch):
+    # smaller caps hold every relation a product reaches: the same images,
+    # bases and kernels as the older, larger caps
+    w = Window(dt if ring.has_t else 0, du if ring.has_u else 0, mx)
+    gs = [g for name, g in CAPS_MULTIPLIERS.items()
+          if (ring.has_t or "t" not in name) and (ring.has_u or name != "u")
+          and (ring.variant != "CTRL" or "x" not in name)]
+    new = [(window_basis(ring, w), [kernel_of(ring, [g], w) for g in gs])]
+    basis = new[0][0]
+    images = [map_images(ring, basis, g, *product_caps(w, g)) for g in gs]
+    monkeypatch.setattr(oracle, "product_caps", _old_caps)
+    old = [(window_basis(ring, w), [kernel_of(ring, [g], w) for g in gs])]
+    assert new == old
+    assert images == [map_images(ring, basis, g, *_old_caps(w, g))
+                      for g in gs]
 
 
 @pytest.mark.parametrize("ring", SPAN_RINGS, ids=_ring_id)
