@@ -30,11 +30,12 @@ that cover that climb, and the argument for each cap, are in
 A linear map's images are reduced slice by slice (`map_images`): the
 domain is walked one (dt, du) slice at a time, and each span its images
 land in is looked up once for the slice. `mul_map` maps a window's basis
-(`window_basis`, a sorted tuple of raw monomials) and `kernel_of` takes
-the common kernel of one or more maps as an `Echelon` over that basis:
-every windowed kernel (a system's solutions, torsion, annihilators, the
-Koszul H1 of one element) is one. `annihilator_oracle` takes it on the
-(0, 0) slice alone, the one it reads.
+(`window_basis`, a sorted tuple of raw monomials: the bases of its
+slices, `slice_basis`, in turn) and `kernel_of` takes the common kernel
+of one or more maps as an `Echelon` over that basis: every windowed
+kernel (a system's solutions, torsion, annihilators) is one.
+`annihilator_oracle` takes it on the (0, 0) slice alone, the one it
+reads.
 
 Raw monomial shape: (dt, du, nx, ypow, xs) with xs a sorted tuple of
 x-indices and nx = len(xs), so plain tuple comparison is the canonical
@@ -131,8 +132,10 @@ class Context:
     xcap, pairs) to the Echelon of its shape, so a repeated slice skips
     working out its rows. `annihilators` maps (ring, dt, du, Mx) to the
     kernel Echelon of `annihilator_oracle`, which reads no more of the
-    window than Mx. `stages` maps (ring, system kind, stage, window) to a
-    stage module.
+    window than Mx. `stages` maps (ring, system kind, stage, window,
+    (a, c)) to the slice of total bidegree (a, c) of a Koszul stage
+    module: a stage is built one slice at a time, and only the slices
+    read are built (`koszul`).
     Cached objects are shared, so no consumer may mutate them; a shape
     span is a layer on the (0, 0) span, which it reads and never writes.
     Hashes by identity.
@@ -432,22 +435,35 @@ def shift_reduce(ring, vec, dt, du, w, ypow=0, ctx=None):
 
 def window_basis(ring, w, ctx=None):
     """The canonical reduced basis of the window, from the presentation,
-    as a sorted tuple of raw monomials.
-
-    Per slice: ambient monomials whose stripped form is not a pivot of
-    the slice's shape span.
-    """
+    as a sorted tuple of raw monomials: its slices' bases (`slice_basis`)
+    in turn, drawn from one ambient, so every slice shares its x-index
+    tuples."""
     check_window_ring(ring, w)
     check_window_budget(ring, w)
-    caps = product_caps(w)
-    ambient = [(0, 0, 0, a, ()) for a in range(w.Mx + 1)]
-    ambient += [(0, 0, 1, 0, (i,)) for i in _x_indices(ring, w.Mx)]
-    monos = []
-    for dt in range(w.Dt + 1):
-        for du in range(w.Du + 1):
-            ech = slice_span(ring, dt, du, *caps, ctx=ctx)
-            monos += [(dt, du) + m[2:] for m in ech.non_pivots(ambient)]
-    return tuple(sorted(monos))
+    ambient = _ambient(ring, w.Mx)
+    return tuple(m for dt in range(w.Dt + 1) for du in range(w.Du + 1)
+                 for m in slice_basis(ring, dt, du, w, ctx, ambient))
+
+
+def _ambient(ring, mx):
+    """The stripped monomials a slice basis is drawn from: y^0..y^mx
+    (CTRL: its powers of x) and x_0..x_mx."""
+    return ([(0, 0, 0, a, ()) for a in range(mx + 1)]
+            + [(0, 0, 1, 0, (i,)) for i in _x_indices(ring, mx)])
+
+
+def slice_basis(ring, dt, du, w, ctx=None, ambient=None):
+    """The canonical reduced basis of the (dt, du) slice of the window's
+    ring, as a sorted list of raw monomials: the ambient monomials
+    (`_ambient(ring, w.Mx)`, built here unless given) whose stripped form
+    is not a pivot of the slice's shape span at the window basis caps.
+    Reads w's Mx only and checks nothing: a caller checks its window
+    (with `check_window_budget`) before its first slice.
+    """
+    if ambient is None:
+        ambient = _ambient(ring, w.Mx)
+    ech = slice_span(ring, dt, du, *product_caps(w), ctx=ctx)
+    return [(dt, du) + m[2:] for m in ech.non_pivots(ambient)]
 
 
 # -- elements <-> vectors ----------------------------------------------------

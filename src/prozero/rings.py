@@ -166,6 +166,38 @@ def ann_formula(ring, dt, du=0, mx=None):
     return [("x", i) for i in range(0, top + 1)]
 
 
+def koszul_h1_dim(ring, i, a, c, mx):
+    """Closed-form dim H1 of the Koszul complex of (t^i, u^i) in total
+    bidegree (a, c), the generators shifted by deg = i, over the summands
+    y^b and x_j (CTRL: x^j) up to index mx.
+
+    As a k[t, u]-module the ring is the direct sum of the cyclic modules
+    k[t, u]*b, one per basis element b, and t^i, u^i preserve each. So the
+    complex splits over b, and each piece has dimensions at most 1, 2, 1
+    over t^(a-i)u^(c-i)*b, {t^(a-i)u^c*b, t^a u^(c-i)*b} and t^a u^c*b.
+    Its H1 is k1 - r1 - r2: k1 counts the live k1 monomials, r1 (rank
+    d1) is 1 when k1 > 0 and t^a u^c*b is live, and r2 (rank d2) is 1
+    when t^(a-i)u^(c-i)*b is live, and so is a k1 monomial. A monomial is
+    live when its degrees are in the ring and `vanishes` does not kill it.
+    """
+    def live(b, dt, du):
+        return (dt >= 0 and du >= 0 and (dt == 0 or ring.has_t)
+                and (du == 0 or ring.has_u) and not vanishes(ring, b, dt, du))
+
+    if ring.variant == "CTRL":
+        summands = [Y_ONE] + [("x", k) for k in range(1, mx + 1)]
+    else:
+        summands = ([("y", k) for k in range(mx + 1)]
+                    + [("x", k) for k in range(mx + 1)])
+    total = 0
+    for b in summands:
+        k1 = live(b, a - i, c) + live(b, a, c - i)
+        r1 = k1 > 0 and live(b, a, c)
+        r2 = k1 > 0 and live(b, a - i, c - i)
+        total += k1 - r1 - r2
+    return total
+
+
 def r_mul(a, b, field=QQ):
     """Product of two coefficient vectors in the base ring R.
 

@@ -117,7 +117,7 @@ def test_run_all_scopes_spans_to_the_claim_that_builds_them(suite,
     # on, while C-remark-wpr still reads C-nwkpr's CTRL stage modules from
     # the run's context
     real_span, real_claim = oracle.slice_span, claims.run_claim
-    real_stage = koszul._stage_module
+    real_stage = koszul._stage_slice
     pair_spans, alive_at, ctrl_reads, running, from_nwkpr = [], {}, [], [], {}
 
     def span_spy(ring, dt, du, ycap, xcap, pairs=False, ctx=None):
@@ -126,9 +126,9 @@ def test_run_all_scopes_spans_to_the_claim_that_builds_them(suite,
             pair_spans.append(weakref.ref(ech))
         return ech
 
-    def stage_spy(ring, kind, i, w, ctx):
-        mod = real_stage(ring, kind, i, w, ctx)
-        key = (ring, kind, i, w)
+    def stage_spy(ring, kind, i, w, deg, ctx):
+        mod = real_stage(ring, kind, i, w, deg, ctx)
+        key = (ring, kind, i, w, deg)
         if running[-1] == "C-remark-wpr" and key in from_nwkpr:
             ctrl_reads.append(mod is from_nwkpr[key])
         return mod
@@ -149,14 +149,16 @@ def test_run_all_scopes_spans_to_the_claim_that_builds_them(suite,
         return rep
 
     monkeypatch.setattr(oracle, "slice_span", span_spy)
-    monkeypatch.setattr(koszul, "_stage_module", stage_spy)
+    monkeypatch.setattr(koszul, "_stage_slice", stage_spy)
     monkeypatch.setattr(claims, "run_claim", claim_spy)
     assert _suite_json(run_all(ctx=Context())) == _suite_json(suite)
     # one span, read by every C-basis reduction, and dropped before the
     # next claim starts
     assert len(pair_spans) == 104 and len(set(map(id, pair_spans))) == 1
     assert alive_at["C-basis end"] == 1 and alive_at[CLAIM_IDS[1]] == 0
-    assert from_nwkpr and len(ctrl_reads) == 22 and all(ctrl_reads)
+    # one read per source slice the CTRL search reaches and per target
+    # slice a non-empty source maps into
+    assert from_nwkpr and len(ctrl_reads) == 47 and all(ctrl_reads)
 
 
 def test_mutation_does_not_leak_through_a_shared_context():

@@ -3,7 +3,9 @@
 The elimination oracle must never call the closed-form arithmetic it is
 checked against: `oracle` may take from `rings` only its error and the
 operator system it is asked to solve, and `linalg`
-and `koszul` take nothing from `rings` at all. Neither `oracle` nor
+and `koszul` take nothing from `rings` at all. Nor does the closed form
+call the oracle: `rings` takes nothing from `oracle`, `linalg` or
+`koszul`. Neither `oracle` nor
 `koszul` keeps a cache at module level. A run has one field, which its
 `Context` carries: no function of `oracle`, `koszul` or `claims` takes
 a field beside its context, and no cache key names a field.
@@ -19,19 +21,25 @@ import prozero
 SRC = pathlib.Path(prozero.__file__).parent
 
 
-def rings_imports(module, source=None):
-    """Names a module imports from `.rings` (relative or absolute)."""
+def layer_imports(module, layer, source=None):
+    """Names a module imports from the module `layer` (relative or
+    absolute)."""
     if source is None:
         source = (SRC / ("%s.py" % module)).read_text()
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module in (
-                "rings", "prozero.rings"):
+                layer, "prozero." + layer):
             names.update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
             names.update(a.name for a in node.names
-                         if a.name == "prozero.rings")
+                         if a.name == "prozero." + layer)
     return names
+
+
+def rings_imports(module, source=None):
+    """Names a module imports from `.rings`."""
+    return layer_imports(module, "rings", source)
 
 
 def test_oracle_takes_only_types_from_rings():
@@ -41,6 +49,20 @@ def test_oracle_takes_only_types_from_rings():
 def test_linalg_and_koszul_do_not_import_rings():
     assert rings_imports("linalg") == set()
     assert rings_imports("koszul") == set()
+
+
+@pytest.mark.parametrize("layer", ["oracle", "linalg", "koszul"])
+def test_rings_imports_nothing_from_the_oracle_side(layer):
+    # the closed form (`koszul_h1_dim` among it) reads `vanishes`, never
+    # an elimination
+    assert layer_imports("rings", layer) == set()
+
+
+def test_check_sees_an_oracle_import_in_rings():
+    src = (SRC / "rings.py").read_text().replace(
+        "from .fields import QQ",
+        "from .fields import QQ\nfrom .oracle import window_basis")
+    assert layer_imports("rings", "oracle", src) == {"window_basis"}
 
 
 def test_check_sees_a_closed_form_import():
