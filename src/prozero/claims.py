@@ -38,7 +38,7 @@ from functools import partial
 from .koszul import (pro_zero_test, ses_row_check, stage_degree,
                      transition_witness_replay)
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
-                     check_window_budget, index_of_mono, kernel_of,
+                     check_window, index_of_mono, kernel_of,
                      mono_of_index, product_caps, reduce_raw, shift_reduce,
                      subspace_boundary_touch, system_kernel, torsion_subspace,
                      vectorize, window_basis)
@@ -165,6 +165,9 @@ def verify_basis(w, ctx):
     mxv, field = w.Mx, ctx.field
     ck = _Checks()
     w0 = Window(0, 0, mxv)
+    x0 = {(0, 0, 1, 0, (0,)): field.one()}
+    for g in ((), x0):      # the basis, then the two-x pair spans
+        check_window(R_ONLY, w0, g)
     mb = window_basis(R_ONLY, w0, ctx)
     pure_y = tuple(mono_of_index(("y", a)) for a in range(mxv + 1))
     pure_x = tuple(mono_of_index(("x", i)) for i in range(mxv + 1))
@@ -174,9 +177,7 @@ def verify_basis(w, ctx):
               "complement has %d monomials, expected %d" %
               (len(mb), len(want)))
 
-    x0 = {(0, 0, 1, 0, (0,)): field.one()}
     pair_caps = product_caps(w0, x0)     # two-x products: the pair spans
-    check_window_budget(R_ONLY, w0, x0)
 
     def pair_nf(mono):
         return reduce_raw(R_ONLY, {mono: field.one()}, *pair_caps, ctx=ctx)
@@ -494,9 +495,8 @@ def demo_approx_failure(w, ctx, ring, n, prec):
 def verify_xi_witnesses(w, ctx):
     n_max, field = 6, ctx.field
     ring = E1(2)
-    # the reductions below reach t^(n_max + 1) before any annihilator
-    # checks the window: refuse an oversized one before a span is built
-    check_window_budget(ring, w, {(n_max + 1, 0, 0, 0, ()): field.one()})
+    # shift_reduce reaches t^(n_max + 1) before an annihilator checks w
+    check_window(ring, w, {(n_max + 1, 0, 0, 0, ()): field.one()})
     ck = _Checks()
     wit = []
     dims = []

@@ -16,8 +16,9 @@ the raw slices (a - i, c) and (a, c - i) (k1's t- and u-slots),
 of raw bidegree (a - i, c). The RREF of a block-diagonal system is the
 union of the blocks' RREFs, so slice bases are the vectors of a
 whole-stage build, and a stage's dimensions are sums over its slices.
-A stage that does not fit inside the window, or is over the budget, is
-a WindowError naming it, raised once, before its first slice is built.
+An entry point checks each stage it builds once, before its first
+slice (`_check_stage`); the slice builders check no budget. A stage
+outside the window or over budget is a WindowError naming w and stage.
 
 Transitions from stage j to stage i < j are multiplication by t^(j-i)
 (identity on the degree-0 part, extended to the quotient modules in the
@@ -49,8 +50,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .linalg import Echelon, kernel_basis
 from .oracle import (Context, OracleError, Window, WindowError,
-                     check_window_budget, check_window_ring, map_images,
-                     product_caps, shift_reduce, slice_basis)
+                     check_window, map_images, product_caps, shift_reduce,
+                     slice_basis)
 
 
 def _sub_window(w, ddt, ddu=0):
@@ -63,29 +64,29 @@ def _sub_window(w, ddt, ddu=0):
 
 
 def _check_stage(ring, kind, i, w):
-    """Refuse stage i of an inverse system before its first slice: a ring
-    or stage it cannot have, a stage outside the window, or a stage
-    window over the budget of its t^i map, in the order a whole-stage
-    build met them."""
-    if kind == "H0(u;H1(t))" and not ring.has_u:
-        raise OracleError("quotient homology needs a two-variable ring")
+    """Refuse stage i of an inverse system kind, or of the pair complex
+    (kind "pair"), before its first slice: a ring or stage it cannot
+    have, a stage outside w, then its budget, in the order a whole-stage
+    build met them. An inverse system maps t^i on w shrunk by (i, 0)
+    (H0's u^i map reads less, into the same spans); the pair complex
+    reads all of w (k0), its d1 maps landing in w's spans."""
+    pair = kind == "pair"
+    if kind != "H1(t)" and not ring.has_u:
+        raise OracleError("%s needs a two-variable ring" % (
+            "pair complex" if pair else "quotient homology"))
     if i < 1:
         raise OracleError("stage must be >= 1")
-    sub = _sub_window(w, i, 0)
-    check_window_ring(ring, sub)
-    check_window_budget(ring, sub, {(i, 0, 0, 0, ()): 1})
+    fit = _sub_window(w, i, i if pair else 0)
+    sub, g = (w, ()) if pair else (fit, {(i, 0, 0, 0, ()): 1})
+    try:
+        check_window(ring, sub, g)
+    except WindowError as e:        # name w and the stage, not sub
+        raise WindowError(str(e).replace(
+            "Dt=%d Du=%d Mx=%d" % (sub.Dt, sub.Du, sub.Mx),
+            "Dt=%d Du=%d Mx=%d at stage %d" % (w.Dt, w.Du, w.Mx, i),
+            1)) from None
     if kind == "H0(u;H1(t))":
         _sub_window(w, i, i)
-
-
-def _check_pair(ring, i, w):
-    """Refuse stage i of the pair complex before its first slice."""
-    if not ring.has_u:
-        raise OracleError("pair complex needs a two-variable ring")
-    if i < 1:
-        raise OracleError("stage must be >= 1")
-    _sub_window(w, i, i)
-    check_window_budget(ring, w)
 
 
 def _degrees(lo, w):
@@ -183,7 +184,7 @@ def koszul_pair(ring, i, w, deg, ctx=None):
     """Build slice deg = (a, c) of stage i of the two-variable windowed
     Koszul complex. Called alone, a slice reduces its d2 images itself;
     the row check's walk reads them off earlier slices instead."""
-    _check_pair(ring, i, w)
+    _check_stage(ring, "pair", i, w)
     _check_degree(i, 0, w, deg)
     ctx = Context.of(ctx)
     return _pair(ring, i, w, deg, _pair_images(ring, i, w, deg, ctx, {}),
@@ -329,8 +330,7 @@ def ses_row_check(ring, i, w, ctx=None):
     slice reads as its d2 images are kept until it reads them.
     """
     ctx = Context.of(ctx)
-    _check_stage(ring, "H0(u;H1(t))", i, w)
-    _check_pair(ring, i, w)
+    _check_stage(ring, "pair", i, w)   # the row reads only the pair's maps
     kept, sums, ok = {}, [0] * 5, True
     for deg in _degrees(0, w):
         if max(deg) < i:        # k0 alone: no H1, and both modules are 0
@@ -473,7 +473,6 @@ def pro_zero_test(ring, system, max_stage, w, ctx=None):
     without one the search is a WindowError.
     """
     check_stage_count(max_stage)
-    check_window_ring(ring, w)
     kind = _system_kind(system)
     for i in range(2, max_stage + 1):   # the order the rows first reach them
         _check_stage(ring, kind, i, w)

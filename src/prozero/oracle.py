@@ -37,6 +37,10 @@ kernel (a system's solutions, torsion, annihilators) is one.
 `annihilator_oracle` takes it on the (0, 0) slice alone, the one it
 reads.
 
+A window is checked once, where a computation takes it, by the one
+gate `check_window`, which `kernel_of` and `annihilator_oracle` call
+before they build anything; the builders below them check nothing.
+
 Raw monomial shape: (dt, du, nx, ypow, xs) with xs a sorted tuple of
 x-indices and nx = len(xs), so plain tuple comparison is the canonical
 term order. Every ring uses this one shape. In CTRL = k[x,t]/(x t^2) the
@@ -163,17 +167,6 @@ class Context:
     def of(ctx):
         """ctx itself, or a fresh Context over q when ctx is None."""
         return Context() if ctx is None else ctx
-
-
-def check_window_ring(ring, w):
-    """A window reaches only into the variables its ring has: a ring
-    error, not a window that is too small."""
-    if w.Du > 0 and not ring.has_u:
-        raise RingError("ring %s has no u, so the window needs Du = 0"
-                        % ring.describe())
-    if w.Dt > 0 and not ring.has_t:
-        raise RingError("ring %s has no t, so the window needs Dt = 0"
-                        % ring.describe())
 
 
 # -- raw monomials ----------------------------------------------------------
@@ -367,8 +360,9 @@ def product_caps(w, g=()):
     return w.Mx + max(2, ymax), w.Mx, False
 
 
-def check_window_budget(ring, w, g=()):
-    """Refuse, before building anything, a window too large to compute.
+def check_window(ring, w, g=()):
+    """The window gate: refuse, before anything is built, a window its
+    ring cannot have (a RingError), then one too large to compute.
 
     The estimate is the window's ambient basis plus the rows of the shape
     spans its caller builds: those of the window's own slices at the
@@ -380,6 +374,10 @@ def check_window_budget(ring, w, g=()):
     relator has u-degree above 1, so the slices with du <= 1 show every
     shape. Returns the estimate.
     """
+    for var, bound, has in (("u", w.Du, ring.has_u), ("t", w.Dt, ring.has_t)):
+        if bound > 0 and not has:
+            raise RingError("ring %s has no %s, so the window needs D%s = 0"
+                            % (ring.describe(), var, var))
     reach = (max((m[0] for m in g), default=0),
              max((m[1] for m in g), default=0))
     # per slice y^0..y^Mx and x_0..x_Mx (CTRL: its powers only), counted
@@ -437,9 +435,7 @@ def window_basis(ring, w, ctx=None):
     """The canonical reduced basis of the window, from the presentation,
     as a sorted tuple of raw monomials: its slices' bases (`slice_basis`)
     in turn, drawn from one ambient, so every slice shares its x-index
-    tuples."""
-    check_window_ring(ring, w)
-    check_window_budget(ring, w)
+    tuples. Checks nothing: its caller has checked w."""
     ambient = _ambient(ring, w.Mx)
     return tuple(m for dt in range(w.Dt + 1) for du in range(w.Du + 1)
                  for m in slice_basis(ring, dt, du, w, ctx, ambient))
@@ -458,7 +454,7 @@ def slice_basis(ring, dt, du, w, ctx=None, ambient=None):
     (`_ambient(ring, w.Mx)`, built here unless given) whose stripped form
     is not a pivot of the slice's shape span at the window basis caps.
     Reads w's Mx only and checks nothing: a caller checks its window
-    (with `check_window_budget`) before its first slice.
+    (`check_window`) before its first slice.
     """
     if ambient is None:
         ambient = _ambient(ring, w.Mx)
@@ -487,8 +483,6 @@ def mul_map(ring, g, w, ctx=None):
     caps grow by g's degrees), then reduced against the relation span, so
     a kernel vector here really multiplies to zero.
     """
-    check_window_ring(ring, w)
-    check_window_budget(ring, w, g)
     domain = window_basis(ring, w, ctx)
     return map_images(ring, domain, g, *product_caps(w, g), ctx)
 
@@ -537,8 +531,16 @@ def kernel_of(ring, gs, w, ctx=None):
     One map's images go to `kernel_basis` as they are; with several, each
     image column is tagged by its map's position, so the elimination sees
     the maps side by side. Each image is popped from its map as it is
-    read, so the elimination can free it once its row is in.
+    read, so the elimination can free it once its row is in. Every map's
+    window is checked before the first map is built.
     """
+    for g in gs:
+        check_window(ring, w, g)
+    return _kernel_of(ring, gs, w, ctx)
+
+
+def _kernel_of(ring, gs, w, ctx):
+    """`kernel_of` on a window its caller has checked."""
     ctx = Context.of(ctx)
     maps = [mul_map(ring, g, w, ctx) for g in gs]
     domain = list(maps[0])
@@ -567,25 +569,23 @@ def annihilator_oracle(ring, dt, du, w, ctx=None):
     Domain: the (t, u)-degree-zero part of the window basis. A vector is
     kept iff its product with the monomial reduces to zero. It is the
     kernel on the window (0, 0, Mx), whose one slice is mapped at the
-    caps of a whole-window `mul_map` (an x-free multiplier), and the
-    window is refused exactly where that map would refuse it: a ring
-    error first, then the shift degree and the budget, which read all of
-    w. Computed once per context and Mx, the one bound the kernel reads;
-    the Echelon is shared, so callers must not mutate it.
+    caps of a whole-window `mul_map` (an x-free multiplier), and w is
+    checked once, as that map's window, before the shift degree. Computed
+    once per context and Mx, the one bound the kernel reads; the Echelon
+    is shared, so callers must not mutate it.
     """
-    check_window_ring(ring, w)
+    shift = {(dt, du, 0, 0, ()): 1}
+    check_window(ring, w, shift)
     if dt < 0 or du < 0:
         raise OracleError("shift degree must be >= 0, got t^%d u^%d"
                           % (dt, du))
     if dt > w.Dt or du > w.Du:
         raise WindowError("window-too-small: shift degree exceeds window")
-    shift = {(dt, du, 0, 0, ()): 1}
-    check_window_budget(ring, w, shift)
     ctx = Context.of(ctx)
     key = (ring, dt, du, w.Mx)
     ann = ctx.annihilators.get(key)
     if ann is None:
-        ann = ctx.annihilators[key] = kernel_of(
+        ann = ctx.annihilators[key] = _kernel_of(
             ring, [shift], Window(0, 0, w.Mx), ctx)
     return ann
 

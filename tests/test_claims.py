@@ -72,9 +72,10 @@ def test_cli_prints_the_suite_doc(suite, capsys):
 
 def _count_annihilator_work(monkeypatch):
     """Record each annihilator_oracle call the claims make, and each
-    annihilator the oracle computes (a kernel_of call made from it)."""
+    annihilator the oracle computes (a call of its inner, unchecked
+    kernel made from it)."""
     calls, computed = [], []
-    real_ann, real_kernel = claims.annihilator_oracle, oracle.kernel_of
+    real_ann, real_kernel = claims.annihilator_oracle, oracle._kernel_of
 
     def ann_spy(ring, dt, du, w, ctx):
         calls.append((ring, dt, du, w.Mx))
@@ -86,7 +87,7 @@ def _count_annihilator_work(monkeypatch):
         return real_kernel(*args)
 
     monkeypatch.setattr(claims, "annihilator_oracle", ann_spy)
-    monkeypatch.setattr(oracle, "kernel_of", kernel_spy)
+    monkeypatch.setattr(oracle, "_kernel_of", kernel_spy)
     return calls, computed
 
 
@@ -109,6 +110,41 @@ def test_verify_all_computes_each_annihilator_once(suite, monkeypatch):
     assert len(computed) == len(set(calls)) == len(ctx.annihilators) == 50
     assert len(calls) > len(computed)
     assert sorted(map(repr, computed)) == sorted(map(repr, set(calls)))
+
+
+def test_verify_all_checks_each_window_where_it_is_taken(suite, monkeypatch):
+    # the window gate runs at the entry points, never inside a builder
+    # whose caller checked the window: not in window_basis, mul_map or
+    # the annihilator's inner kernel. 142 checks, one per window an entry
+    # point takes: 73 annihilator_oracle calls, 14 kernel_of maps, 52
+    # Koszul stages (35 pro-zero, 12 replay, 5 row checks), C-basis's
+    # basis and pair spans, and C-xi-witness's t^7
+    depth, checks = [0], []
+    real_check = oracle.check_window
+
+    def check_spy(*args):
+        checks.append(depth[0])
+        return real_check(*args)
+
+    def builder_spy(real):
+        def spy(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return spy
+
+    for module in (oracle, koszul, claims):
+        monkeypatch.setattr(module, "check_window", check_spy)
+    for name in ("window_basis", "mul_map", "_kernel_of"):
+        spy = builder_spy(getattr(oracle, name))
+        for module in (oracle, claims):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, spy)
+    assert _suite_json(run_all()) == _suite_json(suite)
+    assert not any(checks)
+    assert len(checks) == 142
 
 
 def test_run_all_scopes_spans_to_the_claim_that_builds_them(suite,

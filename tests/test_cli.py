@@ -10,6 +10,7 @@ import pytest
 
 import prozero.claims as claims
 import prozero.cli as cli
+import prozero.oracle as oracle
 from prozero.claims import ClaimReport
 from prozero.fields import QQ, PrimeField
 from prozero.linalg import Echelon
@@ -437,6 +438,8 @@ def test_every_echelon_of_a_run_is_over_its_field(monkeypatch, capsys):
     ["kernel", "--ring", "E1", "--du", "1", "--mx", "100000", "t"],
     ["annihilator", "--ring", "E1", "--du", "1", "--mx", "100000"],
     ["verify", "C-essential", "--du", "1", "--mx", "100000"],
+    # estimated its largest shift before any annihilator checked the ring
+    ["verify", "C-xi-witness", "--du", "1", "--mx", "3000"],
 ])
 def test_ring_error_comes_before_the_budget(argv, capsys):
     # each exited 65 (window-too-large): the budget was estimated before
@@ -582,6 +585,15 @@ def test_precision_over_the_cap_is_usage_error(prec, capsys):
     (["kernel", "--ring", "E2", "--mx", "12", "x3000"],
      "Dt=8 Du=8 Mx=12 needs ~2106 basis monomials and ~2323350270 span "
      "rows"),
+    # a stage's budget error named stage 2's sub-window, Dt=8, a Dt never
+    # given: it names the window run on and the stage, with the same
+    # estimate
+    (["prozero", "--ring", "E2", "--system", "H0(u;H1(t))", "--mx", "3000"],
+     "Dt=10 Du=10 Mx=3000 at stage 2 needs ~594198 basis monomials and "
+     "~189720531 span rows"),
+    (["verify", "C-nwkpr", "--mx", "3000"],
+     "Dt=10 Du=10 Mx=3000 at stage 2 needs ~594198 basis monomials and "
+     "~189720531 span rows"),
 ])
 def test_window_over_budget_is_window_error(argv, says, capsys):
     t0 = time.perf_counter()
@@ -593,3 +605,23 @@ def test_window_over_budget_is_window_error(argv, says, capsys):
     assert says in captured.err
     assert captured.err.endswith("over the budget of 1000000\n")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exprs", [
+    ["t", "x0"], ["x0", "t"], ["t - y", "x0"],
+])
+def test_kernel_refuses_every_map_before_building_one(exprs, monkeypatch,
+                                                      capsys):
+    # `t x0` built 250 slice spans for t before x0 was refused; every
+    # map's window is checked before the first is built, in either order
+    built, real = [], oracle.slice_span
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "slice_span", spy)
+    assert run_cli(["kernel", "--ring", "E2", "--mx", "30"] + exprs) == 65
+    assert built == []
+    err = capsys.readouterr().err
+    assert err.startswith("prozero: window-too-large: Dt=8 Du=8 Mx=30 ")

@@ -8,7 +8,9 @@ call the oracle: `rings` takes nothing from `oracle`, `linalg` or
 `koszul`. Neither `oracle` nor
 `koszul` keeps a cache at module level. A run has one field, which its
 `Context` carries: no function of `oracle`, `koszul` or `claims` takes
-a field beside its context, and no cache key names a field.
+a field beside its context, and no cache key names a field. A window is
+checked (`oracle.check_window`) only by the entry points that take it,
+never by a builder below them.
 """
 
 import ast
@@ -136,3 +138,45 @@ def test_check_sees_a_field_beside_ctx():
     src += "\ndef keyed(ctx, w):\n    return (w, ctx.field.name)\n"
     key_line = src.splitlines().index("    return (w, ctx.field.name)") + 1
     assert field_beside_ctx("oracle", src) == ["shim", "line %d" % key_line]
+
+
+# The functions that may call the window gate `oracle.check_window`: the
+# entry points that take a window and check it before building anything.
+GATE_CALLERS = {
+    "oracle": {"kernel_of", "annihilator_oracle"},
+    "koszul": {"_check_stage"},
+    "claims": {"verify_basis", "verify_xi_witnesses"},
+}
+# The builders below them, which trust their caller's check.
+BUILDERS = {"window_basis", "slice_basis", "mul_map", "map_images",
+            "reduce_raw", "shift_reduce", "slice_span"}
+
+
+def gate_callers(module, source=None):
+    """Functions of a module whose body calls `check_window`."""
+    if source is None:
+        source = (SRC / ("%s.py" % module)).read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "check_window" in (
+                        getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None)):
+                    found.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_only_entry_points_check_a_window(module):
+    callers = gate_callers(module)
+    assert callers == GATE_CALLERS.get(module, set())
+    assert not callers & BUILDERS
+
+
+def test_check_sees_a_window_check_in_a_builder():
+    src = (SRC / "oracle.py").read_text().replace(
+        "    ambient = _ambient(ring, w.Mx)\n    return tuple(",
+        "    check_window(ring, w)\n    ambient = _ambient(ring, w.Mx)\n"
+        "    return tuple(")
+    assert gate_callers("oracle", src) & BUILDERS == {"window_basis"}

@@ -9,7 +9,7 @@ from prozero.fields import QQ, PrimeField, field_from_spec
 from prozero.linalg import Echelon, kernel_basis
 from prozero.oracle import (Context, Window, WindowError, _shape_span,
                             _slice_generators, annihilator_oracle,
-                            boundary_touch, check_window_budget, kernel_of,
+                            boundary_touch, check_window, kernel_of,
                             map_images, mul_map, product_caps, raw_mul,
                             reduce_raw, slice_span, system_kernel,
                             torsion_subspace, vectorize, window_basis)
@@ -68,15 +68,15 @@ def test_product_caps_pinned():
 def test_window_budget_estimates_pinned():
     # estimates with the caps and the reach worked out from g
     w = Window(8, 8, 12)
-    assert check_window_budget(E2, w) == 6936
-    assert check_window_budget(E2, w, X0) == 242136
-    assert check_window_budget(E2, w, ONE_T) == 7716
+    assert check_window(E2, w) == 6936
+    assert check_window(E2, w, X0) == 242136
+    assert check_window(E2, w, ONE_T) == 7716
     # C-ann-t's Ann(t^3), C-basis's pair spans, C-kernel-I0 at Mx = 50
-    assert check_window_budget(E1(2), Window(10, 0, 12),
-                               {(3, 0, 0, 0, ()): 1}) == 3991
-    assert check_window_budget(R_ONLY, Window(0, 0, 12), X0) == 11561
+    assert check_window(E1(2), Window(10, 0, 12),
+                        {(3, 0, 0, 0, ()): 1}) == 3991
+    assert check_window(R_ONLY, Window(0, 0, 12), X0) == 11561
     t_minus_y = {(1, 0, 0, 0, ()): 1, (0, 0, 0, 1, ()): -1}
-    assert check_window_budget(E2, Window(6, 6, 50), t_minus_y) == 49677
+    assert check_window(E2, Window(6, 6, 50), t_minus_y) == 49677
 
 
 def test_window_basis_counts():
