@@ -35,8 +35,8 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
-from .koszul import (pro_zero_test, ses_row_check, stage_degree,
-                     transition_witness_replay)
+from .koszul import (check_row, check_search, pro_zero_test, ses_row_check,
+                     stage_degree, transition_witness_replay)
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
                      check_window, index_of_mono, kernel_of,
                      mono_of_index, product_caps, reduce_raw, shift_reduce,
@@ -375,6 +375,12 @@ def verify_bounded_E2(w, ctx):
 def verify_nwkpr(w, ctx, max_stage):
     ck, field = _Checks(), ctx.field
     sysH = SystemSpec(kind="H0(u;H1(t))")
+    rows = range(2, max_stage - 1)
+    # every E2 stage the claim builds is refused before the first is
+    # built: the search's, then each row's pair complex
+    check_search(E2, sysH, max_stage, w)
+    for i in rows:
+        check_row(E2, i, w)
     rep = pro_zero_test(E2, sysH, max_stage, w, ctx)
     ck.expect(rep.verdict == "NOT-pro-zero-witnessed",
               "inverse system verdict: NOT-pro-zero-witnessed",
@@ -395,7 +401,7 @@ def verify_nwkpr(w, ctx, max_stage):
     ck.expect(chain_ok,
               "witness chain x_(v-2) for v=3..%d, each image replayed nonzero"
               % max_stage, "witness chain broken")
-    for i in range(2, max_stage - 1):
+    for i in rows:
         ck.expect(ses_row_check(E2, i, w, ctx),
                   "three-term row exact at stage %d" % i,
                   "row fails exactness at stage %d" % i)

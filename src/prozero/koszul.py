@@ -50,8 +50,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .linalg import Echelon, kernel_basis
 from .oracle import (Context, OracleError, Window, WindowError,
-                     check_window, map_images, product_caps, shift_reduce,
-                     slice_basis)
+                     check_ring, check_window, map_images, product_caps,
+                     shift_reduce, slice_basis)
 
 
 def _sub_window(w, ddt, ddu=0):
@@ -66,16 +66,17 @@ def _sub_window(w, ddt, ddu=0):
 def _check_stage(ring, kind, i, w):
     """Refuse stage i of an inverse system kind, or of the pair complex
     (kind "pair"), before its first slice: a ring or stage it cannot
-    have, a stage outside w, then its budget, in the order a whole-stage
-    build met them. An inverse system maps t^i on w shrunk by (i, 0)
-    (H0's u^i map reads less, into the same spans); the pair complex
-    reads all of w (k0), its d1 maps landing in w's spans."""
+    have, a window its ring cannot have (`check_ring`, on w), a stage
+    outside w, then its budget. An inverse system maps t^i on w shrunk by
+    (i, 0) (H0's u^i map reads less, into the same spans); the pair
+    complex reads all of w (k0), its d1 maps landing in w's spans."""
     pair = kind == "pair"
     if kind != "H1(t)" and not ring.has_u:
         raise OracleError("%s needs a two-variable ring" % (
             "pair complex" if pair else "quotient homology"))
     if i < 1:
         raise OracleError("stage must be >= 1")
+    check_ring(ring, w)
     fit = _sub_window(w, i, i if pair else 0)
     sub, g = (w, ()) if pair else (fit, {(i, 0, 0, 0, ()): 1})
     try:
@@ -330,7 +331,7 @@ def ses_row_check(ring, i, w, ctx=None):
     slice reads as its d2 images are kept until it reads them.
     """
     ctx = Context.of(ctx)
-    _check_stage(ring, "pair", i, w)   # the row reads only the pair's maps
+    check_row(ring, i, w)
     kept, sums, ok = {}, [0] * 5, True
     for deg in _degrees(0, w):
         if max(deg) < i:        # k0 alone: no H1, and both modules are 0
@@ -340,6 +341,12 @@ def ses_row_check(ring, i, w, ctx=None):
         ok = ok and slice_ok
     h1, left, right, inj, surj = sums
     return ok and inj == left and surj == right and h1 == left + right
+
+
+def check_row(ring, i, w):
+    """Refuse the row of stage i (`ses_row_check`) before its first
+    slice: it reads only the pair complex's maps."""
+    _check_stage(ring, "pair", i, w)
 
 
 def _row_slice(ring, i, w, deg, ctx, kept):
@@ -462,6 +469,17 @@ def stage_degree(max_stage):
     return max_stage + 2
 
 
+def check_search(ring, system, max_stage, w):
+    """Refuse a pro-zero search (`pro_zero_test`) before its first slice:
+    too few stages, a system that is no inverse system, then each stage,
+    in the order the rows first reach them. Returns the system kind."""
+    check_stage_count(max_stage)
+    kind = _system_kind(system)
+    for i in range(2, max_stage + 1):
+        _check_stage(ring, kind, i, w)
+    return kind
+
+
 def pro_zero_test(ring, system, max_stage, w, ctx=None):
     """Search each target stage for a later stage with zero transition.
 
@@ -472,10 +490,7 @@ def pro_zero_test(ring, system, max_stage, w, ctx=None):
     decisive row, one with a zero transition or not window-limited;
     without one the search is a WindowError.
     """
-    check_stage_count(max_stage)
-    kind = _system_kind(system)
-    for i in range(2, max_stage + 1):   # the order the rows first reach them
-        _check_stage(ring, kind, i, w)
+    kind = check_search(ring, system, max_stage, w)
     ctx = Context.of(ctx)
     rows = []
     for n in range(2, max_stage):

@@ -17,11 +17,17 @@ since no insert reads it.
 `kernel_basis` eliminates only maps with a multi-term image. When every
 image is one monomial or zero (the Koszul d1 and the t^dt maps), rows
 meet only in a shared target column, so the elimination's RREF is read
-off by grouping the domain by target, with no Echelon.
+off by grouping the domain by target, with no Echelon. Otherwise the
+rows still meet only through shared image columns: the system is
+block-diagonal, its RREF is the union of its blocks' RREFs, and each
+connected block is eliminated in an Echelon of its own, freed before the
+next, so no Echelon holds the whole domain.
 """
 
 from __future__ import annotations
 
+from array import array
+from operator import itemgetter
 from types import MappingProxyType
 
 from .fields import QQ
@@ -210,6 +216,15 @@ def kernel_basis(domain, image_fn, field=QQ):
     further image-side elimination (their columns are all below the image
     block), so reading them off at the end is sound.
 
+    The system is block-diagonal: two rows meet only if their images
+    share a column, directly or through other rows (`_blocks`), and a
+    marker column belongs to one row. The RREF of a block-diagonal system
+    is the union of the blocks' RREFs, and inserting a block's rows in
+    domain order does to them exactly what the whole-domain elimination
+    does, so each block is eliminated in an Echelon of its own, freed once
+    its marker rows are read: the same rows, scalars and key order, in
+    descending marker pivot over all blocks.
+
     When every image has at most one term, a row meets another only in
     its one target column, so the elimination's RREF is known in closed
     form: it is read off the targets with no Echelon (`_monomial_kernel`),
@@ -218,20 +233,58 @@ def kernel_basis(domain, image_fn, field=QQ):
     images = [image_fn(lab) for lab in domain]
     if all(len(img) <= 1 for img in images):
         return _monomial_kernel(domain, images, field)
-    ech = Echelon(field)
-    # a marker pivot is the newest marker, which no older row holds, so
-    # back-substitution never reads the index of a marker column
-    ech._index_floor = (1,)
-    for pos, img in enumerate(images):
-        row = {(1, col): c for col, c in img.items()}
-        row[(0, pos)] = field.one()
-        ech.insert(row)
-        images[pos] = None      # the row is in: free the image
     out = []
-    for piv in sorted(ech.rows, reverse=True):
-        if piv[0] == 0:
-            out.append({domain[p]: c for (_, p), c in ech.row(piv).items()})
-    return out
+    for block in _blocks(images):
+        ech = Echelon(field)
+        # a marker pivot is the newest marker, which no older row holds,
+        # so back-substitution never reads the index of a marker column
+        ech._index_floor = (1,)
+        for pos in block:
+            row = {(1, col): c for col, c in images[pos].items()}
+            row[(0, pos)] = field.one()
+            ech.insert(row)
+            images[pos] = None      # the row is in: free the image
+        out += [(piv[1], {domain[p]: c for (_, p), c in ech.row(piv).items()})
+                for piv in ech.rows if piv[0] == 0]
+    out.sort(key=itemgetter(0), reverse=True)
+    return [vec for _, vec in out]
+
+
+def _blocks(images):
+    """The domain positions in blocks, each in ascending order: two
+    positions share a block when their images share a column, directly or
+    through other positions, so no two blocks' images share a column. A
+    zero image is a block alone.
+
+    Union-find over the positions: a column joins each position holding
+    it to the first that did, and a root is the least position of its
+    set, so every link points down and one ascending pass leaves each
+    position at its root. The tables are made while every image is live:
+    the column table is freed before the blocks are listed, and the links
+    are a machine-int array.
+    """
+    parent = array("q", range(len(images)))
+    first = {}                  # image column -> first position holding it
+    for pos, img in enumerate(images):
+        for col in img:
+            a = first.setdefault(col, pos)
+            if a == pos:
+                continue
+            while parent[a] != a:
+                a = parent[a]
+            b = pos
+            while parent[b] != b:
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    del first
+    blocks = {}
+    for pos, up in enumerate(parent):
+        parent[pos] = root = parent[up]
+        blocks.setdefault(root, []).append(pos)
+    return list(blocks.values())
 
 
 def _monomial_kernel(domain, images, field):

@@ -25,7 +25,8 @@ the canonical order (y-exponents and x-indices shrink), so a slice span
 whose caps cover the input also covers everything reduction can produce.
 A product of two x-factors climbs in x-index before it dies; the caps
 that cover that climb, and the argument for each cap, are in
-`product_caps`.
+`product_caps`, and a product its caps do not cover is refused where it
+is reduced (`_check_reach`).
 
 A linear map's images are reduced slice by slice (`map_images`): the
 domain is walked one (dt, du) slice at a time, and each span its images
@@ -347,11 +348,20 @@ def product_caps(w, g=()):
     every step. A two-x monomial climbs instead: x_i*x_k = x_(i+1)*x_(k-1)
     = ... = x_(i+k)*x_0 = x_(i+k+1)*(y*x_0), which is 0, so it needs
     x-indices up to i + k + 1 <= Mx + xmax + 1 and one y above its own,
-    at most ymax + 1. A smaller cap only removes span rows and never adds
-    a relation, so a cap that is too small would show as a kernel too
-    small or a basis too large, never as a false zero;
+    at most ymax + 1.
+
+    Why a cap too small is an error. A smaller cap only removes span rows
+    and never adds a relation, so it can never make a false zero; but it
+    can leave a product that is zero looking nonzero, and many verdicts
+    rest on a nonzero (a `COUNTER:`, a pro-zero witness). So the argument
+    is checked where products are reduced: `map_images` and `reduce_raw`
+    refuse, as a WindowError, a product whose reduction reaches past
+    their caps by the bounds above (`_check_reach`). With these caps no
+    product of the window's basis by g is refused; with any smaller ones
+    the claim stops with the error instead of a verdict.
     `tests/test_oracle.py` checks these caps against the older, larger
-    ones on every ring.
+    ones on every ring, and `tests/test_claims.py` that caps 3 short
+    falsify no claim.
     """
     ymax = max((m[3] for m in g), default=0)
     xmax = max((x for m in g for x in m[4]), default=None)
@@ -360,9 +370,18 @@ def product_caps(w, g=()):
     return w.Mx + max(2, ymax), w.Mx, False
 
 
+def check_ring(ring, w):
+    """Refuse a window its ring cannot have, estimating nothing: a
+    positive Du on a ring without u, or Dt without t, is a RingError."""
+    for var, bound, has in (("u", w.Du, ring.has_u), ("t", w.Dt, ring.has_t)):
+        if bound > 0 and not has:
+            raise RingError("ring %s has no %s, so the window needs D%s = 0"
+                            % (ring.describe(), var, var))
+
+
 def check_window(ring, w, g=()):
     """The window gate: refuse, before anything is built, a window its
-    ring cannot have (a RingError), then one too large to compute.
+    ring cannot have (`check_ring`), then one too large to compute.
 
     The estimate is the window's ambient basis plus the rows of the shape
     spans its caller builds: those of the window's own slices at the
@@ -374,10 +393,7 @@ def check_window(ring, w, g=()):
     relator has u-degree above 1, so the slices with du <= 1 show every
     shape. Returns the estimate.
     """
-    for var, bound, has in (("u", w.Du, ring.has_u), ("t", w.Dt, ring.has_t)):
-        if bound > 0 and not has:
-            raise RingError("ring %s has no %s, so the window needs D%s = 0"
-                            % (ring.describe(), var, var))
+    check_ring(ring, w)
     reach = (max((m[0] for m in g), default=0),
              max((m[1] for m in g), default=0))
     # per slice y^0..y^Mx and x_0..x_Mx (CTRL: its powers only), counted
@@ -404,15 +420,33 @@ def check_window(ring, w, g=()):
     return basis + rows
 
 
+def _check_reach(m, ycap, xcap, pairs):
+    """Refuse to reduce the stripped monomial m at caps its reduction
+    reaches past (`product_caps`): a WindowError, since a span that does
+    not reach as far as m's reduction leaves m looking nonzero. One
+    x-factor: m itself, as `_shape_span` bounds its rows. Two: one y above
+    m's and x-index i + k + 1, the top of the climb x_i*x_k = ... =
+    x_(i+k+1)*y*x_0, in a span with pairs. Allocates nothing."""
+    nx = m[2]
+    if (m[3] + (nx > 1) > ycap or (nx and sum(m[4]) + nx - 1 > xcap)
+            or (nx > 1 and not pairs)):
+        raise WindowError("window-too-small: reducing %r reaches past the "
+                          "caps ycap=%d xcap=%d pairs=%s"
+                          % (m, ycap, xcap, pairs))
+
+
 def reduce_raw(ring, vec, ycap, xcap, pairs=False, ctx=None):
     """Normal form of a raw vector modulo the relation span, slice by slice.
 
     Each slice is reduced stripped, against its shape's span, and its
-    (dt, du) restored on the way out.
+    (dt, du) restored on the way out. A monomial whose reduction reaches
+    past the caps is refused (`_check_reach`).
     """
     by_slice = {}
     for (dt, du, nx, y, xs), c in vec.items():
-        by_slice.setdefault((dt, du), {})[(0, 0, nx, y, xs)] = c
+        m = (0, 0, nx, y, xs)
+        _check_reach(m, ycap, xcap, pairs)
+        by_slice.setdefault((dt, du), {})[m] = c
     out = {}
     for (dt, du), sub in sorted(by_slice.items()):
         ech = slice_span(ring, dt, du, ycap, xcap, pairs, ctx)
@@ -495,8 +529,9 @@ def map_images(ring, monos, gvec, ycap, xcap, pairs=False, ctx=None):
     land in is looked up once for the slice, not once per monomial; sorted
     monomials make each slice one run. Within a slice, the terms of g of
     one bidegree send a monomial to one target slice, where its stripped
-    products are reduced against that slice's span. Returns a dict
-    domain monomial -> reduced raw vector.
+    products are reduced against that slice's span, and a product whose
+    reduction reaches past the caps is refused (`_check_reach`). Returns a
+    dict domain monomial -> reduced raw vector.
     """
     ctx = Context.of(ctx)
     field = ctx.field
@@ -518,6 +553,8 @@ def map_images(ring, monos, gvec, ycap, xcap, pairs=False, ctx=None):
             out = {}
             for tdt, tdu, terms, ech in targets:
                 sub = {mono_mul(stripped, gm): c for gm, c in terms}
+                for p in sub:
+                    _check_reach(p, ycap, xcap, pairs)
                 for (_, _, nx, y, xs), c in ech.reduce(sub).items():
                     out[(tdt, tdu, nx, y, xs)] = c
             images[m] = out

@@ -115,10 +115,11 @@ def test_verify_all_computes_each_annihilator_once(suite, monkeypatch):
 def test_verify_all_checks_each_window_where_it_is_taken(suite, monkeypatch):
     # the window gate runs at the entry points, never inside a builder
     # whose caller checked the window: not in window_basis, mul_map or
-    # the annihilator's inner kernel. 142 checks, one per window an entry
-    # point takes: 73 annihilator_oracle calls, 14 kernel_of maps, 52
-    # Koszul stages (35 pro-zero, 12 replay, 5 row checks), C-basis's
-    # basis and pair spans, and C-xi-witness's t^7
+    # the annihilator's inner kernel. 154 checks, one per window an entry
+    # point takes: 73 annihilator_oracle calls, 14 kernel_of maps, 64
+    # Koszul stages (35 pro-zero, 12 replay, 5 row checks, and C-nwkpr's
+    # 7 search and 5 row stages checked again before its search runs),
+    # C-basis's basis and pair spans, and C-xi-witness's t^7
     depth, checks = [0], []
     real_check = oracle.check_window
 
@@ -144,7 +145,7 @@ def test_verify_all_checks_each_window_where_it_is_taken(suite, monkeypatch):
                 monkeypatch.setattr(module, name, spy)
     assert _suite_json(run_all()) == _suite_json(suite)
     assert not any(checks)
-    assert len(checks) == 142
+    assert len(checks) == 154
 
 
 def test_run_all_scopes_spans_to_the_claim_that_builds_them(suite,
@@ -195,6 +196,32 @@ def test_run_all_scopes_spans_to_the_claim_that_builds_them(suite,
     # one read per source slice the CTRL search reaches and per target
     # slice a non-empty source maps into
     assert from_nwkpr and len(ctrl_reads) == 47 and all(ctrl_reads)
+
+
+def test_caps_too_small_never_falsify(monkeypatch):
+    # with every product cap 3 short, C-basis reported FALSIFIED with
+    # "COUNTER: x11*x12 has nonzero normal form", a false proof: the
+    # product climbed past the x-cap and came back unreduced. A product
+    # whose reduction reaches past its caps is now refused, so no claim
+    # reports FALSIFIED; each raises or verifies
+    real = oracle.product_caps
+
+    def short(w, g=()):
+        ycap, xcap, pairs = real(w, g)
+        return ycap - 3, xcap - 3, pairs
+
+    for module in (oracle, claims, koszul):
+        monkeypatch.setattr(module, "product_caps", short)
+    refused = []
+    for cid in CLAIM_IDS:
+        try:
+            status = run_claim(cid).status
+        except WindowError as e:
+            assert "reaches past the caps" in str(e)
+            refused.append(cid)
+        else:
+            assert status != "FALSIFIED", cid
+    assert "C-basis" in refused
 
 
 def test_mutation_does_not_leak_through_a_shared_context():

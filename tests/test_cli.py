@@ -452,6 +452,18 @@ def test_ring_error_comes_before_the_budget(argv, capsys):
                             "no u, so the window needs Du = 0\n")
 
 
+@pytest.mark.parametrize("dt", ["1", "2"])
+def test_ring_error_comes_before_the_stage(dt, capsys):
+    # exited 65 because stage 2 (or 3) did not fit Dt: a ring without t
+    # is refused first, on the caller's window
+    assert run_cli(["prozero", "--ring", "R", "--system", "H1(t)",
+                    "--dt", dt]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("prozero: invalid parameter: ring R has no t, "
+                            "so the window needs Dt = 0\n")
+
+
 @pytest.mark.parametrize("ring, dt", [
     ("R", 0), ("E1", 2), ("E2", 2), ("CTRL", 2),
 ])
@@ -492,6 +504,9 @@ def test_claim_parameter_not_taken_is_usage_error(argv, flag, capsys):
     # a system the paper proves is not pro-zero
     (["prozero", "--ring", "E2", "--system", "H0(u;H1(t))", "--max-stage",
       "3"], "every pro-zero row is window-limited at --max-stage 3"),
+    # a ring without t whose window has Dt = 0 still has no stage 2
+    (["prozero", "--ring", "R", "--system", "H1(t)", "--dt", "0"],
+     "stage 2 needs Dt >= 2"),
 ])
 def test_stage_outside_window_is_window_error(argv, says, capsys):
     assert run_cli(argv) == 65
@@ -605,6 +620,27 @@ def test_window_over_budget_is_window_error(argv, says, capsys):
     assert says in captured.err
     assert captured.err.endswith("over the budget of 1000000\n")
     assert captured.err.count("\n") == 1
+
+
+def test_nwkpr_refuses_a_row_before_the_search(monkeypatch, capsys):
+    # every search stage fits at Mx 207 but the row's pair complex of
+    # stage 2 does not: it was refused only after the whole pro-zero
+    # search had run; now before any slice span is built
+    built, real = [], oracle.slice_span
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "slice_span", spy)
+    assert run_cli(["verify", "C-nwkpr", "--mx", "207"]) == 65
+    assert built == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "prozero: window-too-large: Dt=10 Du=10 Mx=207 at stage 2 needs "
+        "~50336 basis monomials and ~950040 span rows, over the budget of "
+        "1000000\n")
 
 
 @pytest.mark.parametrize("exprs", [

@@ -313,15 +313,137 @@ def test_monomial_kernel_is_the_eliminated_kernel(spec, monkeypatch):
     assert all(saw.values()), saw
 
 
+def _components(domain, images):
+    """The domain positions of each connected block of a map, found by a
+    search over shared image columns: each block's positions ascending,
+    blocks in order of their first position."""
+    holders = {}
+    for pos, lab in enumerate(domain):
+        for col in images[lab]:
+            holders.setdefault(col, []).append(pos)
+    seen, blocks = set(), []
+    for start in range(len(domain)):
+        if start in seen:
+            continue
+        seen.add(start)
+        todo, block = [start], []
+        while todo:
+            pos = todo.pop()
+            block.append(pos)
+            for col in images[domain[pos]]:
+                for other in holders[col]:
+                    if other not in seen:
+                        seen.add(other)
+                        todo.append(other)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _assert_one_echelon_per_block(echelons, domain, images):
+    """The Echelons of one multi-term kernel_basis call: one per connected
+    block, in no set order, each holding exactly its block's marker
+    columns, as pivots or in rows, and indexing no marker column."""
+    want = sorted(_components(domain, images))
+    got = []
+    for ech in echelons:
+        assert ech._index_floor == (1,)
+        assert all(col[0] == 1 for col in ech._uses)
+        got.append(sorted({col[1] for p in ech.rows for col in ech.row(p)
+                           if col[0] == 0}))
+    assert sorted(got) == want
+
+
 def test_a_multi_term_image_keeps_the_elimination(monkeypatch):
+    # the multi-term image's block is eliminated, as is every other block
+    # (a one-term image's block is eliminated too once any image has two
+    # terms): one Echelon per block, and the whole-domain RREF
     rng = random.Random(5)
     domain, images = _monomial_map(rng, QQ, 16)
     images[domain[7]] = {(9, 0): QQ.from_int(2), (9, 1): QQ.from_int(3)}
     want = _eliminated_kernel(domain, images.__getitem__, QQ)
     built = _count_echelons(monkeypatch)
     got = kernel_basis(domain, images.__getitem__, QQ)
-    assert len(built) == 1
+    assert len(built) == len(_components(domain, images)) > 1
+    _assert_one_echelon_per_block(built, domain, images)
     assert _exact(got) == _exact(want)
+
+
+def _block_map(rng, field, blocks):
+    """A map on shuffled labels in a few blocks: each label's image has
+    0, 1, 2 or 3 terms, all in its block's own columns, drawn from a
+    small set so that columns repeat, with scalars -9..9 (over q
+    sometimes a Fraction with denominator 1)."""
+    domain = []
+    images = {}
+    for b in range(blocks):
+        cols = [(b, k) for k in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(1, 7)):
+            lab = ("lab", len(domain))
+            domain.append(lab)
+            img = {}
+            for col in rng.sample(cols, min(len(cols), rng.randint(0, 3))):
+                c = rng.choice([k for k in range(-9, 10) if k])
+                img[col] = (field.from_fraction(c, 1) if rng.random() < 0.3
+                            else field.from_int(c))
+            images[lab] = {col: c for col, c in img.items()
+                           if not field.is_zero(c)}
+    rng.shuffle(domain)
+    return domain, images
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:32003"])
+def test_block_kernels_are_the_whole_domain_elimination(spec):
+    # random block-diagonal maps with images of 0 to 3 terms and repeated
+    # columns: eliminating block by block gives the whole-domain RREF, in
+    # rows, key order and scalar types
+    field = field_from_spec(spec)
+    rng = random.Random(211)
+    seen = {"several_blocks": 0, "multi_term": 0, "kernel": 0}
+    for trial in range(400):
+        domain, images = _block_map(rng, field, rng.randint(1, 6))
+        got = kernel_basis(domain, images.__getitem__, field)
+        want = _eliminated_kernel(domain, images.__getitem__, field)
+        assert _exact(got) == _exact(want)
+        seen["several_blocks"] += len(_components(domain, images)) > 1
+        seen["multi_term"] += any(len(img) > 1 for img in images.values())
+        seen["kernel"] += bool(got)
+    assert min(seen.values()) > 200, seen
+
+
+def test_kernel_wide_eliminates_one_block_at_a_time(monkeypatch):
+    # C-kernel-I0 at Mx 50 over fp:32003: the one kernel of t - y has
+    # 4,815 labels in 792 blocks, 48 of them zero images; each block is
+    # its own Echelon, the largest of 7 rows, where one Echelon held all
+    # 4,815 rows
+    from prozero import oracle
+    from prozero.claims import run_claim
+    from prozero.oracle import Context
+
+    built = _count_echelons(monkeypatch)
+    inserts = []
+    insert = Echelon.insert
+
+    def counting(self, vec):
+        inserts.append(self)
+        return insert(self, vec)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    calls = []
+
+    def spy(domain, image_fn, field):
+        b, i = len(built), len(inserts)
+        out = kernel_basis(domain, image_fn, field)
+        calls.append((len(domain), built[b:], len(inserts) - i, len(out)))
+        return out
+
+    monkeypatch.setattr(oracle, "kernel_basis", spy)
+    rep = run_claim("C-kernel-I0", ctx=Context(field_from_spec("fp:32003")),
+                    mx=50)
+    assert rep.status == "verified"
+    (labels, echelons, inserted, dim), = calls
+    assert (labels, len(echelons), inserted, dim) == (4815, 792, 4815, 48)
+    assert max(len(ech.rows) for ech in echelons) == 7
+    assert sum(len(ech.rows) for ech in echelons) == 4815
 
 
 def test_koszul_cycle_kernel_builds_no_echelon(monkeypatch):
@@ -434,8 +556,8 @@ def test_uses_is_the_inverse_index_of_each_layer(spec, monkeypatch):
 @pytest.mark.parametrize("spec", ["q", "fp:32003"])
 def test_uses_is_the_inverse_index_of_a_kernel_elimination(spec,
                                                            monkeypatch):
-    # the index covers the non-pivot image columns and holds no marker
-    # column, though the rows hold many
+    # the index of every block's Echelon covers the non-pivot image
+    # columns and holds no marker column, though the rows hold many
     field = field_from_spec(spec)
     rng = random.Random(37)
     targets = [(a, b) for a in range(2) for b in range(4)]
@@ -447,13 +569,11 @@ def test_uses_is_the_inverse_index_of_a_kernel_elimination(spec,
         images = {lab: _unit_vec(rng, targets, field) for lab in domain}
         images[domain[0]] = {targets[0]: field.one(),
                              targets[1]: field.one()}
+        before = len(built)
         kernel_basis(domain, images.__getitem__, field)
-        ech = built[-1]
-        assert ech._index_floor == (1,)
-        assert all(col[0] == 1 for col in ech._uses)
-        markers_held += sum(col[0] == 0 and col != p
+        _assert_one_echelon_per_block(built[before:], domain, images)
+        markers_held += sum(col[0] == 0 and col != p for ech in built[before:]
                             for p in ech.rows for col in ech.row(p))
-    assert len(built) == 30
     assert markers_held > 100
     assert seen["pivots"] > 100 and seen["cancelled"] > 10, seen
 

@@ -65,6 +65,33 @@ def test_product_caps_pinned():
     assert product_caps(w, {(0, 0, 1, 0, (14,)): 1}) == (14, 28, True)
 
 
+@pytest.mark.parametrize("mono, caps", [
+    ((0, 0, 1, 5, (3,)), (2, 10, False)),      # y^5*x_3 is 0 in R
+    ((0, 0, 0, 9, ()), (8, 10, False)),        # a y past the y-cap
+    ((0, 0, 1, 0, (11,)), (8, 10, False)),     # an x past the x-cap
+    ((0, 0, 2, 0, (4, 6)), (8, 10, True)),     # climbs to x_11
+    ((0, 0, 2, 8, (0, 1)), (8, 10, True)),     # climbs to y^9
+    ((0, 0, 2, 0, (0, 1)), (8, 10, False)),    # two x-factors, no pairs
+])
+def test_a_product_past_its_caps_is_refused(mono, caps):
+    # it came back unreduced, so it read as nonzero: `reduce_raw(R,
+    # {y^5*x_3: 1}, 2, 10)` returned y^5*x_3, which is 0 in R
+    with pytest.raises(WindowError, match="reaches past the caps"):
+        reduce_raw(R_ONLY, {mono: 1}, *caps)
+    with pytest.raises(WindowError, match="reaches past the caps"):
+        map_images(R_ONLY, [(0, 0, 0, 0, ())], {mono: 1}, *caps)
+
+
+def test_a_product_within_its_caps_reduces():
+    # the largest products each cap admits: at ycap 8, y^5*x_3 is 0
+    assert reduce_raw(R_ONLY, {(0, 0, 1, 5, (3,)): 1}, 8, 10) == {}
+    assert reduce_raw(R_ONLY, {(0, 0, 1, 8, (10,)): 1}, 8, 10) == {
+        (0, 0, 1, 0, (2,)): 1}
+    assert reduce_raw(R_ONLY, {(0, 0, 2, 7, (4, 5)): 1}, 8, 10, True) == {}
+    assert reduce_raw(R_ONLY, {(0, 0, 1, 0, (10,)): 1}, 8, 10) == {
+        (0, 0, 1, 0, (10,)): 1}
+
+
 def test_window_budget_estimates_pinned():
     # estimates with the caps and the reach worked out from g
     w = Window(8, 8, 12)
@@ -483,12 +510,19 @@ def test_annihilator_maps_only_the_slice0_basis(ring, w, shifts,
 ])
 def test_map_images_match_reduce_raw(ring, g):
     # slice-by-slice images equal each monomial's product reduced whole,
-    # in any domain order
+    # in any domain order; a two-x product at one-x caps is refused by both
     w = Window(4, 2 if ring.has_u else 0, 6)
     monos = window_basis(ring, w)
     for ycap, xcap, pairs in ((w.Mx + 4, w.Mx, False),
                               (2 * w.Mx + 4, 2 * w.Mx + 2, True)):
         ctx = Context()
+        if not pairs and any(m[4] for m in g):
+            with pytest.raises(WindowError, match="pairs=False"):
+                map_images(ring, monos, g, ycap, xcap, pairs, ctx)
+            with pytest.raises(WindowError, match="pairs=False"):
+                reduce_raw(ring, raw_mul({monos[-1]: 1}, g), ycap, xcap,
+                           pairs, ctx)
+            continue
         want = {m: reduce_raw(ring, raw_mul({m: 1}, g), ycap, xcap, pairs,
                               ctx)
                 for m in monos}
