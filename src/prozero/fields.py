@@ -12,8 +12,6 @@ No floats, ever.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class FieldError(ValueError):
     pass
@@ -40,6 +38,8 @@ class Rationals:
     def from_fraction(self, num, den):
         if den == 0:
             raise FieldError("zero denominator")
+        # imported here, not at start-up: most runs make no Fraction
+        from fractions import Fraction
         return Fraction(num, den)
 
     def add(self, a, b):
@@ -59,6 +59,7 @@ class Rationals:
             raise FieldError("division by zero")
         if a == 1 or a == -1:
             return a
+        from fractions import Fraction
         # Fraction(1, a), never 1 / a: int division makes a float
         return Fraction(1, a)
 

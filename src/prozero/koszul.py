@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Echelon, kernel_basis
+from .linalg import Echelon, kernel_basis, kernel_span
 from .oracle import (Context, OracleError, Window, WindowError,
                      check_ring, check_window, map_images, product_caps,
                      shift_reduce, slice_basis)
@@ -117,12 +117,6 @@ def _images(ring, i, slot, dt, du, w, ctx):
                       *product_caps(w, g), ctx)
 
 
-def _kernel(images, field):
-    """The kernel of a map given by its images, as an Echelon."""
-    return Echelon.spanned_by(
-        kernel_basis(list(images), images.__getitem__, field), field)
-
-
 def _apply(vec, images, field):
     """The linear combination sum vec[lab] * images[lab], cancelled terms
     dropped."""
@@ -143,7 +137,7 @@ def koszul_h1_single(ring, i, w, deg, ctx=None):
     _check_degree(i, i, w, deg)
     ctx = Context.of(ctx)
     a, c = deg
-    return _kernel(_images(ring, i, "et", a - i, c, w, ctx), ctx.field)
+    return kernel_span(_images(ring, i, "et", a - i, c, w, ctx), ctx.field)
 
 
 def transition_zero(ring, j, i, w, ctx=None):
@@ -151,6 +145,9 @@ def transition_zero(ring, j, i, w, ctx=None):
 
     Returns (True, None) or (False, witness_vector), from the same search
     and the same context stage modules as `pro_zero_test`.
+
+    Nothing in the package calls it: the tests keep it as the reference
+    for the search's transitions and witnesses.
     """
     if not 0 < i < j:
         raise OracleError("transition needs stage indices 0 < i < j")
@@ -184,7 +181,11 @@ class KoszulStage:
 def koszul_pair(ring, i, w, deg, ctx=None):
     """Build slice deg = (a, c) of stage i of the two-variable windowed
     Koszul complex. Called alone, a slice reduces its d2 images itself;
-    the row check's walk reads them off earlier slices instead."""
+    the row check's walk reads them off earlier slices instead.
+
+    Nothing in the package calls it (the row check calls `_pair`): the
+    tests check the closed-form H1 against it, and `bench/tracer.py`
+    wraps it by name."""
     _check_stage(ring, "pair", i, w)
     _check_degree(i, 0, w, deg)
     ctx = Context.of(ctx)
@@ -222,7 +223,7 @@ def _pair(ring, i, w, deg, images, ctx):
     t, u, t_below, u_below = images
     d1 = {("et", m): img for m, img in t.items()}
     d1.update((("eu", m), img) for m, img in u.items())
-    cycles = kernel_basis(list(d1), d1.__getitem__, field)
+    cycles = kernel_basis(d1, field)
 
     boundaries, d_sq_zero = Echelon(field), True
     for m, um in u_below.items():       # k2, in basis order
@@ -275,8 +276,8 @@ def h0_of_h1(ring, i, w, deg, ctx=None):
     a, c = deg
     field = ctx.field
     return _quotient(
-        _kernel(_images(ring, i, "et", a - i, c, w, ctx), field),
-        _kernel(_images(ring, i, "et", a - i, c - i, w, ctx), field),
+        kernel_span(_images(ring, i, "et", a - i, c, w, ctx), field),
+        kernel_span(_images(ring, i, "et", a - i, c - i, w, ctx), field),
         _images(ring, i, "eu", a - i, c - i, w, ctx), field)
 
 
@@ -299,10 +300,9 @@ def h1_of_h0(stage):
     field = stage.boundaries.field
     t_image = Echelon.spanned_by(
         (img for (slot, _), img in stage.d1.items() if slot == "et"), field)
-    dom = [m for slot, m in stage.d1 if slot == "eu"]
-    num_vecs = kernel_basis(
-        dom, lambda m: t_image.reduce(stage.d1[("eu", m)]), field)
-    num = Echelon.spanned_by(num_vecs, field)
+    num = kernel_span({m: t_image.reduce(img)
+                       for (slot, m), img in stage.d1.items() if slot == "eu"},
+                      field)
     den = ({m: c for (slot, m), c in b.items() if slot == "eu"}
            for b in stage.boundaries.basis())
     return QuotientSpace(num, den)
@@ -359,8 +359,8 @@ def _row_slice(ring, i, w, deg, ctx, kept):
     images = _pair_images(ring, i, w, deg, ctx, kept)
     stage = _pair(ring, i, w, deg, images, ctx)
     t, _, t_below, u_below = images
-    left = _quotient(_kernel(t, ctx.field), _kernel(t_below, ctx.field),
-                     u_below, ctx.field)
+    left = _quotient(kernel_span(t, ctx.field),
+                     kernel_span(t_below, ctx.field), u_below, ctx.field)
     right = h1_of_h0(stage)
     nums = left.num.basis()
     # left map injectivity: span(boundaries + embedded numerator basis)

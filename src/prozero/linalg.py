@@ -10,9 +10,7 @@ strictly order-decreasing and hence finite. A row that is its pivot
 alone, most rows of the paper's spans, is stored as one shared read-only
 empty mapping, not as a dict of its own. Besides its rows, an echelon
 keeps only the inverse index of their non-pivot columns, which
-back-substitution reads when a new pivot must be cleared from older rows;
-`kernel_basis`'s elimination leaves its marker block out of that index,
-since no insert reads it.
+back-substitution reads when a new pivot must be cleared from older rows.
 
 `kernel_basis` eliminates only maps with a multi-term image. When every
 image is one monomial or zero (the Koszul d1 and the t^dt maps), rows
@@ -46,10 +44,6 @@ class Echelon:
     pivot; a base row may hold one of the layer's pivots, so `reduce`
     clears the base's pivot columns first.
     """
-
-    # columns below this one are left out of `_uses`; only `kernel_basis`
-    # sets it, to its marker block, which no back-substitution reads
-    _index_floor = None
 
     def __init__(self, field=QQ, base=None):
         self.field = field
@@ -135,7 +129,7 @@ class Echelon:
         elif row[piv] != f.one():
             inv = f.inv(row[piv])
             row = {c: f.mul(inv, v) for c, v in row.items()}
-        rows, uses, floor = self.rows, self._uses, self._index_floor
+        rows, uses = self.rows, self._uses
         # keep the own rows fully reduced: clear piv from every older one
         # (each holds piv besides its pivot, so none is _PIVOT_ONLY)
         for other_piv in uses.pop(piv, ()):
@@ -149,10 +143,9 @@ class Echelon:
                 if f.is_zero(v):
                     if acc is not None:
                         del other[col]
-                        if floor is None or not col < floor:
-                            uses[col].discard(other_piv)
+                        uses[col].discard(other_piv)
                 else:
-                    if acc is None and (floor is None or not col < floor):
+                    if acc is None:
                         s = uses.get(col)
                         if s is None:
                             uses[col] = {other_piv}
@@ -163,7 +156,7 @@ class Echelon:
                 rows[other_piv] = _PIVOT_ONLY
         rows[piv] = row
         for col in row:
-            if col == piv or (floor is not None and col < floor):
+            if col == piv:
                 continue
             s = uses.get(col)
             if s is None:
@@ -202,12 +195,12 @@ class Echelon:
                 and all(self.contains(row) for row in other.basis()))
 
 
-def kernel_basis(domain, image_fn, field=QQ):
-    """Kernel of a linear map given by images of domain labels.
+def kernel_basis(images, field=QQ):
+    """Kernel of a linear map given by its images.
 
-    domain: ordered list of labels. image_fn(label) -> vec over orderable
-    image columns. Returns kernel vectors as dicts over domain labels in
-    reduced echelon form, deterministically ordered.
+    images: ordered dict domain label -> vec over orderable image columns,
+    read and left unchanged. Returns kernel vectors as dicts over domain
+    labels in reduced echelon form, deterministically ordered.
 
     Augmented elimination: rows [image | marker] with every image column
     ordered above every marker column. A row whose pivot lands in the
@@ -230,24 +223,27 @@ def kernel_basis(domain, image_fn, field=QQ):
     form: it is read off the targets with no Echelon (`_monomial_kernel`),
     the same rows, scalars and key order.
     """
-    images = [image_fn(lab) for lab in domain]
-    if all(len(img) <= 1 for img in images):
-        return _monomial_kernel(domain, images, field)
+    if all(len(img) <= 1 for img in images.values()):
+        return _monomial_kernel(images, field)
+    domain, images = list(images), list(images.values())
     out = []
     for block in _blocks(images):
         ech = Echelon(field)
-        # a marker pivot is the newest marker, which no older row holds,
-        # so back-substitution never reads the index of a marker column
-        ech._index_floor = (1,)
         for pos in block:
             row = {(1, col): c for col, c in images[pos].items()}
             row[(0, pos)] = field.one()
             ech.insert(row)
-            images[pos] = None      # the row is in: free the image
         out += [(piv[1], {domain[p]: c for (_, p), c in ech.row(piv).items()})
                 for piv in ech.rows if piv[0] == 0]
     out.sort(key=itemgetter(0), reverse=True)
     return [vec for _, vec in out]
+
+
+def kernel_span(images, field=QQ):
+    """The kernel of a map given by its images (`kernel_basis`), as an
+    Echelon: the one place a kernel becomes a span."""
+    vectors = kernel_basis(images, field)
+    return Echelon.spanned_by(vectors, field)
 
 
 def _blocks(images):
@@ -287,7 +283,7 @@ def _blocks(images):
     return list(blocks.values())
 
 
-def _monomial_kernel(domain, images, field):
+def _monomial_kernel(images, field):
     """The RREF `kernel_basis`'s elimination gives when no image has two
     terms.
 
@@ -301,7 +297,7 @@ def _monomial_kernel(domain, images, field):
     f = field
     first = {}                 # target column -> (label, inv of its coeff)
     out = []
-    for lab, img in zip(domain, images):
+    for lab, img in images.items():
         if not img:
             out.append({lab: f.one()})
             continue

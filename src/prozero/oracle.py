@@ -68,7 +68,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .fields import QQ
-from .linalg import Echelon, kernel_basis
+from .linalg import Echelon, kernel_span
 from .rings import RingError, system_operators
 
 
@@ -565,11 +565,11 @@ def kernel_of(ring, gs, w, ctx=None):
     """The window vectors that multiplication by every raw vector of gs
     kills, as an Echelon over the window's basis.
 
-    One map's images go to `kernel_basis` as they are; with several, each
-    image column is tagged by its map's position, so the elimination sees
-    the maps side by side. Each image is popped from its map as it is
-    read, so the elimination can free it once its row is in. Every map's
-    window is checked before the first map is built.
+    One map's images go to `kernel_span` as they are; several are merged
+    into one map whose image columns are tagged by their map's position,
+    so the elimination sees the maps side by side. Each map's image is
+    popped as it is merged, so no image is held twice. Every map's window
+    is checked before the first map is built.
     """
     for g in gs:
         check_window(ring, w, g)
@@ -580,15 +580,12 @@ def _kernel_of(ring, gs, w, ctx):
     """`kernel_of` on a window its caller has checked."""
     ctx = Context.of(ctx)
     maps = [mul_map(ring, g, w, ctx) for g in gs]
-    domain = list(maps[0])
-    if len(maps) == 1:
-        image = maps[0].pop
-    else:
-        def image(m):
-            return {(k, mono): c for k, images in enumerate(maps)
-                    for mono, c in images.pop(m).items()}
-    return Echelon.spanned_by(kernel_basis(domain, image, ctx.field),
-                              ctx.field)
+    images = maps.pop() if len(maps) == 1 else {
+        m: {(k, mono): c for k, one in enumerate(maps)
+            for mono, c in one.pop(m).items()}
+        for m in list(maps[0])}
+    del maps                    # each merged map is empty: free its table
+    return kernel_span(images, ctx.field)
 
 
 def system_kernel(ring, system, w, ctx=None):

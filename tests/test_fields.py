@@ -1,10 +1,14 @@
 """Field arithmetic: axioms, exactness, rendering."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import prozero
 from prozero.fields import (QQ, FieldError, PrimeField, field_from_spec,
                             is_prime)
 
@@ -129,3 +133,17 @@ def test_modulus_bound():
     assert field_from_spec("fp:00097").p == 97
     with pytest.raises(FieldError, match="prime"):
         field_from_spec("fp:561")
+
+
+def test_cli_start_up_imports_no_fractions():
+    # `fractions` is imported only where a Fraction is made: at start-up
+    # it would pull in `decimal` for every command, and most make none
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prozero.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, prozero.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -86,7 +86,7 @@ def test_stage_dims_frozen():
             k0 = len(slice_basis(E2, *st.deg, W_PAIR, ctx))
             assert st.h0_dim == k0 - Echelon.spanned_by(st.d1.values()).dim
             d2 = _d2_images(st, ctx)
-            h2 = kernel_basis(list(d2), d2.__getitem__, QQ)
+            h2 = kernel_basis(d2, QQ)
             assert st.h2_dim == len(h2)
             assert st.boundaries.dim == len(d2) - len(h2)
             assert st.boundaries == Echelon.spanned_by(d2.values())
@@ -169,8 +169,8 @@ def _scratch_h1_of_h0(ring, i, w, field):
     t_image = Echelon(field)
     for m in sub(i, 0):
         t_image.insert(times(m, i, 0))
-    num = kernel_basis(list(sub(0, i)),
-                       lambda m: t_image.reduce(times(m, 0, i)), field)
+    num = kernel_basis({m: t_image.reduce(times(m, 0, i)) for m in sub(0, i)},
+                       field)
     den = [times(m, i, 0) for m in sub(i, i)]
     return (Echelon.spanned_by(num, field).basis(),
             Echelon.spanned_by(den, field).basis())

@@ -112,11 +112,10 @@ def test_kernel_basis_rank_nullity():
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             mat = {c: _rand_vec(rng, range(rows), field) for c in range(cols)}
-
-            def image(c):
-                return dict(mat[c])
-
-            ker = kernel_basis(list(range(cols)), image, field)
+            before = {c: dict(img) for c, img in mat.items()}
+            ker = kernel_basis(mat, field)
+            # read, not consumed: koszul reads its t and d1 images again
+            assert mat == before
             r = Echelon.spanned_by(list(mat.values()), field).dim
             assert len(ker) == cols - r
             for kv in ker:
@@ -238,11 +237,12 @@ def test_layered_echelon_matches_a_flat_build(spec):
         assert _deep(base) == snapshot
 
 
-def _eliminated_kernel(domain, image_fn, field, cls=Echelon):
+def _eliminated_kernel(images, field, cls=Echelon):
     """kernel_basis's augmented elimination, applied to every map."""
     ech = cls(field)
-    for pos, lab in enumerate(domain):
-        row = {(1, col): c for col, c in image_fn(lab).items()}
+    domain = list(images)
+    for pos, img in enumerate(images.values()):
+        row = {(1, col): c for col, c in img.items()}
         row[(0, pos)] = field.one()
         ech.insert(row)
     return [{domain[p]: c for (_, p), c in ech.row(piv).items()}
@@ -256,9 +256,10 @@ def _exact(vectors):
 
 
 def _monomial_map(rng, field, n):
-    """A map on n shuffled labels, each sent to one of a few targets (so
-    targets repeat) with a scalar drawn from -9..9, or to zero. Over q a
-    scalar is sometimes a Fraction with denominator 1, as parsed ones are."""
+    """A map on n shuffled labels, label -> image in that order, each sent
+    to one of a few targets (so targets repeat) with a scalar drawn from
+    -9..9, or to zero. Over q a scalar is sometimes a Fraction with
+    denominator 1, as parsed ones are."""
     domain = [("lab", k) for k in range(n)]
     rng.shuffle(domain)
     targets = [(rng.randint(0, 2), rng.randint(0, 3))
@@ -270,7 +271,7 @@ def _monomial_map(rng, field, n):
             field.from_int(c)
         images[lab] = ({} if field.is_zero(c) or rng.random() < 0.15
                        else {rng.choice(targets): c})
-    return domain, images
+    return images
 
 
 def _count_echelons(monkeypatch):
@@ -296,27 +297,28 @@ def test_monomial_kernel_is_the_eliminated_kernel(spec, monkeypatch):
     built = _count_echelons(monkeypatch)
     saw = {"zero": False, "repeat": False, "non_unit_first": spec == "fp:2"}
     for trial in range(60):
-        domain, images = _monomial_map(rng, field, rng.randint(0, 24))
+        images = _monomial_map(rng, field, rng.randint(0, 24))
         firsts = {}
-        for lab in domain:
-            for col, c in images[lab].items():
+        for img in images.values():
+            for col, c in img.items():
                 saw["repeat"] |= col in firsts
                 firsts.setdefault(col, c)
-            saw["zero"] |= not images[lab]
+            saw["zero"] |= not img
         saw["non_unit_first"] |= any(c not in (field.one(), field.neg(1))
                                      for c in firsts.values())
-        want = _eliminated_kernel(domain, images.__getitem__, field)
+        want = _eliminated_kernel(images, field)
         before = len(built)
-        got = kernel_basis(domain, images.__getitem__, field)
+        got = kernel_basis(images, field)
         assert len(built) == before
         assert _exact(got) == _exact(want)
     assert all(saw.values()), saw
 
 
-def _components(domain, images):
+def _components(images):
     """The domain positions of each connected block of a map, found by a
     search over shared image columns: each block's positions ascending,
     blocks in order of their first position."""
+    domain = list(images)
     holders = {}
     for pos, lab in enumerate(domain):
         for col in images[lab]:
@@ -339,15 +341,13 @@ def _components(domain, images):
     return blocks
 
 
-def _assert_one_echelon_per_block(echelons, domain, images):
+def _assert_one_echelon_per_block(echelons, images):
     """The Echelons of one multi-term kernel_basis call: one per connected
     block, in no set order, each holding exactly its block's marker
-    columns, as pivots or in rows, and indexing no marker column."""
-    want = sorted(_components(domain, images))
+    columns, as pivots or in rows."""
+    want = sorted(_components(images))
     got = []
     for ech in echelons:
-        assert ech._index_floor == (1,)
-        assert all(col[0] == 1 for col in ech._uses)
         got.append(sorted({col[1] for p in ech.rows for col in ech.row(p)
                            if col[0] == 0}))
     assert sorted(got) == want
@@ -358,21 +358,21 @@ def test_a_multi_term_image_keeps_the_elimination(monkeypatch):
     # (a one-term image's block is eliminated too once any image has two
     # terms): one Echelon per block, and the whole-domain RREF
     rng = random.Random(5)
-    domain, images = _monomial_map(rng, QQ, 16)
-    images[domain[7]] = {(9, 0): QQ.from_int(2), (9, 1): QQ.from_int(3)}
-    want = _eliminated_kernel(domain, images.__getitem__, QQ)
+    images = _monomial_map(rng, QQ, 16)
+    images[list(images)[7]] = {(9, 0): QQ.from_int(2), (9, 1): QQ.from_int(3)}
+    want = _eliminated_kernel(images, QQ)
     built = _count_echelons(monkeypatch)
-    got = kernel_basis(domain, images.__getitem__, QQ)
-    assert len(built) == len(_components(domain, images)) > 1
-    _assert_one_echelon_per_block(built, domain, images)
+    got = kernel_basis(images, QQ)
+    assert len(built) == len(_components(images)) > 1
+    _assert_one_echelon_per_block(built, images)
     assert _exact(got) == _exact(want)
 
 
 def _block_map(rng, field, blocks):
-    """A map on shuffled labels in a few blocks: each label's image has
-    0, 1, 2 or 3 terms, all in its block's own columns, drawn from a
-    small set so that columns repeat, with scalars -9..9 (over q
-    sometimes a Fraction with denominator 1)."""
+    """A map on shuffled labels in a few blocks, label -> image in that
+    order: each label's image has 0, 1, 2 or 3 terms, all in its block's
+    own columns, drawn from a small set so that columns repeat, with
+    scalars -9..9 (over q sometimes a Fraction with denominator 1)."""
     domain = []
     images = {}
     for b in range(blocks):
@@ -388,7 +388,7 @@ def _block_map(rng, field, blocks):
             images[lab] = {col: c for col, c in img.items()
                            if not field.is_zero(c)}
     rng.shuffle(domain)
-    return domain, images
+    return {lab: images[lab] for lab in domain}
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2", "fp:32003"])
@@ -400,11 +400,11 @@ def test_block_kernels_are_the_whole_domain_elimination(spec):
     rng = random.Random(211)
     seen = {"several_blocks": 0, "multi_term": 0, "kernel": 0}
     for trial in range(400):
-        domain, images = _block_map(rng, field, rng.randint(1, 6))
-        got = kernel_basis(domain, images.__getitem__, field)
-        want = _eliminated_kernel(domain, images.__getitem__, field)
+        images = _block_map(rng, field, rng.randint(1, 6))
+        got = kernel_basis(images, field)
+        want = _eliminated_kernel(images, field)
         assert _exact(got) == _exact(want)
-        seen["several_blocks"] += len(_components(domain, images)) > 1
+        seen["several_blocks"] += len(_components(images)) > 1
         seen["multi_term"] += any(len(img) > 1 for img in images.values())
         seen["kernel"] += bool(got)
     assert min(seen.values()) > 200, seen
@@ -415,7 +415,7 @@ def test_kernel_wide_eliminates_one_block_at_a_time(monkeypatch):
     # 4,815 labels in 792 blocks, 48 of them zero images; each block is
     # its own Echelon, the largest of 7 rows, where one Echelon held all
     # 4,815 rows
-    from prozero import oracle
+    from prozero import linalg
     from prozero.claims import run_claim
     from prozero.oracle import Context
 
@@ -430,13 +430,13 @@ def test_kernel_wide_eliminates_one_block_at_a_time(monkeypatch):
     monkeypatch.setattr(Echelon, "insert", counting)
     calls = []
 
-    def spy(domain, image_fn, field):
+    def spy(images, field):
         b, i = len(built), len(inserts)
-        out = kernel_basis(domain, image_fn, field)
-        calls.append((len(domain), built[b:], len(inserts) - i, len(out)))
+        out = kernel_basis(images, field)
+        calls.append((len(images), built[b:], len(inserts) - i, len(out)))
         return out
 
-    monkeypatch.setattr(oracle, "kernel_basis", spy)
+    monkeypatch.setattr(linalg, "kernel_basis", spy)
     rep = run_claim("C-kernel-I0", ctx=Context(field_from_spec("fp:32003")),
                     mx=50)
     assert rep.status == "verified"
@@ -456,10 +456,10 @@ def test_koszul_cycle_kernel_builds_no_echelon(monkeypatch):
     built = _count_echelons(monkeypatch)
     calls = []
 
-    def spy(domain, image_fn, field):
+    def spy(images, field):
         before = len(built)
-        out = kernel_basis(domain, image_fn, field)
-        calls.append((domain, len(built) - before, out))
+        out = kernel_basis(images, field)
+        calls.append((list(images), len(built) - before, out))
         return out
 
     monkeypatch.setattr(koszul, "kernel_basis", spy)
@@ -474,18 +474,15 @@ def test_koszul_cycle_kernel_builds_no_echelon(monkeypatch):
 # -- the inverse index back-substitution reads ------------------------------
 
 def _assert_uses_is_the_inverse_index(ech):
-    """`_uses` files each own row under its non-pivot columns at or above
-    the index floor only (every column, but in `kernel_basis`'s
-    elimination, whose floor leaves out the marker block): no key is an
-    own pivot or below the floor, and each set is exactly the rows holding
-    its column (none is left empty: a column cancelled from an older row
-    is held by the new row)."""
-    floor = ech._index_floor
+    """`_uses` files each own row under its non-pivot columns: no key is
+    an own pivot, and each set is exactly the rows holding its column
+    (none is left empty: a column cancelled from an older row is held by
+    the new row)."""
     assert not set(ech._uses) & set(ech.rows)
     want = {}
     for p, row in ech.rows.items():
         for c in row:
-            if c != p and (floor is None or not c < floor):
+            if c != p:
                 want.setdefault(c, set()).add(p)
     assert ech._uses == want
 
@@ -556,8 +553,8 @@ def test_uses_is_the_inverse_index_of_each_layer(spec, monkeypatch):
 @pytest.mark.parametrize("spec", ["q", "fp:32003"])
 def test_uses_is_the_inverse_index_of_a_kernel_elimination(spec,
                                                            monkeypatch):
-    # the index of every block's Echelon covers the non-pivot image
-    # columns and holds no marker column, though the rows hold many
+    # the index of every block's Echelon covers its non-pivot columns,
+    # image and marker columns alike
     field = field_from_spec(spec)
     rng = random.Random(37)
     targets = [(a, b) for a in range(2) for b in range(4)]
@@ -570,8 +567,8 @@ def test_uses_is_the_inverse_index_of_a_kernel_elimination(spec,
         images[domain[0]] = {targets[0]: field.one(),
                              targets[1]: field.one()}
         before = len(built)
-        kernel_basis(domain, images.__getitem__, field)
-        _assert_one_echelon_per_block(built[before:], domain, images)
+        kernel_basis(images, field)
+        _assert_one_echelon_per_block(built[before:], images)
         markers_held += sum(col[0] == 0 and col != p for ech in built[before:]
                             for p in ech.rows for col in ech.row(p))
     assert markers_held > 100
@@ -733,10 +730,9 @@ def test_kernel_basis_matches_an_unshared_elimination(spec):
                   for lab in domain}
         images[domain[0]] = {targets[0]: field.from_int(2),
                              targets[1]: field.one()}
-        zero_images += sum(not images[lab] for lab in domain)
-        got = kernel_basis(domain, images.__getitem__, field)
-        want = _eliminated_kernel(domain, images.__getitem__, field,
-                                  _UnsharedEchelon)
+        zero_images += sum(not img for img in images.values())
+        got = kernel_basis(images, field)
+        want = _eliminated_kernel(images, field, _UnsharedEchelon)
         assert _exact(got) == _exact(want)
     assert zero_images > 10
 
