@@ -165,8 +165,8 @@ def verify_basis(w, ctx):
     mxv, field = w.Mx, ctx.field
     ck = _Checks()
     w0 = Window(0, 0, mxv)
-    x0 = {(0, 0, 1, 0, (0,)): field.one()}
-    for g in ((), x0):      # the basis, then the two-x pair spans
+    x_top = {(0, 0, 1, 0, (mxv,)): field.one()}   # pairs x_i*x_j, j <= Mx
+    for g in ((), x_top):   # the basis, then the pair spans
         check_window(R_ONLY, w0, g)
     mb = window_basis(R_ONLY, w0, ctx)
     pure_y = tuple(mono_of_index(("y", a)) for a in range(mxv + 1))
@@ -177,7 +177,7 @@ def verify_basis(w, ctx):
               "complement has %d monomials, expected %d" %
               (len(mb), len(want)))
 
-    pair_caps = product_caps(w0, x0)     # two-x products: the pair spans
+    pair_caps = product_caps(w0, x_top)
 
     def pair_nf(mono):
         return reduce_raw(R_ONLY, {mono: field.one()}, *pair_caps, ctx=ctx)
@@ -199,6 +199,7 @@ def verify_basis(w, ctx):
     got = reduce_raw(R_ONLY, dict(comb), *product_caps(w), ctx=ctx)
     ck.expect(got == comb, "1*x0 + ... + 5*x4 is linearly independent",
               "combination reduced to %r" % (got,))
+    x0 = {(0, 0, 1, 0, (0,)): field.one()}
     ck.expect(reduce_raw(R_ONLY, dict(x0), *product_caps(w), ctx=ctx) == x0,
               "x0 is not in the relation span", "x0 reduced to zero")
 

@@ -31,7 +31,8 @@ from .claims import (CLAIM_IDS, SCHEMA_VERSION, render_basis, render_vec,
 from .fields import FieldError, field_from_spec
 from .koszul import check_stage_count, pro_zero_test, stage_degree
 from .oracle import (Context, Window, WindowError, annihilator_oracle,
-                     kernel_of, OracleError, raw_mul, reduce_raw, vectorize)
+                     kernel_of, OracleError, product_caps, raw_mul,
+                     reduce_raw, vectorize)
 from .parser import ParseError, parse_element, parse_ring, parse_system, print_element
 from .rings import (GS, CTRL, E1, E2, R_ONLY, GradedPoly, RingError)
 
@@ -314,13 +315,18 @@ def _random_poly(rng, ring, field):
     return GradedPoly(ring, terms, field)
 
 
+# One caps for every selftest product, so products share shape spans: a
+# factor `_random_poly` draws lies in Window(3, 2, 6), and its largest
+# multiplier has y-exponent 4 (a CTRL power x^4) and x-index 6.
+SELFTEST_CAPS = product_caps(Window(3, 2, 6), {(0, 0, 0, 4, ()): 1,
+                                               (0, 0, 1, 0, (6,)): 1})
+
+
 def _raw_product(ring, p, q, ctx):
     """Multiply without the closed form: raw monomial products reduced
     against the relation span only, over the context's field."""
-    # generator indices <= 6 and y-powers <= 3 in _random_poly, so pair
-    # kill chains climb to at most 6+6+1 and caps of 16 cover everything
     return reduce_raw(ring, raw_mul(vectorize(p), vectorize(q), ctx.field),
-                      16, 16, True, ctx)
+                      *SELFTEST_CAPS, ctx)
 
 
 def cmd_selftest(args):

@@ -159,7 +159,7 @@ def transition_zero(ring, j, i, w, ctx=None):
 @dataclass(eq=False)
 class KoszulStage:
     """Slice deg = (a, c) of stage i of the windowed three-term complex of
-    (t^i, u^i), with its homology.
+    (t^i, u^i): its H1 dimension and the tables the row check reads.
 
     Equality and hashing are by identity: a stage is an argument of
     `h1_of_h0`, and comparing its tables field by field means nothing.
@@ -169,9 +169,7 @@ class KoszulStage:
     i: int
     window: Window
     deg: tuple
-    h0_dim: int
     h1_dim: int
-    h2_dim: int
     d1: dict              # ("et"|"eu", mono) -> reduced image, on k1
     cycles: list          # basis of ker d1, tagged ("et"|"eu", mono) -> c
     boundaries: Echelon   # the span of the d2 images of the slice's k2
@@ -233,11 +231,9 @@ def _pair(ring, i, w, deg, images, ctx):
         if _apply(b, d1, field):
             d_sq_zero = False
         boundaries.insert(b)
-    # ranks by rank-nullity: rank d1 = |k1| - |ker d1|, rank d2 = |k2| - |H2|
-    h0_dim = len(slice_basis(ring, *deg, w, ctx)) - (len(d1) - len(cycles))
-    return KoszulStage(ring, i, w, deg, h0_dim, len(cycles) - boundaries.dim,
-                       len(u_below) - boundaries.dim, d1, cycles, boundaries,
-                       d_sq_zero)
+    # H1 by rank-nullity: |ker d1| - rank d2
+    return KoszulStage(ring, i, w, deg, len(cycles) - boundaries.dim, d1,
+                       cycles, boundaries, d_sq_zero)
 
 
 class QuotientSpace:
@@ -397,10 +393,6 @@ class ProZeroRow:
 
 @dataclass
 class ProZeroReport:
-    ring: object
-    system: object
-    max_stage: int
-    window: Window
     rows: list
     verdict: str  # "pro-zero-up-to-window" | "NOT-pro-zero-witnessed"
 
@@ -510,7 +502,7 @@ def pro_zero_test(ring, system, max_stage, w, ctx=None):
                           % (max_stage, max_stage + 1))
     witnessed = any(not r.least_zero_m and not r.window_limited for r in rows)
     verdict = "NOT-pro-zero-witnessed" if witnessed else "pro-zero-up-to-window"
-    return ProZeroReport(ring, system, max_stage, w, rows, verdict)
+    return ProZeroReport(rows, verdict)
 
 
 def transition_witness_replay(ring, system, m, n, w, witness, ctx=None):

@@ -336,8 +336,8 @@ def product_caps(w, g=()):
 
     - x-free g: (Mx + max(2, ymax), Mx, False), so a g of y-degree at
       most 2 (t, t - y, y^2) shares the window basis caps and its spans;
-    - g with an x-factor: (Mx + 2 + ymax, Mx + 2 + max(Mx, xmax), True),
-      the two-x (pairs) spans, at x-cap 2*Mx + 2 while xmax <= Mx.
+    - g with an x-factor: (Mx + 2 + ymax, Mx + 2 + xmax, True), the
+      two-x (pairs) spans; C-basis, multiplying by x_0..x_Mx, passes x_Mx.
 
     Why no nonzero image is truncated. A product of a basis monomial
     (y^a or x_i, a, i <= Mx) by a term of g is a monomial whose reduction
@@ -345,10 +345,10 @@ def product_caps(w, g=()):
     y-exponent and the x-index (y*x_i -> x_(i-1), y*x_0 -> 0, and the
     t/u rows are monomials), so a span whose y-cap covers the product's
     y-degree, at most Mx + ymax, and whose x-cap covers its x-index holds
-    every step. A two-x monomial climbs instead: x_i*x_k = x_(i+1)*x_(k-1)
-    = ... = x_(i+k)*x_0 = x_(i+k+1)*(y*x_0), which is 0, so it needs
-    x-indices up to i + k + 1 <= Mx + xmax + 1 and one y above its own,
-    at most ymax + 1.
+    every step. A two-x monomial x_i*x_k (i <= Mx, k <= xmax) climbs
+    instead: x_i*x_k = ... = x_(i+k)*x_0 = x_(i+k+1)*(y*x_0), which is 0,
+    so it needs x-indices up to i + k + 1 <= Mx + xmax + 1 and one y
+    above its own, at most ymax + 1: inside the caps above.
 
     Why a cap too small is an error. A smaller cap only removes span rows
     and never adds a relation, so it can never make a false zero; but it
@@ -366,7 +366,7 @@ def product_caps(w, g=()):
     ymax = max((m[3] for m in g), default=0)
     xmax = max((x for m in g for x in m[4]), default=None)
     if xmax is not None:
-        return w.Mx + 2 + ymax, w.Mx + 2 + max(w.Mx, xmax), True
+        return w.Mx + 2 + ymax, w.Mx + 2 + xmax, True
     return w.Mx + max(2, ymax), w.Mx, False
 
 

@@ -484,16 +484,13 @@ def apply_system(system, candidate):
     """Residues of the system on a precision element.
 
     Multiplying by t^d u^e raises attainable precision by d + e, so each
-    residue is reported at the precision its operator supports.
+    residue is reported at the precision its operator supports: its
+    operator's least total degree (0 for t - y, n for t^n, 1 for u).
     """
-    ops = system_operators(system, candidate.body.ring, candidate.body.field)
+    body = candidate.body
     out = []
-    for name, op in ops:
-        gain = 0
-        if name == "f2":
-            gain = system.n
-        elif name == "f3":
-            gain = 1
-        res = op * candidate.body
-        out.append((name, PrecisionElement.of(res, candidate.precision + gain)))
+    for name, op in system_operators(system, body.ring, body.field):
+        gain = min(dt + du for dt, du in op.terms)
+        out.append((name, PrecisionElement.of(op * body,
+                                              candidate.precision + gain)))
     return out

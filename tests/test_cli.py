@@ -578,9 +578,9 @@ def test_precision_over_the_cap_is_usage_error(prec, capsys):
      "span rows"),
     (["kernel", "--ring", "E2", "--mx", "100000000", "t"],
      "Dt=8 Du=8 Mx=100000000 needs ~16200000162 basis monomials,"),
-    # two-x spans: multiplying by x0 needs x-cap 2*Mx + 2; C-basis is
-    # accepted up to Mx = 60
-    (["kernel", "--ring", "E2", "--mx", "30", "x0"], "~2495988 span rows"),
+    # two-x spans: multiplying by x0 needs x-cap Mx + 2 (accepted up to
+    # Mx = 33), C-basis's x_i*x_Mx x-cap 2*Mx + 2 (accepted up to Mx = 60)
+    (["kernel", "--ring", "E2", "--mx", "40", "x0"], "~1608458 span rows"),
     (["verify", "C-basis", "--mx", "61"], "~1011968 span rows"),
     # annihilator maps only its (0, 0) slice but is refused as a map of
     # the whole window
@@ -657,7 +657,8 @@ def test_kernel_refuses_every_map_before_building_one(exprs, monkeypatch,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "slice_span", spy)
-    assert run_cli(["kernel", "--ring", "E2", "--mx", "30"] + exprs) == 65
+    assert run_cli(["kernel", "--ring", "E2", "--mx", "40"] + exprs) == 65
     assert built == []
     err = capsys.readouterr().err
-    assert err.startswith("prozero: window-too-large: Dt=8 Du=8 Mx=30 ")
+    assert err.startswith("prozero: window-too-large: Dt=8 Du=8 Mx=40 ")
+    assert "~1608458 span rows" in err

@@ -69,26 +69,33 @@ def _d2_images(st, ctx):
     return images
 
 
+def _dims(st, ctx):
+    # (h0, h1, h2) of a slice: H0 and H2 from an elimination of the d1
+    # images and a kernel of d2, both made here
+    k0 = len(slice_basis(E2, *st.deg, st.window, ctx))
+    h2 = kernel_basis(_d2_images(st, ctx), QQ)
+    return (k0 - Echelon.spanned_by(st.d1.values()).dim, st.h1_dim,
+            len(h2))
+
+
+def _summed_dims(sts, ctx):
+    return tuple(map(sum, zip(*(_dims(st, ctx) for st in sts))))
+
+
 def test_stage_dims_frozen():
     # whole-stage numbers are sums over the slices
     ctx = Context()
     for i, dims, bdim, ncycles in ((2, (85, 32, 9), 475, 507),
                                    (3, (185, 48, 7), 312, 360)):
         sts = _pair_slices(i, W_PAIR, ctx)
-        assert tuple(sum(getattr(st, f) for st in sts)
-                     for f in ("h0_dim", "h1_dim", "h2_dim")) == dims
+        assert _summed_dims(sts, ctx) == dims
         assert sum(st.boundaries.dim for st in sts) == bdim
         assert sum(len(st.cycles) for st in sts) == ncycles
         assert all(st.d_squared_zero for st in sts)
-        # per slice, the ranks come from rank-nullity; a kernel of d2 and
-        # an elimination of the d1 images, both made here, agree
+        # per slice, the span of the d2 images is the row's boundaries
         for st in sts:
-            k0 = len(slice_basis(E2, *st.deg, W_PAIR, ctx))
-            assert st.h0_dim == k0 - Echelon.spanned_by(st.d1.values()).dim
             d2 = _d2_images(st, ctx)
-            h2 = kernel_basis(d2, QQ)
-            assert st.h2_dim == len(h2)
-            assert st.boundaries.dim == len(d2) - len(h2)
+            assert st.boundaries.dim == len(d2) - len(kernel_basis(d2, QQ))
             assert st.boundaries == Echelon.spanned_by(d2.values())
 
 
@@ -113,9 +120,9 @@ def _count_images(monkeypatch):
 
 def test_koszul_pair_reduces_each_differential_once(monkeypatch):
     # summed over the slices the row walks, one reduced image per d1 image
-    # (domain: the t- and u-slots of k1): a slice's d2 images, d^2 = 0
-    # check, h0 rank and h2 kernel reuse d1 images, its own or those an
-    # earlier slice reduced and kept
+    # (domain: the t- and u-slots of k1): a slice's d2 images and d^2 = 0
+    # check reuse d1 images, its own or those an earlier slice reduced and
+    # kept
     ctx = Context()
     sizes = [len(window_basis(E2, Window(dt, du, W_PAIR.Mx), ctx=ctx))
              for dt, du in ((3, 6), (6, 3))]
@@ -123,8 +130,7 @@ def test_koszul_pair_reduces_each_differential_once(monkeypatch):
     assert ses_row_check(E2, 3, W_PAIR, ctx=ctx)
     assert len(mapped) == sizes[0] + sizes[1]
     sts = _pair_slices(3, W_PAIR, ctx)
-    assert (sum(st.h0_dim for st in sts), sum(st.h1_dim for st in sts),
-            sum(st.h2_dim for st in sts)) == (185, 48, 7)
+    assert _summed_dims(sts, ctx) == (185, 48, 7)
     assert all(st.d_squared_zero for st in sts)
     # a slice built alone reduces its k2 images too, once per slot
     del mapped[:]

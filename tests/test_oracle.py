@@ -51,17 +51,18 @@ X0 = {(0, 0, 1, 0, (0,)): 1}
 
 
 def test_product_caps_pinned():
-    # one-x: (Mx + max(2, ymax), Mx); two-x: (Mx + 2 + ymax,
-    # Mx + 2 + max(Mx, xmax)), so an x past the window widens the x-cap
+    # one-x: (Mx + max(2, ymax), Mx); two-x: (Mx + 2 + ymax, Mx + 2 + xmax),
+    # so the x-cap follows g's top x-index, inside the window or past it
     w = Window(8, 8, 12)
     assert product_caps(w) == (14, 12, False)                 # window basis
     assert product_caps(w, ONE_T) == (14, 12, False)          # shift by t
     assert product_caps(w, {(1, 0, 0, 0, ()): 1,
                             (0, 0, 0, 1, ()): -1}) == (14, 12, False)  # t - y
     assert product_caps(w, {(0, 0, 0, 3, ()): 1}) == (15, 12, False)  # y^3
-    assert product_caps(w, X0) == (14, 26, True)              # two-x products
+    assert product_caps(w, X0) == (14, 14, True)              # two-x products
     assert product_caps(w, {(1, 0, 1, 2, (0,)): 1,
-                            (0, 0, 0, 1, ()): 1}) == (16, 26, True)
+                            (0, 0, 0, 1, ()): 1}) == (16, 14, True)
+    assert product_caps(w, {(0, 0, 1, 0, (12,)): 1}) == (14, 26, True)
     assert product_caps(w, {(0, 0, 1, 0, (14,)): 1}) == (14, 28, True)
 
 
@@ -96,12 +97,13 @@ def test_window_budget_estimates_pinned():
     # estimates with the caps and the reach worked out from g
     w = Window(8, 8, 12)
     assert check_window(E2, w) == 6936
-    assert check_window(E2, w, X0) == 242136
+    assert check_window(E2, w, X0) == 92376
     assert check_window(E2, w, ONE_T) == 7716
     # C-ann-t's Ann(t^3), C-basis's pair spans, C-kernel-I0 at Mx = 50
     assert check_window(E1(2), Window(10, 0, 12),
                         {(3, 0, 0, 0, ()): 1}) == 3991
-    assert check_window(R_ONLY, Window(0, 0, 12), X0) == 11561
+    assert check_window(R_ONLY, Window(0, 0, 12),
+                        {(0, 0, 1, 0, (12,)): 1}) == 11561
     t_minus_y = {(1, 0, 0, 0, ()): 1, (0, 0, 0, 1, ()): -1}
     assert check_window(E2, Window(6, 6, 50), t_minus_y) == 49677
 
@@ -196,12 +198,30 @@ def _ring_id(ring):
 @pytest.mark.parametrize("ring", [E1(2), E2], ids=_ring_id)
 @pytest.mark.parametrize("mx", [4, 12])
 def test_kernel_of_an_x_past_the_window(ring, mx):
-    # x_i*x_k = 0 climbs to x-index i + k + 1, past the old x-cap
-    # 2*Mx + 2 once k > Mx + 1, where x_Mx (then every x_i) dropped out
+    # x_i*x_k = 0 climbs to x-index i + k + 1, so the kernel of x_k is every
+    # x_i only if the x-cap covers that climb, for k inside the window or
+    # past it; y^a with a > k is in it too (y^a*x_k = x_(k-a), y*x_0 = 0)
     w = Window(0, 0, mx)
-    xs = Echelon.spanned_by([{(0, 0, 1, 0, (i,)): 1} for i in range(mx + 1)])
-    for k in (mx + 1, mx + 2, 2 * mx + 3):
-        assert kernel_of(ring, [{(0, 0, 1, 0, (k,)): 1}], w) == xs
+    for k in (0, mx // 2, mx, mx + 1, mx + 2, 2 * mx + 3):
+        want = Echelon.spanned_by(
+            [{(0, 0, 1, 0, (i,)): 1} for i in range(mx + 1)]
+            + [{(0, 0, 0, a, ()): 1} for a in range(k + 1, mx + 1)])
+        assert kernel_of(ring, [{(0, 0, 1, 0, (k,)): 1}], w) == want
+
+
+def test_map_by_x0_builds_its_pair_spans_at_x_cap_mx_plus_2(monkeypatch):
+    # x_i*x0 climbs to x-index i + 1 <= Mx + 1, so a map by x0 reads no
+    # pair span wider than x-cap Mx + 2; 2*Mx + 2 is C-basis's, by x_Mx
+    built, real = set(), oracle.slice_span
+
+    def spy(*args, **kwargs):
+        built.add(args[3:6])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "slice_span", spy)
+    w = Window(2, 2, 8)
+    assert kernel_of(E2, [X0], w).dim > 0
+    assert built == {(10, 8, False), (10, 10, True)}
 
 
 def _old_caps(w, g=()):
