@@ -193,11 +193,14 @@ def verify_basis(w, ctx):
     ck.expect(ok_mixed and not pair_nf((0, 0, 1, 1, (0,))),
               "y*x_i normalizes to x_(i-1), y*x_0 to 0", "")
 
-    # independence: a fixed combination of low x-generators is its own
-    # normal form, so no relation touches the complement
-    comb = {(0, 0, 1, 0, (i,)): field.from_int(i + 1) for i in range(5)}
+    # independence: a combination of the low x-generators, x0 .. x4 or up
+    # to the window's x-cap, is its own normal form, so no relation
+    # touches the complement
+    top = min(4, mxv)
+    comb = {(0, 0, 1, 0, (i,)): field.from_int(i + 1) for i in range(top + 1)}
     got = reduce_raw(R_ONLY, dict(comb), *product_caps(w), ctx=ctx)
-    ck.expect(got == comb, "1*x0 + ... + 5*x4 is linearly independent",
+    ck.expect(got == comb, "1*x0 + ... + %d*x%d is linearly independent"
+              % (top + 1, top),
               "combination reduced to %r" % (got,))
     x0 = {(0, 0, 1, 0, (0,)): field.one()}
     ck.expect(reduce_raw(R_ONLY, dict(x0), *product_caps(w), ctx=ctx) == x0,

@@ -1,7 +1,9 @@
 """Sparse exact linear algebra over a pluggable field.
 
-Rows and vectors are dicts column-label -> scalar with no stored zeros.
-Column labels can be anything totally ordered (tuples of ints mostly).
+Rows and vectors are dicts column-label -> scalar with no stored zeros;
+a stored zero given to `Echelon.insert` or `kernel_basis` is read as
+absent. Column labels can be anything totally ordered (tuples of ints
+mostly).
 The echelon keeps its rows fully reduced (a layer, its own rows; see
 `Echelon`), so pivot rows double as a canonical rewriting system:
 reducing any vector yields its unique normal form modulo the row space.
@@ -19,7 +21,11 @@ off by grouping the domain by target, with no Echelon. Otherwise the
 rows still meet only through shared image columns: the system is
 block-diagonal, its RREF is the union of its blocks' RREFs, and each
 connected block is eliminated in an Echelon of its own, freed before the
-next, so no Echelon holds the whole domain.
+next, so no Echelon holds the whole domain. A block whose incidence
+graph (labels, columns, and a ground vertex joined to each one-term
+label) is a tree is not eliminated at all: a column that is a leaf is
+held by one label, whose coefficient in any relation is then 0, and
+peeling such leaves empties the tree, so its images are independent.
 """
 
 from __future__ import annotations
@@ -118,12 +124,21 @@ class Echelon:
         return not self.reduce(vec)
 
     def insert(self, vec):
-        """Add vec to the row space. Returns the new pivot, or None."""
+        """Add vec to the row space. Returns the new pivot, or None.
+
+        The pivot is the largest nonzero column: a stored zero of vec at
+        its top is dropped with the row's other zeros, never divided by.
+        """
         f = self.field
         row = self.reduce(vec)
         if not row:
             return None
         piv = max(row)
+        if f.is_zero(row[piv]):
+            row = {c: v for c, v in row.items() if not f.is_zero(v)}
+            if not row:
+                return None
+            piv = max(row)
         if len(row) == 1:
             row = _PIVOT_ONLY
         elif row[piv] != f.one():
@@ -199,8 +214,9 @@ def kernel_basis(images, field=QQ):
     """Kernel of a linear map given by its images.
 
     images: ordered dict domain label -> vec over orderable image columns,
-    read and left unchanged. Returns kernel vectors as dicts over domain
-    labels in reduced echelon form, deterministically ordered.
+    read and left unchanged; a stored zero is read as absent. Returns
+    kernel vectors as dicts over domain labels in reduced echelon form,
+    deterministically ordered.
 
     Augmented elimination: rows [image | marker] with every image column
     ordered above every marker column. A row whose pivot lands in the
@@ -218,6 +234,17 @@ def kernel_basis(images, field=QQ):
     its marker rows are read: the same rows, scalars and key order, in
     descending marker pivot over all blocks.
 
+    A block whose incidence graph is a tree has no relation, so
+    `_blocks` leaves it out: its images are independent and its
+    elimination would leave no marker row. The graph joins each label to
+    its image's columns, and each one-term label to one ground vertex G;
+    it is a tree when its edges are one fewer than its vertices. Every
+    label then has degree 2 or more, so a leaf is a column, and at most
+    one leaf is G: a real column that is a leaf is held by one label,
+    whose coefficient in any relation is 0, and peeling it and repeating
+    empties the tree. A block of one zero image is its marker row e_p
+    alone, with no Echelon.
+
     When every image has at most one term, a row meets another only in
     its one target column, so the elimination's RREF is known in closed
     form: it is read off the targets with no Echelon (`_monomial_kernel`),
@@ -225,13 +252,19 @@ def kernel_basis(images, field=QQ):
     """
     if all(len(img) <= 1 for img in images.values()):
         return _monomial_kernel(images, field)
+    one, is_zero = field.one(), field.is_zero
+    blocks = _blocks(images.values(), is_zero)
     domain, images = list(images), list(images.values())
     out = []
-    for block in _blocks(images):
+    for block in blocks:
+        if len(block) == 1:         # no tree of one label: a zero image
+            out.append((block[0], {domain[block[0]]: one}))
+            continue
         ech = Echelon(field)
         for pos in block:
-            row = {(1, col): c for col, c in images[pos].items()}
-            row[(0, pos)] = field.one()
+            row = {(1, col): c for col, c in images[pos].items()
+                   if not is_zero(c)}
+            row[(0, pos)] = one
             ech.insert(row)
         out += [(piv[1], {domain[p]: c for (_, p), c in ech.row(piv).items()})
                 for piv in ech.rows if piv[0] == 0]
@@ -246,25 +279,43 @@ def kernel_span(images, field=QQ):
     return Echelon.spanned_by(vectors, field)
 
 
-def _blocks(images):
-    """The domain positions in blocks, each in ascending order: two
-    positions share a block when their images share a column, directly or
-    through other positions, so no two blocks' images share a column. A
-    zero image is a block alone.
+def _blocks(images, is_zero):
+    """The blocks that can hold a relation, as lists of positions in
+    images (the image vectors in domain order), each in ascending order:
+    two positions share a block when their images share a column,
+    directly or through other positions, so no two blocks' images share a
+    column. A stored zero is read as absent: it joins nothing and counts
+    nothing. A zero image is a block alone.
+
+    A block whose incidence graph is a tree (`kernel_basis`) is left out.
+    With k labels, c columns, n_p terms in label p's image and g = 1 if
+    some image has one term (the ground vertex), the connected graph is a
+    tree when its edges are one fewer than its vertices:
+    sum_p (n_p + [n_p = 1]) = k + c + g - 1. A zero image has no edge but
+    has a relation, so it counts as a loop, which no tree has.
 
     Union-find over the positions: a column joins each position holding
     it to the first that did, and a root is the least position of its
     set, so every link points down and one ascending pass leaves each
-    position at its root. The tables are made while every image is live:
-    the column table is freed before the blocks are listed, and the links
-    are a machine-int array.
+    position at its root. Each position's edges less one, less the
+    columns first held there, are summed at its root, with whether it
+    joins the ground. The tables are made while every image is live: the
+    column table is freed before the blocks are listed, and the links and
+    counts are machine-int arrays.
     """
     parent = array("q", range(len(images)))
+    surplus = array("q", bytes(8 * len(images)))
+    ground = bytearray(len(images))
     first = {}                  # image column -> first position holding it
     for pos, img in enumerate(images):
-        for col in img:
+        n, fresh = len(img), 0
+        for col, c in img.items():
+            if is_zero(c):
+                n -= 1
+                continue
             a = first.setdefault(col, pos)
             if a == pos:
+                fresh += 1
                 continue
             while parent[a] != a:
                 a = parent[a]
@@ -275,12 +326,19 @@ def _blocks(images):
                 parent[b] = a
             elif b < a:
                 parent[a] = b
+        surplus[pos] = n + (n <= 1) - 1 - fresh
+        ground[pos] = n == 1
     del first
     blocks = {}
     for pos, up in enumerate(parent):
         parent[pos] = root = parent[up]
         blocks.setdefault(root, []).append(pos)
-    return list(blocks.values())
+        if root != pos:
+            surplus[root] += surplus[pos]
+            ground[root] |= ground[pos]
+    # edges - vertices + 1 over a block: 0 for a tree
+    return [block for root, block in blocks.items()
+            if surplus[root] + 1 - ground[root]]
 
 
 def _monomial_kernel(images, field):
@@ -290,18 +348,20 @@ def _monomial_kernel(images, field):
     Rows then never mix: the first label of each target column, p1 with
     coefficient c1, takes the pivot there, normalised by inv(c1) unless
     c1 is one, and each later label p_j of that column reduces to the
-    marker row e_j - c_j inv(c1) e_1; a zero image gives e_j. Those
-    marker pivots are never touched again, so they are the kernel, in
-    descending domain position.
+    marker row e_j - c_j inv(c1) e_1; a zero image, or one stored zero,
+    gives e_j. Those marker pivots are never touched again, so they are
+    the kernel, in descending domain position.
     """
     f = field
     first = {}                 # target column -> (label, inv of its coeff)
     out = []
     for lab, img in images.items():
-        if not img:
+        for col, c in img.items():
+            if not f.is_zero(c):
+                break
+        else:                   # a zero image, or one stored zero
             out.append({lab: f.one()})
             continue
-        (col, c), = img.items()
         hit = first.get(col)
         if hit is None:
             first[col] = (lab, f.one() if c == f.one() else f.inv(c))

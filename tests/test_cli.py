@@ -76,6 +76,17 @@ def test_verify_rejects_small_window(capsys):
     assert run_cli(["verify", "C-essential", "--dt", "20", "--mx", "12"]) == 65
 
 
+@pytest.mark.parametrize("mx, top", [("2", "3*x2"), ("3", "4*x3"),
+                                     ("4", "5*x4"), ("9", "5*x4")])
+def test_basis_independence_stays_in_the_window(mx, top, capsys):
+    # the independence check reduces x0 .. x_min(4, Mx), so the smallest
+    # windows C-basis takes verify, with the label naming the top term
+    assert run_cli(["verify", "C-basis", "--mx", mx]) == 0
+    out = capsys.readouterr().out
+    assert "status verified" in out
+    assert "- 1*x0 + ... + %s is linearly independent\n" % top in out
+
+
 def test_usage_errors(capsys):
     assert run_cli(["verify", "C-nope"]) == 64
     capsys.readouterr()

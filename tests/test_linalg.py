@@ -341,11 +341,36 @@ def _components(images):
     return blocks
 
 
+def _has_cycle(images, block):
+    """Whether a block's incidence graph holds a cycle: its labels, its
+    columns and a ground vertex G, each label joined to its image's
+    columns and each one-term label to G. Found by joining the edges one
+    at a time: an edge whose ends are joined already closes a cycle."""
+    domain = list(images)
+    root = {}
+
+    def find(v):
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    for pos in block:
+        img = images[domain[pos]]
+        ends = [("col", col) for col in img] + [("G",)] * (len(img) == 1)
+        for end in ends:
+            a, b = find(("lab", pos)), find(end)
+            if a == b:
+                return True
+            root[a] = b
+    return False
+
+
 def _assert_one_echelon_per_block(echelons, images):
     """The Echelons of one multi-term kernel_basis call: one per connected
-    block, in no set order, each holding exactly its block's marker
-    columns, as pivots or in rows."""
-    want = sorted(_components(images))
+    block with a cycle, in no set order, each holding exactly its block's
+    marker columns, as pivots or in rows. A tree block or a zero image
+    builds none."""
+    want = sorted(b for b in _components(images) if _has_cycle(images, b))
     got = []
     for ech in echelons:
         got.append(sorted({col[1] for p in ech.rows for col in ech.row(p)
@@ -354,16 +379,22 @@ def _assert_one_echelon_per_block(echelons, images):
 
 
 def test_a_multi_term_image_keeps_the_elimination(monkeypatch):
-    # the multi-term image's block is eliminated, as is every other block
-    # (a one-term image's block is eliminated too once any image has two
-    # terms): one Echelon per block, and the whole-domain RREF
+    # once any image has two terms, every block with a cycle is
+    # eliminated: here the one-term labels sharing a target, each pair
+    # closing a cycle through the ground. The two-term image's block and
+    # a lone one-term label are trees and the zero images are their
+    # marker rows alone, so they build no Echelon. One Echelon per cyclic
+    # block, and the whole-domain RREF
     rng = random.Random(5)
     images = _monomial_map(rng, QQ, 16)
     images[list(images)[7]] = {(9, 0): QQ.from_int(2), (9, 1): QQ.from_int(3)}
     want = _eliminated_kernel(images, QQ)
     built = _count_echelons(monkeypatch)
     got = kernel_basis(images, QQ)
-    assert len(built) == len(_components(images)) > 1
+    blocks = _components(images)
+    cyclic = [b for b in blocks if _has_cycle(images, b)]
+    assert len(built) == len(cyclic) > 1
+    assert len(blocks) - len(cyclic) > 1
     _assert_one_echelon_per_block(built, images)
     assert _exact(got) == _exact(want)
 
@@ -412,9 +443,10 @@ def test_block_kernels_are_the_whole_domain_elimination(spec):
 
 def test_kernel_wide_eliminates_one_block_at_a_time(monkeypatch):
     # C-kernel-I0 at Mx 50 over fp:32003: the one kernel of t - y has
-    # 4,815 labels in 792 blocks, 48 of them zero images; each block is
-    # its own Echelon, the largest of 7 rows, where one Echelon held all
-    # 4,815 rows
+    # 4,815 labels in 792 blocks of at most 7 labels. 744 are trees,
+    # chains of two-term images, and 48 are zero images, the kernel, so
+    # no block needs an Echelon, where one Echelon once held all 4,815
+    # rows and then each block one of its own
     from prozero import linalg
     from prozero.claims import run_claim
     from prozero.oracle import Context
@@ -433,17 +465,144 @@ def test_kernel_wide_eliminates_one_block_at_a_time(monkeypatch):
     def spy(images, field):
         b, i = len(built), len(inserts)
         out = kernel_basis(images, field)
-        calls.append((len(images), built[b:], len(inserts) - i, len(out)))
+        calls.append((dict(images), len(built) - b, len(inserts) - i, out))
         return out
 
     monkeypatch.setattr(linalg, "kernel_basis", spy)
     rep = run_claim("C-kernel-I0", ctx=Context(field_from_spec("fp:32003")),
                     mx=50)
     assert rep.status == "verified"
-    (labels, echelons, inserted, dim), = calls
-    assert (labels, len(echelons), inserted, dim) == (4815, 792, 4815, 48)
-    assert max(len(ech.rows) for ech in echelons) == 7
-    assert sum(len(ech.rows) for ech in echelons) == 4815
+    (images, echelons, inserted, out), = calls
+    assert (len(images), echelons, inserted, len(out)) == (4815, 0, 0, 48)
+    domain, blocks = list(images), _components(images)
+    zero = [domain[b[0]] for b in blocks if not images[domain[b[0]]]]
+    assert (len(blocks), len(zero)) == (792, 48)
+    assert max(map(len, blocks)) == 7
+    assert not any(_has_cycle(images, b) for b in blocks)
+    assert sorted(lab for vec in out for lab in vec) == sorted(zero)
+
+
+def _shaped_map(rng, field):
+    """A map on shuffled labels in a few blocks of set shapes, label ->
+    image in that order, each block on columns of its own:
+
+    - a path of two-term images, sometimes closed by a one-term image at
+      one end (still a tree) or at both (a cycle through the ground);
+    - a star: a label of two or three terms, with one-term images on some
+      of its columns (a tree with one, a cycle with two or more);
+    - a unicyclic ring of two-term images;
+    - labels of one to three terms drawn from a few columns;
+    - a zero image.
+
+    Scalars are +-1, 2, 3, -4 or 7, over q sometimes a Fraction with
+    denominator 1, so over fp:2 and fp:3 some become stored zeros; and
+    an image sometimes gets a stored zero at a column of its own block,
+    of another block or of none."""
+    zeros = [field.zero(), field.from_fraction(0, 1)]
+    images = []
+    for b in range(rng.randint(1, 6)):
+        kind = rng.choice(("path", "star", "ring", "random", "zero"))
+        k = rng.randint(1, 5)
+        if kind == "path":
+            block = [[(b, j), (b, j + 1)] for j in range(k)]
+            block += [[(b, 0)]] * (rng.random() < 0.5)
+            block += [[(b, k)]] * (rng.random() < 0.3)
+        elif kind == "star":
+            centre = [(b, j) for j in range(rng.randint(2, 3))]
+            block = [centre] + [[c] for c in centre if rng.random() < 0.5]
+        elif kind == "ring":
+            block = [[(b, j), (b, (j + 1) % (k + 1))] for j in range(k + 1)]
+        elif kind == "random":
+            pool = [(b, j) for j in range(min(k, 3) + 1)]
+            block = [rng.sample(pool, rng.randint(1, min(3, len(pool))))
+                     for _ in range(rng.randint(1, 5))]
+        else:
+            block = [[]]
+        for cols in block:
+            img = {}
+            for c in cols:
+                n = rng.choice((1, -1, 2, 3, -4, 7))
+                img[c] = (field.from_fraction(n, 1) if rng.random() < 0.3
+                          else field.from_int(n))
+            if rng.random() < 0.15:
+                img[(rng.randint(0, 6), rng.randint(0, 6))] = rng.choice(zeros)
+            images.append(img)
+    rng.shuffle(images)
+    return {("lab", k): img for k, img in enumerate(images)}
+
+
+def _nonzero(images, field):
+    """The map with its stored zeros dropped."""
+    return {lab: {col: c for col, c in img.items() if not field.is_zero(c)}
+            for lab, img in images.items()}
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3", "fp:32003"])
+def test_tree_blocks_and_stored_zeros_keep_the_elimination(spec):
+    # maps of paths, stars, rings, random blocks and zero images, with
+    # stored zeros: kernel_basis skips the tree blocks and reads a stored
+    # zero as absent, and gives exactly the whole-domain elimination of
+    # the rows without their zeros, in rows, key order and scalar types
+    field = field_from_spec(spec)
+    rng = random.Random(223)
+    seen = {"tree": 0, "cycle": 0, "zero_image": 0, "stored_zero": 0,
+            "three_terms": 0, "kernel": 0}
+    for trial in range(300):
+        images = _shaped_map(rng, field)
+        clean = _nonzero(images, field)
+        got = kernel_basis(images, field)
+        assert _exact(got) == _exact(_eliminated_kernel(clean, field))
+        for block in _components(clean):
+            if not clean[list(clean)[block[0]]]:
+                seen["zero_image"] += 1
+            else:
+                seen["cycle" if _has_cycle(clean, block) else "tree"] += 1
+        seen["stored_zero"] += any(map(field.is_zero, (
+            c for img in images.values() for c in img.values())))
+        seen["three_terms"] += any(len(img) == 3 for img in clean.values())
+        seen["kernel"] += bool(got)
+    assert min(seen.values()) > 40, seen
+
+
+def test_a_tree_block_builds_no_echelon(monkeypatch):
+    # a path of two-term images is a tree: independent, no Echelon. A
+    # third image closing it to a cycle builds one, whose kernel depends
+    # on the field: none over q, x + y + z over fp:2
+    built = _count_echelons(monkeypatch)
+    one = QQ.one()
+    path = {"x": {1: one, 2: one}, "y": {2: one, 3: one}}
+    assert kernel_basis(path, QQ) == [] and not built
+    cycle = dict(path, z={3: one, 1: one})
+    assert kernel_basis(cycle, QQ) == [] and len(built) == 1
+    assert kernel_basis(cycle, PrimeField(2)) == [{"x": 1, "y": 1, "z": 1}]
+    assert len(built) == 2
+    # a path with a one-term image at one end is a tree; at both ends its
+    # two one-term images meet through the ground, and x - y + z = 0
+    grounded = dict(path, w={1: one})
+    assert kernel_basis(grounded, QQ) == [] and len(built) == 2
+    closed = {"w": {1: one}, "x": {1: one, 2: one}, "z": {2: one}}
+    assert kernel_basis(closed, QQ) == [{"z": 1, "x": -1, "w": 1}]
+    assert len(built) == 3
+
+
+def test_stored_zeros_are_read_as_absent():
+    # a stored zero is never a pivot and never divided by: over fp:2 the
+    # integer 2 is a stored zero
+    f2 = PrimeField(2)
+    zero, one = f2.from_int(2), f2.one()
+    ech = Echelon(f2)
+    assert ech.insert({5: zero, 1: one}) == 1
+    assert ech.rows == {1: _PIVOT_ONLY} and ech.insert({3: zero}) is None
+    # a one-term image with a zero scalar is a zero image, on the
+    # monomial path and on the block path alike
+    assert kernel_basis({"a": {1: zero}}, f2) == [{"a": 1}]
+    assert kernel_basis({"a": {1: zero}, "b": {1: one}, "c": {2: one}},
+                        f2) == [{"a": 1}]
+    images = {"a": {1: zero, 2: one}, "b": {2: one, 3: one}, "c": {3: zero}}
+    assert kernel_basis(images, f2) == [{"c": 1}]
+    # a zero between two blocks joins neither: b and c stay trees
+    images = {"a": {1: one, 2: one}, "b": {1: zero, 3: one, 4: one}}
+    assert kernel_basis(images, f2) == []
 
 
 def test_koszul_cycle_kernel_builds_no_echelon(monkeypatch):
